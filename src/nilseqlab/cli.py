@@ -460,12 +460,29 @@ _RUNNERS: dict[str, Callable[[dict, str, int], dict]] = {
 # plot-data emission
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file, then rename it over path, so a
+    reader sees the old file or the whole new one, never a partial one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path: str, obj) -> None:
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_csv(path: str, header: str, rows: Sequence[Sequence]) -> None:
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                             for x in row) + "\n")
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
+                              for x in row))
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_plotdata(report: dict, out_dir: str) -> list[str]:
@@ -492,9 +509,7 @@ def emit_plotdata(report: dict, out_dir: str) -> list[str]:
         written.append(path)
     elif kind == "decomposition":
         tpath = os.path.join(out_dir, "nil_terms.json")
-        with open(tpath, "w") as f:
-            json.dump(plot["terms"], f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(tpath, plot["terms"])
         written.append(tpath)
         rpath = os.path.join(out_dir, "residual.csv")
         _write_csv(rpath, "n,re,im", plot["residual_rows"])
@@ -570,7 +585,8 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
         report["status"] = "error"
         report["failed_stage"] = "compute"
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _write_report(report, timings, out_dir)
+        _write_report(report, out_dir)
+        _write_json(os.path.join(out_dir, "timings.json"), timings)
         print(_error_json("compute", exc), file=sys.stderr)
         return 3
     timings["compute"] = time.perf_counter() - t1
@@ -578,21 +594,17 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
     report["results"] = outcome["results"]
     report["plot"] = outcome["plot"]
     t2 = time.perf_counter()
-    _write_report(report, timings, out_dir)
+    _write_report(report, out_dir)
     emit_plotdata(report, out_dir)
     timings["emit"] = time.perf_counter() - t2
+    _write_json(os.path.join(out_dir, "timings.json"), timings)
     return 0
 
 
-def _write_report(report: dict, timings: dict, out_dir: str) -> None:
+def _write_report(report: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    body = {k: v for k, v in report.items() if k != "plot"}
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
-        json.dump(body, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(out_dir, "timings.json"), "w") as f:
-        json.dump(timings, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"),
+                {k: v for k, v in report.items() if k != "plot"})
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -34,7 +34,8 @@ from .exactnum import (
     fit_phase_polynomial,
     unipotent_power_polys,
 )
-from .nilseq import SequenceStream, Tag, e_array, e_phase, phase_block_fast
+from .nilseq import (SequenceStream, Tag, e_array, e_phase,
+                     phase_block_exact, phase_block_fast)
 from .spectral import SparseVector, integer_solutions
 
 __all__ = [
@@ -553,6 +554,8 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
                     if val != 0:
                         hit_values[n] = hit_values.get(n, 0) + val
 
+    phases = phase_block_fast if precision == "fast" else phase_block_exact
+
     def block(start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.complex128)
         for coeff, r, poly in mod_terms:
@@ -562,16 +565,7 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
             if t1 <= t0:
                 continue
             idx = np.arange(t0, t1) * m + r - start
-            if poly.degree <= 0:
-                val = e_phase(poly(0).float_mod_1())
-                out[idx] += coeff * val
-                continue
-            if precision == "fast" and t1 - t0 > 256:
-                phases = phase_block_fast(poly, t0, t1)
-            else:
-                phases = np.array([poly(t).float_mod_1()
-                                   for t in range(t0, t1)])
-            out[idx] += coeff * e_array(phases)
+            out[idx] += coeff * e_array(phases(poly, t0, t1))
         for n, val in hit_values.items():
             if start <= n < stop:
                 out[n - start] += val

@@ -40,6 +40,8 @@ __all__ = [
     "e_phase",
     "e_array",
     "E_ABS_ERROR",
+    "exp_nonpos",
+    "EXP_REL_ERROR",
     "poly_exp",
     "quadratic_seq",
     "theta_kappa",
@@ -48,6 +50,7 @@ __all__ = [
     "furstenberg_orbit",
     "interleave",
     "deinterleave",
+    "PhaseKernel",
     "phase_block_exact",
     "phase_block_fast",
 ]
@@ -318,12 +321,58 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# polynomial phase evaluation, exact and compensated-float
+# polynomial phase evaluation: one exact kernel, plus a float route
+
+
+class PhaseKernel:
+    """Exact tabulation of p(n) mod 1 by forward differences.
+
+    In the binomial basis p(n) = sum_i b_i C(n, i), and the exact values
+    of the b_i are put over one common denominator D, b_i = B_i / D with
+    integers B_i.  As Delta^j C(n, i) = C(n, i - j), the integers
+    D Delta^j p(n) = sum_{i >= j} B_i C(n, i - j) mod D form the
+    difference table of p at n, and a step n -> n + 1 adds to each row
+    the row below it (Knuth, TAOCP vol. 2, 4.6.4).  All of it is integer
+    arithmetic mod D.  The one rounding is a_0 / D, and Python's int/int
+    division is correctly rounded, so every phase is the same float as
+    float(p(n) mod 1) taken exactly.
+    """
+
+    def __init__(self, p: PhasePolynomial):
+        values = [c.exact_value() for c in p.to_binomial().coeffs] or [Fraction(0)]
+        self.denominator = math.lcm(*(v.denominator for v in values))
+        self.numerators = tuple(v.numerator * (self.denominator // v.denominator)
+                                for v in values)
+
+    @property
+    def degree(self) -> int:
+        return len(self.numerators) - 1
+
+    def differences(self, n: int) -> list[int]:
+        """D Delta^j p(n) mod D for j = 0..degree."""
+        B, D = self.numerators, self.denominator
+        return [sum(B[i] * binom_int(n, i - j) for i in range(j, len(B))) % D
+                for j in range(len(B))]
+
+    def _walk(self, start: int, count: int):
+        D = self.denominator
+        a = self.differences(start)
+        rows = range(self.degree)
+        for _ in range(count):
+            yield a[0] / D
+            for j in rows:
+                s = a[j] + a[j + 1]
+                a[j] = s - D if s >= D else s
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """p(n) mod 1 for n in [start, stop)."""
+        count = max(stop - start, 0)
+        return np.fromiter(self._walk(start, count), np.float64, count)
 
 
 def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     """Phases p(n) mod 1 for n in [start, stop), each reduced exactly."""
-    return np.array([p(n).float_mod_1() for n in range(start, stop)], dtype=np.float64)
+    return PhaseKernel(p).block(start, stop)
 
 
 def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
@@ -331,8 +380,8 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 
     Per-step recurrences in doubles compound error like n^degree, so
     instead each block of B values is anchored exactly: the forward
-    differences of p at the block start are computed in exact arithmetic
-    and reduced mod 1, then the block is the float combination
+    differences of p at the block start come from the exact kernel,
+    reduced mod 1, then the block is the float combination
     sum_j frac(diff_j) C(i, j) for i = 0..B-1.  Dropping integer parts
     of the differences only shifts values by integers at integer i.  B
     is chosen so C(B, degree) stays below 2^18, which caps the absolute
@@ -341,11 +390,10 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     count = stop - start
     if count <= 0:
         return np.zeros(0, dtype=np.float64)
-    pb = p.to_binomial()
-    deg = max(pb.degree, 0)
+    kernel = PhaseKernel(p)
+    deg, D = kernel.degree, kernel.denominator
     if deg == 0:
-        c = pb.coeffs[0].float_mod_1() if pb.coeffs else 0.0
-        return np.full(count, c, dtype=np.float64)
+        return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
     bsize = max(4, min(1 << 18, int(2.0 ** (18.0 / deg))))
     # row j holds C(i, j), exact in float64 at these sizes
     table = np.empty((deg + 1, bsize), dtype=np.float64)
@@ -357,12 +405,7 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     pos = 0
     while pos < count:
         b = min(bsize, count - pos)
-        anchor = start + pos
-        vals = [pb(anchor + j) for j in range(deg + 1)]
-        coeffs = []
-        for j in range(deg + 1):
-            coeffs.append(vals[0].float_mod_1())
-            vals = [y - x for x, y in zip(vals, vals[1:])]
+        coeffs = [a / D for a in kernel.differences(start + pos)]
         # fixed-order elementwise sum, not a BLAS matvec: the kernel a
         # BLAS build picks (and its FMA use) must not reach the bits
         acc = table[1, :b] * coeffs[1]
@@ -410,10 +453,40 @@ def quadratic_seq(t: PhaseScalar, precision: str = "exact") -> SequenceStream:
 # theta kernel and Heisenberg-type sequences
 
 
+# exp(x) for x <= 0, from correctly rounded + - * and rint and an exact
+# ldexp, so the Gaussian weights are the same bits on every machine (libm
+# builds of exp differ in the last bit).  x = k ln 2 + r with k = rint(x /
+# ln 2), |r| <= ln 2 / 2; k ln 2 is subtracted in two parts, the high
+# part having 21 trailing zero bits so k * _LN2_HI is exact.  exp(r) is
+# its Taylor polynomial to degree 13 (truncation below 5e-18 relative),
+# with round-to-nearest coefficients 1/j!.  With every rounding at its
+# worst the relative error stays below 2.5e-16 while e^x is a normal
+# double (x >= -708); the largest seen against mpmath is 1.6e-16.
+
+_LN2_HI = 0.6931471803691238
+_LN2_LO = 1.9082149292705877e-10
+_EXP_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(13, -1, -1))
+
+EXP_REL_ERROR = 2.5e-16
+"""Documented bound on |exp_nonpos(x) / e^x - 1| for -708 <= x <= 0."""
+
+
+def exp_nonpos(x: float) -> float:
+    """e^x for x <= 0, bit-identical on every IEEE-754 machine."""
+    if x < -746.0:  # e^x is below half the least subnormal
+        return 0.0
+    k = round(x * 1.4426950408889634)
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    acc = 0.0
+    for c in _EXP_TAYLOR:
+        acc = acc * r + c
+    return math.ldexp(acc, k)
+
+
 def _theta_truncation(eps: float) -> int:
     K = 2
     while True:
-        tail = 2.0 * math.exp(-math.pi * (K - 1) ** 2) / (1.0 - math.exp(-TWO_PI * (K - 1)))
+        tail = 2.0 * exp_nonpos(-math.pi * (K - 1) ** 2) / (1.0 - exp_nonpos(-TWO_PI * (K - 1)))
         if tail < eps:
             return K
         K += 1
@@ -426,7 +499,8 @@ def theta_kappa(s: float, t: float, eps: float = 1e-12) -> complex:
     center = round(t)
     total = 0j
     for k in range(-center - K, -center + K + 1):
-        total += math.exp(-math.pi * (t + k) ** 2) * e_phase(k * s)
+        y = t + k
+        total += exp_nonpos(-math.pi * (y * y)) * e_phase(k * s)
     return total
 
 
@@ -453,35 +527,6 @@ def heisenberg_seq(alpha: float, beta: float, eps: float = 1e-12) -> SequenceStr
 
 def _frac_mod1(x: Fraction) -> float:
     return float(x % 1)
-
-
-# ---------------------------------------------------------------------------
-# minimal double-double helpers for tower iteration
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi, lo = _two_sum(s, e)
-    return hi, lo
-
-
-def _dd_mod1(x: tuple[float, float]) -> tuple[float, float]:
-    f = math.floor(x[0])
-    return x[0] - f, x[1]
-
-
-def _dd_from_exact(p: PhaseScalar) -> tuple[float, float]:
-    val = p.exact_value() % 1
-    hi = float(val)
-    lo = float(val - Fraction(hi))
-    return hi, lo
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +574,18 @@ class SkewProductState:
         return tuple(y)
 
     def iterate_float(self, n: int) -> tuple[float, ...]:
-        """Same orbit iterated in double-double mod-1 arithmetic.
+        """Coordinates of iterate(n) as floats, each correctly rounded.
 
-        A coordinate k levels up the tower integrates the levels below
-        it, so plain double rounding compounds like n^k; the paired
-        representation keeps roughly 106 bits and the compounded error
-        stays far below 1e-9 for n up to 1e6.
+        The tower is a difference table: the last coordinate is the
+        closed form q(n) and y_{k-j}(n) = Delta^j q(n), with alpha as the
+        constant top row.  So the orbit is read off the exact integer
+        differences of q at n, with no iteration and no float error.
         """
         if n < 0:
             raise ValueError("float path iterates forward only")
-        alpha = _dd_from_exact(self.alpha)
-        y = [_dd_from_exact(p) for p in self.points]
-        for _ in range(n):
-            new = []
-            for j in range(len(y)):
-                inc = alpha if j == 0 else y[j - 1]
-                new.append(_dd_mod1(_dd_add(y[j], inc)))
-            y = new
-        return tuple((hi + lo) - math.floor(hi + lo) for hi, lo in y)
+        kernel = PhaseKernel(PhasePolynomial((*reversed(self.points), self.alpha)))
+        diffs = kernel.differences(n)[: self.dim]
+        return tuple(a / kernel.denominator for a in reversed(diffs))
 
 
 def furstenberg_orbit(p: PhasePolynomial) -> tuple[SkewProductState, SequenceStream]:

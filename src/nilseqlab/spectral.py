@@ -30,7 +30,7 @@ from .exactnum import (
     fit_phase_polynomial,
     format_phase,
 )
-from .nilseq import SequenceStream, Tag, e_array, e_phase, phase_block_fast
+from .nilseq import SequenceStream, Tag, e_array, e_phase, phase_block_exact
 
 __all__ = [
     "NotDiagonal",
@@ -462,12 +462,7 @@ def _nil_stream_from_terms(terms: Sequence[NilTerm]) -> SequenceStream:
     def block(start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.complex128)
         for t in terms:
-            if stop - start > 512:
-                phases = phase_block_fast(t.phase_poly, start, stop)
-            else:
-                phases = np.array([t.phase_poly(n).float_mod_1()
-                                   for n in range(start, stop)])
-            out += t.coeff * e_array(phases)
+            out += t.coeff * e_array(phase_block_exact(t.phase_poly, start, stop))
         return out
 
     return SequenceStream(evaluate=ev, bound=bound, tag=Tag.nil(step),

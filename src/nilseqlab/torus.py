@@ -227,8 +227,8 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
         expect = q.has_irrational_nonconstant()
         if q.is_rational():
             T = _rational_period(q)
-            unit = [e_phase(q(rho).float_mod_1()) for rho in range(T)]
-            period_mean = tree_fold(np.array(unit, dtype=np.complex128)) / T
+            unit = e_array(phase_block_exact(q, 0, T))
+            period_mean = tree_fold(unit) / T
             means = []
             for N in cks:
                 total_count = 2 * N + 1
@@ -236,7 +236,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                     means.append(period_mean)
                     continue
                 counts = [( (N - rho) // T ) - math.ceil((-N - rho) / T) + 1 for rho in range(T)]
-                s = tree_fold(np.array([c * u for c, u in zip(counts, unit)],
+                s = tree_fold(np.array([c * u for c, u in zip(counts, unit.tolist())],
                                        dtype=np.complex128))
                 means.append(s / total_count)
             out.append(WeylHarmonic(harmonic=k, expect_zero=expect,

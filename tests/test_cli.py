@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -85,6 +86,105 @@ def test_goldens_independent_of_libm_and_blas_builds(variant, tmp_path):
             with open(os.path.join(out, fname), "rb") as f:
                 got = f.read()
             assert got == want, f"{variant}: {name}/{fname} drifted from golden"
+
+
+def _close(got, want, tol=1e-9):
+    """Numbers within tol, strings equal up to the route name."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            _close(got[k], want[k], tol) for k in got)
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(
+            _close(a, b, tol) for a, b in zip(got, want))
+    if isinstance(got, str) and isinstance(want, str):
+        return got.replace("exact", "fast") == want
+    numbers = (int, float)
+    if (isinstance(got, numbers) and isinstance(want, numbers)
+            and not isinstance(got, bool) and not isinstance(want, bool)):
+        return abs(got - want) <= tol
+    return got == want
+
+
+def _parsed(path):
+    with open(path) as f:
+        text = f.read()
+    if path.endswith(".json"):
+        value = json.loads(text)
+        if isinstance(value, dict):
+            value.pop("precision", None)
+        return value
+    rows = []
+    for line in text.splitlines():
+        row = []
+        for cell in line.split(","):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(cell)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
+def test_exact_route_agrees_with_goldens(name, tmp_path):
+    # the default precision; the goldens hold the fast route's bytes
+    out = str(tmp_path / name)
+    code, _, err = run_cli(SUBCOMMAND[name], "--config",
+                           os.path.join(CONFIGS, f"{name}.json"), "--out", out)
+    assert code == 0, err
+    golden_dir = os.path.join(GOLDEN, name)
+    for fname in sorted(os.listdir(golden_dir)):
+        got = _parsed(os.path.join(out, fname))
+        want = _parsed(os.path.join(golden_dir, fname))
+        assert _close(got, want), f"{name}/{fname} disagrees with golden"
+
+
+def test_timings_cover_every_stage(tmp_path):
+    out = str(tmp_path / "out")
+    code, _, err = run_cli("weyl", "--config",
+                           os.path.join(CONFIGS, "weyl_rational.json"),
+                           "--out", out)
+    assert code == 0, err
+    timings = json.load(open(os.path.join(out, "timings.json")))
+    assert set(timings) == {"validate", "compute", "emit"}
+    assert all(v >= 0 for v in timings.values())
+
+
+def test_interrupted_write_leaves_no_partial_report(tmp_path, monkeypatch):
+    from nilseqlab import cli
+
+    cfg = os.path.join(CONFIGS, "classify_shear.json")
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    before = (out / "report.json").read_bytes()
+
+    class HalfWrite:
+        """A file that takes half the text, then fails as a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        return HalfWrite(f) if "w" in mode else f
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    for target in (out, tmp_path / "fresh"):
+        with pytest.raises(OSError):
+            cli.main(["classify", "--config", cfg, "--out", str(target)])
+    assert (out / "report.json").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["report.json", "timings.json"]
+    assert os.listdir(tmp_path / "fresh") == []
 
 
 def test_reruns_byte_identical(tmp_path):

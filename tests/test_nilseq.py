@@ -15,12 +15,14 @@ from nilseqlab.nilseq import (
     ArityMismatch,
     DegreeZero,
     E_ABS_ERROR,
+    EXP_REL_ERROR,
     SequenceStream,
     Tag,
     constant,
     deinterleave,
     e_array,
     e_phase,
+    exp_nonpos,
     from_function,
     furstenberg_orbit,
     heisenberg_seq,
@@ -220,6 +222,54 @@ def test_poly_exp_matches_direct_formula(p, n):
     assert s.bound == 1.0
 
 
+@given(phase_polys(max_degree=5), st.sampled_from(("binomial", "monomial")),
+       st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+       st.integers(min_value=-3, max_value=40))
+def test_phase_block_exact_is_the_exact_reduction(p, basis, start, width):
+    if basis == "monomial":
+        p = PhasePolynomial.from_coeffs(p.coeffs, basis="monomial")
+    got = phase_block_exact(p, start, start + width)
+    want = np.array([p(n).float_mod_1() for n in range(start, start + width)],
+                    dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (max(width, 0),)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _fast_pin_cases():
+    """Seeded polynomials of degree 0-5 in both bases, at starts up to
+    1e12, plus one degree-1 range longer than a fast block."""
+    rng = random.Random(20151022)
+    cases = []
+    for deg in range(6):
+        for basis in ("binomial", "monomial"):
+            coeffs = []
+            for _ in range(deg + 1):
+                parts = ((g, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                         for g in ("g1", "g2") if rng.random() < 0.6)
+                coeffs.append(PhaseScalar(
+                    Fraction(rng.randint(-50, 50), rng.randint(1, 60)),
+                    tuple((g, c) for g, c in parts if c)))
+            start = rng.choice((0, -1500, 10 ** 6 + 3, -(10 ** 9), 10 ** 12))
+            cases.append((PhasePolynomial.from_coeffs(coeffs, basis),
+                          start, start + 1500))
+    line = PhasePolynomial.from_coeffs((parse_phase("1/7"), parse_phase("g1")))
+    cases.append((line, -1000, (1 << 18) + 1000))
+    return cases
+
+
+# SHA-256 of phase_block_fast over _fast_pin_cases() as little-endian
+# float64, recorded with block anchors from PhaseScalar evaluation: the
+# kernel's anchors must give the same bits
+FAST_PHASE_DIGEST = "b90c65085240ace68bb780e715ecc3527a9507d35d765feb880a3a4365cde10f"
+
+
+def test_phase_block_fast_pinned_bit_for_bit():
+    h = hashlib.sha256()
+    for p, start, stop in _fast_pin_cases():
+        h.update(phase_block_fast(p, start, stop).astype("<f8").tobytes())
+    assert h.hexdigest() == FAST_PHASE_DIGEST
+
+
 def test_exact_and_fast_blocks_agree():
     p = PhasePolynomial.from_coeffs(
         (parse_phase("1/7"), parse_phase("g1"), parse_phase("g2"),
@@ -276,6 +326,50 @@ def test_kappa_integer_periodicity_in_s():
         assert abs(theta_kappa(s + 1.0, t) - theta_kappa(s, t)) < 2e-12
 
 
+def _exp_arguments() -> list[float]:
+    """Seeded arguments for exp_nonpos: the whole normal range, the
+    reduction boundaries (odd multiples of ln 2 / 2) and the Gaussian
+    weights theta_kappa asks for."""
+    rng = random.Random(20151023)
+    xs = [0.0, -0.0, -1e-300, -2.0 ** -60, -708.0, -745.0, -746.5, -1e300]
+    xs += [-k * 0.34657359027997264 + d for k in range(1, 200, 2)
+           for d in (0.0, 2.0 ** -40, -(2.0 ** -40))]
+    xs += [-math.pi * y * y for y in (rng.uniform(0, 8) for _ in range(2000))]
+    xs += [-rng.uniform(0, 708) for _ in range(2000)]
+    return xs
+
+
+def _kappa_arguments() -> list[tuple[float, float]]:
+    rng = random.Random(20151024)
+    return [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(500)]
+
+
+# SHA-256 of exp_nonpos(_exp_arguments()) followed by theta_kappa over
+# _kappa_arguments(), as little-endian float64 and complex128
+THETA_DIGEST = "15860687487fac52c708690cef6d4474a0f2662185e4d0aff8f84755c4a0938e"
+
+
+def test_theta_weights_pinned_bit_for_bit():
+    exps = np.array([exp_nonpos(x) for x in _exp_arguments()], dtype="<f8")
+    kappas = np.array([theta_kappa(s, t) for s, t in _kappa_arguments()],
+                      dtype="<c16")
+    digest = hashlib.sha256(exps.tobytes() + kappas.tobytes()).hexdigest()
+    assert digest == THETA_DIGEST, (
+        "exp or theta-kernel output bits changed on this platform or by an edit")
+
+
+def test_exp_nonpos_error_bound_against_mpmath():
+    worst = 0.0
+    with mpmath.workprec(160):
+        for x in _exp_arguments():
+            if x < -708:
+                continue
+            want = mpmath.exp(mpmath.mpf(x))
+            worst = max(worst, abs(float((mpmath.mpf(exp_nonpos(x)) - want) / want)))
+    assert worst <= EXP_REL_ERROR
+    assert exp_nonpos(0.0) == 1.0 and exp_nonpos(-746.5) == 0.0
+
+
 def test_heisenberg_values():
     alpha, beta = math.sqrt(2) - 1, math.sqrt(3) - 1
     w = heisenberg_seq(alpha, beta)
@@ -309,6 +403,8 @@ def test_tower_iterate_matches_closed_form(p, n):
         return
     orbit = state.iterate(n)
     assert orbit[-1] == state.closed_form(n)
+    if n >= 0:
+        assert state.iterate_float(n) == tuple(x.float_mod_1() for x in orbit)
     want = e_phase(state.closed_form(n).float_mod_1())
     assert abs(stream.evaluate(n) - want) < 1e-12
 
@@ -332,13 +428,10 @@ def test_iterate_float_tracks_exact_orbit():
     p = PhasePolynomial.from_coeffs(
         (parse_phase("0"), parse_phase("1/3"), parse_phase("g1")))
     state, _ = furstenberg_orbit(p)
-    n = 2000
-    got = state.iterate_float(n)
-    want = [x.float_mod_1() for x in state.iterate(n)]
-    for g, w in zip(got, want):
-        # compare as points on the circle
-        d = abs(g - w)
-        assert min(d, 1.0 - d) < 1e-9
+    for n in (0, 1, 7, 2000):
+        got = state.iterate_float(n)
+        want = tuple(x.float_mod_1() for x in state.iterate(n))
+        assert got == want
 
 
 def test_iterate_float_forward_only():

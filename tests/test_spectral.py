@@ -292,6 +292,21 @@ def test_decompose_diagonal_family():
     assert res.nil_stream.tag.kind == "nil"
 
 
+def test_nil_stream_block_matches_pointwise():
+    V1 = op((0,), form=("g1",))
+    V2 = op((0,), phase="1/7", form=("1/3",))
+    g = GPolynomial.make((V1, V2), (mono([0, 1]), mono([0, 0, 1])))
+    u = SparseVector.from_sites(
+        1, {(0,): 0.6, (2,): 0.64},
+        {"a": (0.48, (parse_phase("g2"), parse_phase("0")))})
+    nil = decompose(g, u, u).nil_stream
+    block = nil.evaluate_block(-3000, 3000)
+    pointwise = np.array([nil.evaluate(n) for n in range(-3000, 3000)])
+    # same phases and e(x) bits; only the complex multiply-add may round
+    # differently between numpy and Python
+    assert np.max(np.abs(block - pointwise)) < 1e-15
+
+
 def test_decompose_cancelling_shifts_stay_compact():
     # shifts of the two generators cancel along n -> the difference
     # generators are diagonal even though each generator moves the lattice
