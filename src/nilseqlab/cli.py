@@ -6,8 +6,8 @@ deterministic report plus plot-ready CSV files.  Timings go to a
 separate file so everything else is byte-identical across runs.
 
 Exit codes: 0 success, 2 config validation failure (nothing written),
-3 computation failure (a failure report is still written when
-possible).  Errors also appear as one JSON object on stderr.
+3 any other failure, write errors included (a failure report is still
+written when possible).  Errors also appear as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import json
 import os
 import sys
 import time
+import traceback
 from typing import Any, Callable, Sequence
 
-from . import exactnum, mobius, nctorus, nilseq, spectral, torus
+from . import mobius, nctorus, nilseq, spectral, torus
 from .exactnum import (
     IntMatrix,
     IntegralPolynomial,
@@ -32,17 +33,13 @@ from .exactnum import (
 from .nilseq import SequenceStream
 from .spectral import GPolynomial, ShiftPhaseOperator, SparseVector
 
-__all__ = ["ValidationError", "ComputationError", "run", "emit_plotdata", "main"]
+__all__ = ["ValidationError", "run", "emit_plotdata", "main"]
 
 KINDS = ("classify", "torus-seq", "nc-seq", "decompose", "correlate", "weyl")
 
 
 class ValidationError(ValueError):
     """Config rejected before any computation; exit code 2."""
-
-
-class ComputationError(RuntimeError):
-    """A validated config failed while computing; exit code 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +192,14 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
                                precision=precision)
     if t == "heisenberg":
         _check_keys(spec, "sequence", ["type", "alpha", "beta"], ["eps"])
-        if not isinstance(spec["alpha"], (int, float)) or \
-           not isinstance(spec["beta"], (int, float)):
-            raise ValidationError("sequence.alpha/beta: expected numbers")
-        return nilseq.heisenberg_seq(float(spec["alpha"]), float(spec["beta"]),
-                                     eps=float(spec.get("eps", 1e-12)))
+        alpha, beta, eps = (spec["alpha"], spec["beta"], spec.get("eps", 1e-12))
+        # abs(x) <= max is False for NaN, the infinities and huge integers
+        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+                   for x in (alpha, beta, eps)):
+            raise ValidationError("sequence.alpha/beta/eps: expected finite numbers")
+        if not eps > 0:
+            raise ValidationError("sequence.eps: must be > 0")
+        return nilseq.heisenberg_seq(float(alpha), float(beta), eps=float(eps))
     if t == "furstenberg":
         _check_keys(spec, "sequence", ["type", "poly"])
         _, stream = nilseq.furstenberg_orbit(_phase_poly(spec["poly"],
@@ -284,10 +284,7 @@ def _seq_common(cfg: dict, precision: str) -> tuple[SequenceStream, int, int]:
 def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "range"], ["generators"])
     stream, start, stop = _seq_common(cfg, precision)
-    try:
-        values = stream.evaluate_block(start, stop)
-    except Exception as exc:
-        raise ComputationError(f"sequence evaluation failed: {exc}")
+    values = stream.evaluate_block(start, stop)
     return {
         "results": {
             "tag": str(stream.tag),
@@ -326,16 +323,13 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     spec = cfg["sequence"]
     if isinstance(spec, dict) and spec.get("type") == "mobius":
         _check_keys(spec, "sequence", ["type"])
-        table = _mobius_table_cached(max(pts) if pts else 1)
+        table = _mobius_table_cached(max(pts))
         stream = mobius.mobius_stream(table)
     else:
         stream = build_sequence(spec, precision)
-        table = _mobius_table_cached(max(pts)) if pts else None
-    try:
-        rep = mobius.correlate(stream, pts, table=table,
-                               segment_size=seg, threads=threads)
-    except (mobius.LimitTooLarge, mobius.UnboundedSequence) as exc:
-        raise ComputationError(str(exc))
+        table = _mobius_table_cached(max(pts))
+    rep = mobius.correlate(stream, pts, table=table,
+                           segment_size=seg, threads=threads)
     rows = [[N, s.real, s.imag, abs(s)]
             for N, s in zip(rep.checkpoints, rep.sums)]
     return {
@@ -361,6 +355,8 @@ def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
     pts = _checkpoints(cfg["checkpoints"], "checkpoints", minimum=0)
     if not pts:
         raise ValidationError("checkpoints: need at least one")
+    if 2 * pts[-1] + 1 > 10 ** 7:
+        raise ValidationError("checkpoints: window [-N, N] wider than 10^7 samples")
     rep = torus.weyl_test(poly, harmonics, pts, precision=precision)
     rows = []
     harm_out = []
@@ -430,10 +426,7 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
 
     u, v = vec("u"), vec("v")
     pts = _checkpoints(cfg.get("checkpoints", []), "checkpoints")
-    try:
-        res = spectral.decompose(g, u, v)
-    except Exception as exc:
-        raise ComputationError(f"decompose failed: {exc}")
+    res = spectral.decompose(g, u, v)
     out = res.to_json_dict()
     out["cesaro_bounds"] = {str(N): res.certificate.cesaro_bound(N) for N in pts}
     residual_rows = [[n, val.real, val.imag]
@@ -521,114 +514,100 @@ def emit_plotdata(report: dict, out_dir: str) -> list[str]:
 # driver
 
 
-def _error_json(stage: str, exc: Exception) -> str:
-    return json.dumps({"error": {"stage": stage,
-                                 "type": type(exc).__name__,
-                                 "message": str(exc)}}, sort_keys=True)
-
-
 def run(kind: str, config_path: str, out_dir: str, threads: int,
         precision: str) -> int:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    try:
-        with open(config_path) as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        print(_error_json("load", exc), file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(_error_json("parse", exc), file=sys.stderr)
-        return 2
+    """Run one subcommand; the only place an exception becomes an exit code.
 
+    Exit 2 when the config cannot be read or parsed, or is rejected by a
+    ValidationError, even one raised inside a runner: nothing is written
+    under out_dir.  Exit 3 for any other failure: a failure report and
+    timings.json are written when the disk allows.  `seq` takes its kind
+    from the config; `report` reruns the config of a stored report.json.
+    """
+    stage, report, timings = "load", None, {}
+    t = time.perf_counter()
     try:
+        if kind == "report" and os.path.isdir(config_path):
+            config_path = os.path.join(out_dir, "report.json")
+        with open(config_path) as f:
+            text = f.read()
+        stage = "parse"
+        cfg = json.loads(text)
+
+        stage = "validate"
+        if kind == "report":
+            if not isinstance(cfg, dict):
+                raise ValidationError("report: expected a JSON object")
+            if cfg.get("status") != "ok":
+                raise RuntimeError("stored report is a failure report")
+            kind, precision, threads, cfg = (
+                cfg.get("kind"), cfg.get("precision", "exact"),
+                cfg.get("threads", 1), cfg.get("config"))
         if not isinstance(cfg, dict):
             raise ValidationError("config: expected a JSON object")
+        if kind == "seq":
+            kind = cfg.get("kind")
+            if kind not in ("torus-seq", "nc-seq"):
+                raise ValidationError("seq configs need kind torus-seq or nc-seq")
         cfg_kind = cfg.get("kind")
         if cfg_kind != kind:
             raise ValidationError(
                 f"config kind {cfg_kind!r} does not match subcommand {kind!r}")
-        if kind not in _RUNNERS:
+        if kind not in KINDS:
             raise ValidationError(f"unknown kind {kind!r}")
         _declare_generators(cfg)
         if precision not in ("exact", "fast"):
             raise ValidationError("precision must be exact or fast")
-        if threads < 1:
+        if _int(threads, "threads") < 1:
             raise ValidationError("threads must be >= 1")
-    except ValidationError as exc:
-        print(_error_json("validate", exc), file=sys.stderr)
-        return 2
-    timings["validate"] = time.perf_counter() - t0
+        timings["validate"] = time.perf_counter() - t
 
-    report = {
-        "kind": kind,
-        "config": cfg,
-        "precision": precision,
-        "threads": threads,
-        "status": "ok",
-        "failed_stage": None,
-        "results": None,
-        "plot": None,
-    }
-    t1 = time.perf_counter()
-    try:
-        outcome = _RUNNERS[kind](cfg, precision, threads)
-    except ValidationError as exc:
-        print(_error_json("validate", exc), file=sys.stderr)
-        return 2
-    except (ComputationError, exactnum.DegreeBoundExceeded,
-            exactnum.NotUnipotent, exactnum.NotInGL,
-            exactnum.NonClosedProduct, nctorus.NotCompatible,
-            nctorus.NotUnitVector, mobius.LimitTooLarge,
-            mobius.UnboundedSequence) as exc:
-        timings["compute"] = time.perf_counter() - t1
-        report["status"] = "error"
-        report["failed_stage"] = "compute"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        report = {
+            "kind": kind,
+            "config": cfg,
+            "precision": precision,
+            "threads": threads,
+            "status": "ok",
+            "failed_stage": None,
+            "results": None,
+            "plot": None,
+        }
+        stage, t = "compute", time.perf_counter()
+        report.update(_RUNNERS[kind](cfg, precision, threads))
+        timings["compute"] = time.perf_counter() - t
+
+        stage, t = "emit", time.perf_counter()
         _write_report(report, out_dir)
+        emit_plotdata(report, out_dir)
+        timings["emit"] = time.perf_counter() - t
         _write_json(os.path.join(out_dir, "timings.json"), timings)
-        print(_error_json("compute", exc), file=sys.stderr)
+        return 0
+    except Exception as exc:
+        rejected = stage in ("load", "parse") or isinstance(exc, ValidationError)
+        if isinstance(exc, ValidationError):
+            stage = "validate"
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        shown = {"stage": stage, **error}
+        if not rejected:  # an unexpected failure: say where it happened
+            shown["traceback"] = traceback.format_exc()
+        print(json.dumps({"error": shown}, sort_keys=True), file=sys.stderr)
+        if rejected:
+            return 2
+        if report is not None:
+            timings[stage] = time.perf_counter() - t
+            report.update(status="error", failed_stage=stage, error=error)
+            try:
+                _write_report(report, out_dir)
+                _write_json(os.path.join(out_dir, "timings.json"), timings)
+            except Exception:
+                pass  # the exit code alone reports the failure
         return 3
-    timings["compute"] = time.perf_counter() - t1
-
-    report["results"] = outcome["results"]
-    report["plot"] = outcome["plot"]
-    t2 = time.perf_counter()
-    _write_report(report, out_dir)
-    emit_plotdata(report, out_dir)
-    timings["emit"] = time.perf_counter() - t2
-    _write_json(os.path.join(out_dir, "timings.json"), timings)
-    return 0
 
 
 def _write_report(report: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"),
                 {k: v for k, v in report.items() if k != "plot"})
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    """Re-emit plot data from a previously written report.json."""
-    path = os.path.join(args.out, "report.json") if os.path.isdir(args.config) \
-        else args.config
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(_error_json("load", exc), file=sys.stderr)
-        return 2
-    if report.get("status") != "ok":
-        print(_error_json("report", RuntimeError("stored report is a failure report")),
-              file=sys.stderr)
-        return 3
-    # reports on disk carry no plot payload; recompute from the stored config
-    cfg = report["config"]
-    kind = report["kind"]
-    _declare_generators(cfg)
-    outcome = _RUNNERS[kind](cfg, report.get("precision", "exact"),
-                             report.get("threads", 1))
-    emit_plotdata({"plot": outcome["plot"]}, args.out)
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -646,32 +625,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--precision", choices=("exact", "fast"),
                        default="exact")
     args = parser.parse_args(argv)
-
-    if args.command == "report":
-        try:
-            return _cmd_report(args)
-        except ValidationError as exc:
-            print(_error_json("validate", exc), file=sys.stderr)
-            return 2
-        except Exception as exc:
-            print(_error_json("compute", exc), file=sys.stderr)
-            return 3
-
-    if args.command == "seq":
-        # the config's kind field distinguishes torus-seq from nc-seq
-        try:
-            with open(args.config) as f:
-                peeked = json.load(f)
-            kind = peeked.get("kind") if isinstance(peeked, dict) else None
-        except (OSError, json.JSONDecodeError) as exc:
-            print(_error_json("load", exc), file=sys.stderr)
-            return 2
-        if kind not in ("torus-seq", "nc-seq"):
-            print(_error_json("validate", ValidationError(
-                "seq configs need kind torus-seq or nc-seq")), file=sys.stderr)
-            return 2
-        return run(kind, args.config, args.out, args.threads, args.precision)
-
     return run(args.command, args.config, args.out, args.threads,
                args.precision)
 

@@ -230,29 +230,30 @@ def correlate(
         raise ValueError("mobius table shorter than the last checkpoint")
     mu = table.values
 
-    seg_bounds = [(lo, min(lo + segment_size, n_max + 1))
-                  for lo in range(1, n_max + 1, segment_size)]
+    # the segment a checkpoint k falls in; only these keep their products
+    keep = {(k - 1) // segment_size for k in cks}
 
-    def segment_values(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        vals = xi.evaluate_block(lo, hi)
-        return vals * mu[lo:hi]
+    def segment(i: int) -> tuple[complex, np.ndarray | None]:
+        lo = 1 + i * segment_size
+        hi = min(lo + segment_size, n_max + 1)
+        vals = xi.evaluate_block(lo, hi) * mu[lo:hi]
+        return tree_fold(vals), (vals if i in keep else None)
 
+    indices = range((n_max - 1) // segment_size + 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            seg_arrays = list(pool.map(segment_values, seg_bounds))
+            segments = list(pool.map(segment, indices))
     else:
-        seg_arrays = [segment_values(b) for b in seg_bounds]
+        segments = [segment(i) for i in indices]
 
     sums: list[complex] = []
-    seg_totals = [tree_fold(a) for a in seg_arrays]
+    seg_totals = [total for total, _ in segments]
     for k in cks:
         # whole segments below k, then a partial slice of the segment k is in
         full = (k - 1) // segment_size  # count of complete segments before k
         partial_lo = 1 + full * segment_size
         total = tree_fold(np.array(seg_totals[:full], dtype=np.complex128))
-        if partial_lo <= k:
-            total += tree_fold(seg_arrays[full][: k - partial_lo + 1])
+        total += tree_fold(segments[full][1][: k - partial_lo + 1])
         sums.append(total / k)
     return CorrelationReport(
         checkpoints=tuple(cks), sums=tuple(sums), sequence_bound=float(xi.bound),
@@ -322,7 +323,10 @@ def read_cache(path: str) -> MobiusTable:
     if len(packed) != need:
         raise ValueError(f"{path}: expected {need} payload bytes, found {len(packed)}")
     quads = np.stack([packed & 3, (packed >> 2) & 3, (packed >> 4) & 3, (packed >> 6) & 3], axis=1)
-    flat = quads.reshape(-1)[:limit].astype(np.int8) - 1
+    codes = quads.reshape(-1)[:limit]
+    if (codes == 3).any():  # 3 only pads the last byte
+        raise ValueError(f"{path}: payload code 3 at n = {int(np.argmax(codes == 3)) + 1}")
+    flat = codes.astype(np.int8) - 1
     values = np.zeros(limit + 1, dtype=np.int8)
     values[1:] = flat
     return MobiusTable(limit=int(limit), values=values)

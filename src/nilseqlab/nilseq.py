@@ -484,6 +484,8 @@ def exp_nonpos(x: float) -> float:
 
 
 def _theta_truncation(eps: float) -> int:
+    if not eps > 0:  # the tail underflows to 0 and never drops below eps
+        raise ValueError(f"eps must be > 0, got {eps!r}")
     K = 2
     while True:
         tail = 2.0 * exp_nonpos(-math.pi * (K - 1) ** 2) / (1.0 - exp_nonpos(-TWO_PI * (K - 1)))

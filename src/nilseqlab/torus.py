@@ -216,17 +216,20 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     expect_zero follows the equidistribution criterion: some nonconstant
     monomial coefficient of k p is irrational.  Rational k p is folded
     over an exact period: when the window covers whole periods the mean
-    IS the one-period mean, by the same arithmetic.
+    IS the one-period mean, by the same arithmetic.  A period longer
+    than the widest window goes the block route, so no harmonic
+    evaluates more than 2 max(checkpoints) + 1 points.
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
+    n_max = cks[-1]
     out = []
     for k in harmonics:
         q = p.scale(k)
         expect = q.has_irrational_nonconstant()
-        if q.is_rational():
-            T = _rational_period(q)
+        T = _rational_period(q) if q.is_rational() else None
+        if T is not None and T <= 2 * n_max + 1:
             unit = e_array(phase_block_exact(q, 0, T))
             period_mean = tree_fold(unit) / T
             means = []
@@ -243,7 +246,6 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                                     method="periodic-fold", period=T,
                                     means=tuple(means)))
         else:
-            n_max = cks[-1]
             phases_fn = phase_block_fast if precision == "fast" else phase_block_exact
             phases = phases_fn(q, -n_max, n_max + 1)
             vals = e_array(phases)

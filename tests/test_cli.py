@@ -1,10 +1,14 @@
+import copy
 import errno
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -180,8 +184,8 @@ def test_interrupted_write_leaves_no_partial_report(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
     for target in (out, tmp_path / "fresh"):
-        with pytest.raises(OSError):
-            cli.main(["classify", "--config", cfg, "--out", str(target)])
+        # the failure report cannot be written either; the exit code says it
+        assert cli.main(["classify", "--config", cfg, "--out", str(target)]) == 3
     assert (out / "report.json").read_bytes() == before
     assert sorted(os.listdir(out)) == ["report.json", "timings.json"]
     assert os.listdir(tmp_path / "fresh") == []
@@ -367,3 +371,258 @@ def test_plot_csv_shapes(tmp_path):
     assert os.path.exists(os.path.join(out2, "nil_terms.json"))
     res_lines = open(os.path.join(out2, "residual.csv")).read().splitlines()
     assert res_lines[0] == "n,re,im"
+
+
+# ------------------------------------------------ one exit-code boundary
+
+
+def _main(sub, cfg_path, out, *extra):
+    from nilseqlab import cli
+    return cli.main([sub, "--config", str(cfg_path), "--out", str(out), *extra])
+
+
+def _failure_report(out):
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert report["status"] == "error"
+    assert os.path.exists(os.path.join(out, "timings.json"))
+    return report
+
+
+@pytest.mark.parametrize("seq", [
+    {"type": "heisenberg", "alpha": 0.3, "beta": 0.2, "eps": 0},
+    {"type": "heisenberg", "alpha": 0.3, "beta": 0.2, "eps": -1e-12},
+    {"type": "heisenberg", "alpha": 0.3, "beta": 0.2, "eps": float("nan")},
+    {"type": "heisenberg", "alpha": float("inf"), "beta": 0.2},
+    {"type": "heisenberg", "alpha": 0.3, "beta": float("-inf")},
+    {"type": "heisenberg", "alpha": 0.3, "beta": 10 ** 400},
+    {"type": "heisenberg", "alpha": 0.3, "beta": 0.2, "eps": "1e-12"},
+])
+def test_heisenberg_bad_numbers_fail_validation(seq, tmp_path):
+    cfg = write_config(tmp_path, {"kind": "correlate", "sequence": seq,
+                                  "checkpoints": [10]})
+    out = tmp_path / "out"
+    assert _main("correlate", cfg, out) == 2
+    assert not out.exists()
+
+
+def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
+    from nilseqlab import cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("weyl_test reached past the budget")
+
+    monkeypatch.setattr(cli.torus, "weyl_test", no_compute)
+    cfg = write_config(tmp_path, {
+        "kind": "weyl", "poly": {"coeffs": ["0", "1/1000000007"]},
+        "harmonics": [1], "checkpoints": [10, 5 * 10 ** 6]})
+    out = tmp_path / "out"
+    assert _main("weyl", cfg, out) == 2       # 2N + 1 = 10^7 + 1
+    assert not out.exists()
+
+
+def test_furstenberg_constant_polynomial_is_a_compute_failure(tmp_path):
+    cfg = write_config(tmp_path, {
+        "kind": "correlate", "checkpoints": [10],
+        "sequence": {"type": "furstenberg", "poly": {"coeffs": ["1/3"]}}})
+    out = tmp_path / "out"
+    assert _main("correlate", cfg, out) == 3
+    report = _failure_report(out)
+    assert report["failed_stage"] == "compute"
+    assert report["error"]["type"] == "DegreeZero"
+
+
+def test_corrupt_cache_is_a_compute_failure(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NILSEQ_CACHE_DIR", str(cache))
+    cfg = write_config(tmp_path, {"kind": "correlate", "checkpoints": [100],
+                                  "sequence": {"type": "mobius"}})
+    assert _main("correlate", cfg, tmp_path / "cold") == 0
+    path = cache / "mobius_100.bin"
+    blob = bytearray(path.read_bytes())
+    blob[12] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "warm"
+    assert _main("correlate", cfg, out) == 3
+    report = _failure_report(out)
+    assert report["error"]["type"] == "ValueError"
+    assert "code 3" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (MemoryError, 3), (ZeroDivisionError, 3), (KeyError, 3),
+    (KeyboardInterrupt, None), (SystemExit, None)])
+def test_every_exception_maps_to_one_exit_code(exc, code, tmp_path,
+                                               monkeypatch, capsys):
+    from nilseqlab import cli
+
+    def boom(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli.torus, "weyl_test", boom)
+    cfg = os.path.join(CONFIGS, "weyl_rational.json")
+    out = tmp_path / "out"
+    if code is None:                    # not caught: the user asked to stop
+        with pytest.raises(exc):
+            _main("weyl", cfg, out)
+        assert not out.exists()
+        return
+    assert _main("weyl", cfg, out) == code
+    shown = json.loads(capsys.readouterr().err)["error"]
+    assert (shown["stage"], shown["type"]) == ("compute", exc.__name__)
+    assert "in boom" in shown["traceback"]
+    report = _failure_report(out)
+    assert report["failed_stage"] == "compute"
+    assert report["error"]["type"] == exc.__name__
+    assert report["results"] is None
+
+
+def test_emit_failure_writes_failure_report(tmp_path, monkeypatch):
+    from nilseqlab import cli
+
+    def full_disk(report, out_dir):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_plotdata", full_disk)
+    out = tmp_path / "out"
+    assert _main("weyl", os.path.join(CONFIGS, "weyl_rational.json"), out) == 3
+    report = _failure_report(out)
+    assert report["failed_stage"] == "emit"
+    assert report["error"]["type"] == "OSError"
+    assert set(json.load(open(out / "timings.json"))) == {
+        "validate", "compute", "emit"}
+
+
+def test_seq_reads_its_config_once(tmp_path, monkeypatch):
+    from nilseqlab import cli
+
+    cfg = os.path.join(CONFIGS, "seq_torus_shear.json")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert _main("seq", cfg, tmp_path / "out", "--precision", "fast") == 0
+    assert opened.count(cfg) == 1
+    report = json.load(open(tmp_path / "out" / "report.json"))
+    assert report["kind"] == "torus-seq"
+
+
+def test_report_subcommand_takes_a_directory(tmp_path):
+    out = tmp_path / "out"
+    assert _main("weyl", os.path.join(CONFIGS, "weyl_rational.json"), out) == 0
+    csv = (out / "weyl.csv").read_bytes()
+    report = (out / "report.json").read_bytes()
+    (out / "weyl.csv").unlink()
+    assert _main("report", out, out) == 0
+    assert (out / "weyl.csv").read_bytes() == csv
+    assert (out / "report.json").read_bytes() == report
+    # a stored failure report is refused and left as it is
+    failed = json.loads(report)
+    failed.update(status="error", failed_stage="compute")
+    (out / "report.json").write_text(json.dumps(failed))
+    assert _main("report", out / "report.json", out) == 3
+    assert json.loads((out / "report.json").read_text()) == failed
+
+
+# ------------------------------------------------ contract fuzz
+
+# each shipped config plus sequence types no shipped config uses; sizes
+# are drawn below, so none of them needs much memory or time
+FUZZ_SEEDS = {name: json.load(open(os.path.join(CONFIGS, f"{name}.json")))
+              for name in SUBCOMMAND}
+FUZZ_SEEDS.update({
+    f"correlate_{t}": {"kind": "correlate", "checkpoints": [100],
+                       "generators": {"g1": "1.4142135623730950488"},
+                       "sequence": seq}
+    for t, seq in {
+        "heisenberg": {"type": "heisenberg", "alpha": 0.3, "beta": 0.2,
+                       "eps": 1e-9},
+        "furstenberg": {"type": "furstenberg", "poly": {"coeffs": ["0", "g1"]}},
+        "mobius": {"type": "mobius"},
+        "constant": {"type": "constant", "re": 0.5},
+    }.items()})
+FUZZ_LEAVES = st.sampled_from([
+    None, True, 0, -1, 3, 10 ** 4, 0.5, float("nan"), float("inf"),
+    float("-inf"), "", "1/3", "g1", "x", [], [1], [[1, 1], [0, 1]], {},
+    {"re": 1.0}]).map(copy.deepcopy)    # mutations must not reach the pool
+FUZZ_SIZES = {
+    key: st.sampled_from(sizes).map(copy.deepcopy)
+    for key, sizes in {
+        "checkpoints": [[], [0], [1], [10, 100], [100, 10 ** 4]],
+        "range": [{"start": -16, "stop": 17}, {"start": 0, "stop": 10 ** 4}],
+    }.items()}
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(cfg, data):
+    op = data.draw(st.sampled_from(["drop", "add", "swap", "top"]))
+    if op == "top":
+        return data.draw(FUZZ_LEAVES.filter(lambda v: not isinstance(v, dict)))
+    if op == "add":
+        parents = [p for p in _paths(cfg) if isinstance(_at(cfg, p), dict)]
+    else:
+        parents = [p[:-1] for p in _paths(cfg) if p]
+    if not parents:
+        return cfg
+    parent = _at(cfg, data.draw(st.sampled_from(parents)))
+    keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+    if op == "add":
+        key = data.draw(st.sampled_from(
+            ["bogus", "eps", "segment_size", "basis", "re", "generators"]))
+    elif keys:
+        key = data.draw(st.sampled_from(list(keys)))
+    else:
+        return cfg
+    if op == "drop":
+        del parent[key]
+    else:
+        parent[key] = data.draw(FUZZ_LEAVES)
+    return cfg
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_exit_code_contract_under_config_mutations(data, tmp_path,
+                                                   monkeypatch):
+    from nilseqlab import cli
+    from nilseqlab.exactnum import reset_generators
+
+    monkeypatch.delenv("NILSEQ_CACHE_DIR", raising=False)
+    name = data.draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    cfg = copy.deepcopy(FUZZ_SEEDS[name])
+    for key, sizes in FUZZ_SIZES.items():
+        if key in cfg:
+            cfg[key] = data.draw(sizes)
+    for _ in range(data.draw(st.integers(0, 3))):
+        cfg = _mutate(cfg, data)
+    work = tempfile.mkdtemp(dir=tmp_path)
+    path = os.path.join(work, "config.json")
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    out = os.path.join(work, "out")
+    reset_generators()                  # as in a fresh process
+    code = cli.main([SUBCOMMAND.get(name, "correlate"), "--config", path,
+                     "--out", out, "--precision",
+                     data.draw(st.sampled_from(["exact", "fast"]))])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert not os.path.exists(out)
+    if code == 3:
+        with open(os.path.join(out, "report.json")) as f:
+            assert json.load(f)["status"] == "error"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -161,6 +163,25 @@ def test_correlate_parallel_matches_serial_bitwise():
     assert abs(a.sums[0] - b.sums[0]) < 1e-12
 
 
+def test_correlate_sums_fold_every_segment_in_the_same_tree():
+    # the sums a run gets from folding each segment as it is made equal,
+    # bit for bit, the sums over the whole array of products
+    table = sieve_mobius(5000)
+    xi = from_function(lambda n: complex(math.cos(n), math.sin(n / 3)), bound=2.0)
+    cks, seg = [1, 63, 64, 65, 700, 4999, 5000], 64
+    prods = np.array([xi.evaluate(n) for n in range(1, 5001)]) * table.values[1:]
+    totals = [tree_fold(prods[lo: lo + seg]) for lo in range(0, 5000, seg)]
+    want = []
+    for k in cks:
+        full = (k - 1) // seg
+        s = tree_fold(np.array(totals[:full], dtype=np.complex128))
+        s += tree_fold(prods[full * seg: k])
+        want.append(s / k)
+    for threads in (1, 2):
+        rep = correlate(xi, cks, table=table, segment_size=seg, threads=threads)
+        assert rep.sums == tuple(want)
+
+
 def test_correlate_dyadic_linearity_exact():
     table = sieve_mobius(2000)
     xi = from_function(lambda n: np.exp(2j * np.pi * 0.37 * n), bound=1.0)
@@ -219,6 +240,18 @@ def test_cache_rejects_truncation(tmp_path):
     with open(path, "wb") as fh:
         fh.write(blob[:-3])
     with pytest.raises(ValueError):
+        read_cache(path)
+
+
+def test_cache_rejects_payload_code_3(tmp_path):
+    # mu is stored as mu + 1 in {0, 1, 2}; code 3 only pads the last byte
+    table = sieve_mobius(997)
+    path = str(tmp_path / "mob.bin")
+    write_cache(table, path)
+    blob = bytearray(open(path, "rb").read())
+    blob[12] ^= 0xFF                    # n = 1..4: mu(2) = -1 becomes code 3
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ValueError, match="code 3"):
         read_cache(path)
 
 

@@ -307,6 +307,15 @@ def test_kappa_frozen_oracle_values():
     assert abs(theta_kappa(0.5, -0.5)) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-12, float("nan")])
+def test_kappa_rejects_nonpositive_eps(eps):
+    # the truncation tail underflows to 0, so it would never drop below eps
+    with pytest.raises(ValueError):
+        theta_kappa(0.3, 0.2, eps)
+    with pytest.raises(ValueError):
+        heisenberg_seq(0.3, 0.2, eps)
+
+
 def test_kappa_truncation_stable():
     # the default cutoff already puts the dropped tail below eps
     for s, t in ((0.3, 0.7), (0.0, 0.0), (0.9, -2.4)):

@@ -193,6 +193,22 @@ def test_weyl_mixed_rational_irrational_coeffs():
     assert abs(h1.means[0] - brute_mean(p, 1, 6)) < 1e-12
 
 
+def test_weyl_period_longer_than_window_takes_block_route():
+    # a period unit of 10007 points would outgrow the 21-point window
+    p = PhasePolynomial.from_coeffs(
+        (PhaseScalar.zero(), parse_phase("1/10007")), basis="monomial")
+    for precision in ("exact", "fast"):
+        h = weyl_test(p, [1], [10], precision=precision).harmonics[0]
+        assert h.method == "block"
+        assert h.period is None
+        assert not h.expect_zero
+        assert abs(h.means[0] - brute_mean(p, 1, 10)) < 1e-12
+    # a window as wide as the period still folds it
+    h = weyl_test(p, [1], [5003]).harmonics[0]
+    assert (h.method, h.period) == ("periodic-fold", 10007)
+    assert abs(h.means[0]) < 1e-12
+
+
 def test_weyl_rejects_negative_checkpoints():
     p = PhasePolynomial.from_coeffs((PhaseScalar.zero(), parse_phase("g1")))
     with pytest.raises(ValueError):
