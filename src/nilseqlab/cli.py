@@ -112,12 +112,17 @@ def _integral_poly(obj: Any, where: str) -> IntegralPolynomial:
     return IntegralPolynomial.from_binomial(coeffs)
 
 
+def _finite(x: Any) -> bool:
+    # abs(x) <= max is False for NaN, the infinities and huge integers
+    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
 def _complex(obj: Any, where: str) -> complex:
     _check_keys(obj, where, [], ["re", "im"])
     re = obj.get("re", 0.0)
     im = obj.get("im", 0.0)
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise ValidationError(f"{where}: re/im must be numbers")
+    if not (_finite(re) and _finite(im)):
+        raise ValidationError(f"{where}: re/im must be finite numbers")
     return complex(re, im)
 
 
@@ -193,9 +198,7 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
     if t == "heisenberg":
         _check_keys(spec, "sequence", ["type", "alpha", "beta"], ["eps"])
         alpha, beta, eps = (spec["alpha"], spec["beta"], spec.get("eps", 1e-12))
-        # abs(x) <= max is False for NaN, the infinities and huge integers
-        if not all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
-                   for x in (alpha, beta, eps)):
+        if not all(_finite(x) for x in (alpha, beta, eps)):
             raise ValidationError("sequence.alpha/beta/eps: expected finite numbers")
         if not eps > 0:
             raise ValidationError("sequence.eps: must be > 0")

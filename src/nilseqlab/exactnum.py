@@ -437,14 +437,16 @@ class EntropyReport:
         return self.verdict == "zero"
 
 
-def classify_entropy(S: IntMatrix, tol: float = 1e-12) -> EntropyReport:
+def classify_entropy(S: IntMatrix) -> EntropyReport:
     """Decide zero vs positive entropy for the toral automorphism of S.
 
     Zero entropy holds exactly when the characteristic polynomial is a
     product of cyclotomic polynomials (no eigenvalue off the unit circle
     is possible otherwise for a monic integer polynomial).  The test is
     exact integer polynomial division; the positive-entropy value is
-    numeric, refined to well below tol.
+    numeric: the roots of each squarefree factor are found at 60 digits,
+    and each must leave a residual below 1e-30 times the factor's largest
+    coefficient, or an AssertionError is raised.
     """
     if S.det() not in (1, -1):
         raise NotInGL(f"determinant {S.det()}; not an automorphism of the torus")

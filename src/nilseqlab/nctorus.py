@@ -14,11 +14,9 @@ All phases are PhaseScalar values reduced mod 1; nothing here rounds.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,9 +32,8 @@ from .exactnum import (
     fit_phase_polynomial,
     unipotent_power_polys,
 )
-from .nilseq import (SequenceStream, Tag, e_array, e_phase,
-                     phase_block_exact, phase_block_fast)
-from .spectral import SparseVector, integer_solutions
+from .nilseq import SequenceStream, Tag, e_phase, phase_sum_block
+from .spectral import SparseVector, integer_hits
 
 __all__ = [
     "NotCompatible",
@@ -532,50 +529,23 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
                                         PhaseScalar.zero())
                 if base != 0:
                     mod_terms.append((c * base, rp.residue, rp.phase_poly))
-            else:
-                pivot = next(i for i, p in enumerate(rp.exponent_polys)
-                             if not p.is_constant())
-                t_hits: set[int] = set()
-                for ku, _cu in w_sites:
-                    for kv, _cv in w_sites:
-                        dv = tuple(b - a for a, b in zip(ku, kv))
-                        roots = integer_solutions(rp.exponent_polys[pivot],
-                                                  dv[pivot])
-                        assert roots is not None
-                        for t in roots:
-                            if all(p(t) == dv[i] for i, p in
-                                   enumerate(rp.exponent_polys)):
-                                t_hits.add(t)
-                for t in t_hits:
-                    n = t * m + rp.residue
-                    wn = rep.word_at(n)
-                    val = c * _site_pair_value(wn.exponents, w_sites, w_dict,
-                                               theta, wn.phase)
-                    if val != 0:
-                        hit_values[n] = hit_values.get(n, 0) + val
-
-    phases = phase_block_fast if precision == "fast" else phase_block_exact
-
-    def block(start: int, stop: int) -> np.ndarray:
-        out = np.zeros(stop - start, dtype=np.complex128)
-        for coeff, r, poly in mod_terms:
-            # n = t*m + r in [start, stop): t in [t0, t1)
-            t0 = math.ceil((start - r) / m)
-            t1 = math.floor((stop - 1 - r) / m) + 1
-            if t1 <= t0:
                 continue
-            idx = np.arange(t0, t1) * m + r - start
-            out[idx] += coeff * e_array(phases(poly, t0, t1))
-        for n, val in hit_values.items():
-            if start <= n < stop:
-                out[n - start] += val
-        return out
+            t_hits = {t for ku, _ in w_sites for kv, _ in w_sites
+                      for t in integer_hits(rp.exponent_polys,
+                                            [b - a for a, b in zip(ku, kv)])}
+            for t in t_hits:
+                n = t * m + rp.residue
+                wn = rep.word_at(n)
+                val = c * _site_pair_value(wn.exponents, w_sites, w_dict,
+                                           theta, wn.phase)
+                if val != 0:
+                    hit_values[n] = hit_values.get(n, 0) + val
 
     bound = float(sum(abs(c) for _, c in u.terms))
     return SequenceStream(
         evaluate=ev, bound=bound, tag=Tag.almost_nil(max_deg),
         provenance=f"nc-torus state sequence (dim {d}, modulus {m})",
-        block=block)
+        block=phase_sum_block(mod_terms, m, hit_values, precision))
 
 
 # ---------------------------------------------------------------------------

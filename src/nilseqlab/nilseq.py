@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "exp_nonpos",
     "EXP_REL_ERROR",
     "poly_exp",
+    "phase_sum_block",
     "quadratic_seq",
     "theta_kappa",
     "heisenberg_seq",
@@ -386,6 +387,8 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     of the differences only shifts values by integers at integer i.  B
     is chosen so C(B, degree) stays below 2^18, which caps the absolute
     phase error near 1e-10 uniformly; nothing accumulates across blocks.
+    B is also capped at count: the C(i, j) table is rebuilt on every
+    call, and its first count columns are the same at any width.
     """
     count = stop - start
     if count <= 0:
@@ -394,7 +397,7 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     deg, D = kernel.degree, kernel.denominator
     if deg == 0:
         return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
-    bsize = max(4, min(1 << 18, int(2.0 ** (18.0 / deg))))
+    bsize = min(count, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
     # row j holds C(i, j), exact in float64 at these sizes
     table = np.empty((deg + 1, bsize), dtype=np.float64)
     table[0] = 1.0
@@ -440,6 +443,39 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
         provenance=f"poly_exp(deg={p.degree}, {precision})",
         block=block,
     )
+
+
+def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
+                    modulus: int, hits: Mapping[int, complex],
+                    precision: str = "exact") -> Callable[[int, int], np.ndarray]:
+    """Block evaluator of a nilsequence plus a finitely supported part.
+
+    The value at n = t * modulus + r is the sum of c * e(p(t)) over the
+    terms (c, r, p) of residue r, plus hits.get(n, 0).  This is the
+    shape rho(alpha^n u) takes for a zero-entropy automorphism, and the
+    shape of a decomposition.  The terms are added into zeros in order,
+    then the hits; the residue bounds are integer arithmetic, so they
+    hold at any n.  precision picks the phase route as in poly_exp.
+    """
+    if precision not in ("exact", "fast"):
+        raise ValueError(f"unknown precision {precision!r}")
+    phases = phase_block_exact if precision == "exact" else phase_block_fast
+    terms, m, hits = tuple(terms), int(modulus), dict(hits)
+
+    def block(start: int, stop: int) -> np.ndarray:
+        out = np.zeros(stop - start, dtype=np.complex128)
+        for c, r, p in terms:
+            # n = t m + r in [start, stop) for t in [t0, t1)
+            t0 = -((start - r) // -m)
+            t1 = (stop - 1 - r) // m + 1
+            if t1 > t0:
+                out[t0 * m + r - start:: m] += c * e_array(phases(p, t0, t1))
+        for n, val in hits.items():
+            if start <= n < stop:
+                out[n - start] += val
+        return out
+
+    return block
 
 
 def quadratic_seq(t: PhaseScalar, precision: str = "exact") -> SequenceStream:

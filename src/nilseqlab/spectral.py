@@ -30,7 +30,7 @@ from .exactnum import (
     fit_phase_polynomial,
     format_phase,
 )
-from .nilseq import SequenceStream, Tag, e_array, e_phase, phase_block_exact
+from .nilseq import SequenceStream, Tag, e_phase, phase_sum_block
 
 __all__ = [
     "NotDiagonal",
@@ -51,6 +51,7 @@ __all__ = [
     "BochnerMeasure",
     "bochner_data",
     "integer_solutions",
+    "integer_hits",
 ]
 
 
@@ -383,6 +384,21 @@ def integer_solutions(p: IntegralPolynomial, target: int) -> tuple[int, ...] | N
     return tuple(hits)
 
 
+def integer_hits(polys: Sequence[IntegralPolynomial],
+                 target: Sequence[int]) -> tuple[int, ...]:
+    """All integer n with polys[i](n) = target[i] for every i, sorted.
+
+    Solved at the first nonconstant polynomial (the pivot), each root
+    then checked exactly against all the others.  With every polynomial
+    constant the set is empty or all of Z, so that raises ValueError.
+    """
+    pivot = next((i for i, p in enumerate(polys) if not p.is_constant()), None)
+    if pivot is None:
+        raise ValueError("no nonconstant polynomial: the hit set is not finite")
+    return tuple(n for n in integer_solutions(polys[pivot], target[pivot])
+                 if all(p(n) == y for p, y in zip(polys, target)))
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -459,12 +475,7 @@ def _nil_stream_from_terms(terms: Sequence[NilTerm]) -> SequenceStream:
     def ev(n: int) -> complex:
         return sum((t.value(n) for t in terms), 0j)
 
-    def block(start: int, stop: int) -> np.ndarray:
-        out = np.zeros(stop - start, dtype=np.complex128)
-        for t in terms:
-            out += t.coeff * e_array(phase_block_exact(t.phase_poly, start, stop))
-        return out
-
+    block = phase_sum_block([(t.coeff, 0, t.phase_poly) for t in terms], 1, {})
     return SequenceStream(evaluate=ev, bound=bound, tag=Tag.nil(step),
                           provenance=f"nil closed form ({len(terms)} terms)",
                           block=block)
@@ -546,53 +557,25 @@ def decompose(g: GPolynomial, u: SparseVector, v: SparseVector) -> Decomposition
             terms.append(NilTerm(coeff=uc * v_sites[k].conjugate(),
                                  phase_poly=f, origin=f"site:{k}"))
         certificate = ZeroDensityCertificate(kind="empty")
-        residual = SequenceStream(
-            evaluate=lambda n: 0j, bound=0.0, tag=Tag.zero_density(),
-            provenance="residual identically zero",
-            block=lambda start, stop: np.zeros(stop - start, dtype=np.complex128))
+        provenance = "residual identically zero"
     else:
-        # hit condition: site k_u + total shift sigma(n) lands on a v site
+        # hit condition: site k_u + total shift sigma(n) lands on a v site;
+        # the sector is noncompact, so some shift polynomial is nonconstant
         shift_poly = g.shift_polynomial()
-        diffs = sorted({tuple(kv[i] - ku[i] for i in range(g.dim))
-                        for ku, _ in u.lattice_part().sites for kv, _ in v.sites})
-        hit_set: set[int] = set()
-        for dvec in diffs:
-            pivot = next((i for i, p in enumerate(shift_poly)
-                          if not p.is_constant()), None)
-            if pivot is None:
-                # all shifts constant but sector says noncompact: the
-                # difference generators rule this configuration out
-                raise AssertionError("constant shift in weak-mixing branch")
-            roots = integer_solutions(shift_poly[pivot], dvec[pivot])
-            assert roots is not None
-            for n in roots:
-                if all(shift_poly[i](n) == dvec[i] for i in range(g.dim)):
-                    hit_set.add(n)
-
-        v_lat = v.lattice_part()
-        pair = g.pairing(u.lattice_part(), v_lat)
-        hits = tuple(sorted(hit_set))
-        values = tuple(pair(n) for n in hits)
+        hits = tuple(sorted({
+            n for ku, _ in u.lattice_part().sites for kv, _ in v.sites
+            for n in integer_hits(shift_poly, [b - a for a, b in zip(ku, kv)])}))
+        pair = g.pairing(u.lattice_part(), v.lattice_part())
         certificate = ZeroDensityCertificate(kind="finite-hits", hits=hits,
-                                             values=values)
-        hit_map = dict(zip(hits, values))
+                                             values=tuple(pair(n) for n in hits))
+        provenance = f"residual with {len(hits)} hits"
 
-        def res_ev(n: int) -> complex:
-            return hit_map.get(n, 0j)
-
-        def res_block(start: int, stop: int) -> np.ndarray:
-            out = np.zeros(stop - start, dtype=np.complex128)
-            for n, val in hit_map.items():
-                if start <= n < stop:
-                    out[n - start] = val
-            return out
-
-        residual = SequenceStream(
-            evaluate=res_ev,
-            bound=max((abs(val) for val in values), default=0.0),
-            tag=Tag.zero_density(),
-            provenance=f"residual with {len(hits)} hits", block=res_block)
-
+    hit_map = dict(zip(certificate.hits, certificate.values))
+    residual = SequenceStream(
+        evaluate=lambda n: hit_map.get(n, 0j),
+        bound=max((abs(val) for val in certificate.values), default=0.0),
+        tag=Tag.zero_density(), provenance=provenance,
+        block=phase_sum_block((), 1, hit_map))
     nil_stream = _nil_stream_from_terms(terms)
     total = nil_stream.add(residual)
     return DecompositionResult(nil_terms=tuple(terms), nil_stream=nil_stream,

@@ -405,6 +405,35 @@ def test_heisenberg_bad_numbers_fail_validation(seq, tmp_path):
     assert not out.exists()
 
 
+def _with_coefficient(site, part, value):
+    """A config whose complex coefficient at `site` has `value` as its `part`."""
+    if site == "constant":
+        return "correlate", {"kind": "correlate", "checkpoints": [10],
+                             "sequence": {"type": "constant", part: value}}
+    if site == "decompose-atom":
+        cfg = json.load(open(os.path.join(CONFIGS, "decompose_heisenberg.json")))
+        cfg["u"]["atoms"] = [{"id": "a", "eigenphases": ["0", "g1"],
+                              part: value}]
+        return "decompose", cfg
+    cfg = json.load(open(os.path.join(CONFIGS, "correlate_nc_shear.json")))
+    key = "element" if site == "nc-element" else "state_vector"
+    cfg["sequence"][key][0][part] = value
+    return "correlate", cfg
+
+
+@pytest.mark.parametrize("part,value", [
+    ("re", float("nan")), ("im", float("nan")), ("re", float("inf")),
+    ("im", float("-inf")), ("re", 10 ** 400)],
+    ids=["re-nan", "im-nan", "re-inf", "im-minus-inf", "re-1e400"])
+@pytest.mark.parametrize("site", ["constant", "nc-element", "state-vector",
+                                  "decompose-atom"])
+def test_nonfinite_coefficients_fail_validation(site, part, value, tmp_path):
+    sub, body = _with_coefficient(site, part, value)
+    out = tmp_path / "out"
+    assert _main(sub, write_config(tmp_path, body), out) == 2
+    assert not out.exists()
+
+
 def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
     from nilseqlab import cli
 

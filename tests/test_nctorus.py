@@ -346,6 +346,21 @@ def test_state_seq_rational_theta_dual_route():
         assert abs(stream.evaluate(n) - want) < 1e-12
 
 
+@pytest.mark.parametrize("S", [SHEAR, IntMatrix.from_rows([[-1, 1], [0, -1]])])
+@pytest.mark.parametrize("start", [2 ** 60 + 1, -(2 ** 62) + 3])
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+def test_state_seq_block_matches_pointwise_far_from_origin(S, start, precision):
+    # past 2^53 a float n is not exact, so the block's residue bounds
+    # must come from integer arithmetic
+    u = WeylElement.from_terms(2, {(1, 0): 1.0, (0, 1): 0.5j})
+    vec = SparseVector.from_sites(2, {(0, 0): 0.6, (1, 0): 0.8})
+    stream = state_seq(S, THETA_IRR, u, vec, precision=precision)
+    block = stream.evaluate_block(start, start + 8)
+    want = [stream.evaluate(n) for n in range(start, start + 8)]
+    assert np.max(np.abs(block - np.array(want))) < 1e-9
+    assert np.min(np.abs(block)) > 0.4
+
+
 def test_state_seq_positive_entropy_direct_path():
     u = WeylElement.from_terms(2, {(0, 1): 1.0})
     vec = unit_vec()

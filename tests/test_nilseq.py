@@ -30,6 +30,7 @@ from nilseqlab.nilseq import (
     interleave,
     phase_block_exact,
     phase_block_fast,
+    phase_sum_block,
     poly_exp,
     quadratic_seq,
     theta_kappa,
@@ -286,6 +287,47 @@ def test_fast_path_selected_transparently():
     big_f = fast.evaluate_block(0, 2000)
     big_e = exact.evaluate_block(0, 2000)
     assert np.max(np.abs(big_f - big_e)) < 1e-9
+
+
+@st.composite
+def phase_sums(draw):
+    """(terms, modulus, hits, start, stop) for phase_sum_block."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    coeffs = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                allow_infinity=False)
+    terms = draw(st.lists(st.tuples(coeffs, st.integers(0, m - 1),
+                                    phase_polys(max_degree=3)), max_size=4))
+    # hypothesis draws mostly small integers: half the starts sit past 2^53
+    far = st.sampled_from((2 ** 53, 2 ** 60, 2 ** 62 - 50, 50 - 2 ** 62))
+    start = draw(st.one_of(
+        st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+        st.builds(lambda a, b: a + b, far, st.integers(-50, 50))))
+    stop = start + draw(st.integers(min_value=0, max_value=40))
+    hits = draw(st.dictionaries(st.integers(start - 5, stop + 5), coeffs,
+                                max_size=4))
+    return terms, m, hits, start, stop
+
+
+@given(phase_sums(), st.sampled_from(("exact", "fast")))
+def test_phase_sum_block_matches_pointwise_sum(case, precision):
+    terms, m, hits, start, stop = case
+    got = phase_sum_block(terms, m, hits, precision)(start, stop)
+    want = []
+    for n in range(start, stop):
+        r = n % m
+        t = (n - r) // m
+        want.append(sum((c * e_phase(p(t).float_mod_1())
+                         for c, rc, p in terms if rc == r), 0j)
+                    + hits.get(n, 0j))
+    assert got.dtype == np.complex128 and got.shape == (stop - start,)
+    # the fast route's phases are within 1e-10, so e(.) within 2 pi 1e-10
+    tol = 1e-13 if precision == "exact" else 1e-9
+    assert np.all(np.abs(got - np.array(want, dtype=np.complex128)) <= tol)
+
+
+def test_phase_sum_block_rejects_unknown_precision():
+    with pytest.raises(ValueError):
+        phase_sum_block((), 1, {}, "double")
 
 
 @given(st.integers(min_value=-100, max_value=100))

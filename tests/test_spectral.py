@@ -25,6 +25,7 @@ from nilseqlab.spectral import (
     classify_atoms,
     compact_subspace,
     decompose,
+    integer_hits,
     integer_solutions,
     op_pow,
 )
@@ -259,6 +260,21 @@ def test_integer_solutions_exact():
     assert integer_solutions(mono([0]), 5) == ()
     assert integer_solutions(mono([21, -17, -5, 1]), 0) == (-3, 1, 7)
     assert integer_solutions(mono([-10**6, 1]), 0) == (10**6,)
+
+
+def test_integer_hits_pivots_past_constant_polynomials():
+    # the first polynomial is constant, so the second one is the pivot
+    polys = (mono([3]), mono([-4, 0, 1]), mono([0, 1]))
+    assert integer_hits(polys, (3, 0, 2)) == (2,)
+    assert integer_hits(polys, (3, 0, -2)) == (-2,)
+    assert integer_hits((mono([3]), mono([-4, 0, 1])), (3, 0)) == (-2, 2)
+    # no solution: the pivot's roots fail a later equation, the pivot has
+    # no integer root, or a constant polynomial misses its target
+    assert integer_hits(polys, (3, 0, 5)) == ()
+    assert integer_hits(polys, (3, 1, 1)) == ()
+    assert integer_hits(polys, (4, 0, 2)) == ()
+    with pytest.raises(ValueError):
+        integer_hits((mono([3]), mono([0])), (3, 0))
 
 
 def test_certificate_window_arithmetic():
