@@ -8,119 +8,75 @@ constructions), `torus` / `nctorus` (commutative and noncommutative
 toral automorphism sequences), `spectral` (the shift-phase operator
 model and the nilsequence + zero-density splitter), and `cli` (the
 config-driven experiment runner).
+
+Importing the package loads none of the layers: each name below is
+resolved on first access by the module `__getattr__` (PEP 562), so
+`from nilseqlab import correlate` loads `mobius` and numpy, while
+`from nilseqlab import classify_entropy` loads `exactnum` alone.
 """
 
-from .exactnum import (
-    DegreeBoundExceeded,
-    EntropyReport,
-    IntMatrix,
-    IntegralPolynomial,
-    NonClosedProduct,
-    NotInGL,
-    NotUnipotent,
-    PhasePolynomial,
-    PhaseScalar,
-    PowerPolys,
-    binom_int,
-    char_poly,
-    classify_entropy,
-    congruent_mod_1,
-    cyclotomic,
-    declare_generator,
-    declare_generator_product,
-    euler_phi,
-    fit_phase_polynomial,
-    format_phase,
-    parse_phase,
-    reset_generators,
-    unipotent_power_polys,
-)
-from .mobius import (
-    CesaroReport,
-    CorrelationReport,
-    LimitTooLarge,
-    MobiusTable,
-    UnboundedSequence,
-    cesaro_stats,
-    correlate,
-    mertens,
-    mobius_by_factorization,
-    mobius_stream,
-    read_cache,
-    sieve_mobius,
-    tree_fold,
-    write_cache,
-)
-from .nilseq import (
-    ArityMismatch,
-    DegreeZero,
-    PhaseKernel,
-    SequenceStream,
-    SkewProductState,
-    Tag,
-    constant,
-    deinterleave,
-    e_array,
-    e_phase,
-    from_function,
-    furstenberg_orbit,
-    heisenberg_seq,
-    indicator,
-    interleave,
-    phase_block_exact,
-    phase_block_fast,
-    poly_exp,
-    quadratic_seq,
-    theta_kappa,
-)
-from .torus import (
-    Character,
-    CharacterSequence,
-    MismatchAt,
-    TorusPoint,
-    WeylReport,
-    character_seq,
-    orbit_point,
-    verify_polynomial_form,
-    weyl_test,
-)
-from .nctorus import (
-    ClockShiftReport,
-    DimensionMismatch,
-    NotCompatible,
-    NotRational,
-    NotUnitVector,
-    PhasePolyReport,
-    ThetaMatrix,
-    WeylElement,
-    WeylWord,
-    apply_auto,
-    apply_auto_inverse,
-    clock_shift_check,
-    commutator_phase,
-    gns_apply,
-    iterate_phase_polys,
-    state_seq,
-    word_identity,
-    word_mul,
-    word_pow,
-)
-from .spectral import (
-    AtomPartition,
-    BochnerMeasure,
-    DecompositionResult,
-    GPolynomial,
-    NotDiagonal,
-    SectorReport,
-    ShiftPhaseOperator,
-    SparseVector,
-    ZeroDensityCertificate,
-    bochner_data,
-    classify_atoms,
-    compact_subspace,
-    decompose,
-    integer_solutions,
-    op_pow,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_NAMES = {
+    "exactnum": (
+        "DegreeBoundExceeded", "EntropyReport", "IntMatrix",
+        "IntegralPolynomial", "NonClosedProduct", "NotInGL", "NotUnipotent",
+        "PhasePolynomial", "PhaseScalar", "PowerPolys", "binom_int",
+        "char_poly", "classify_entropy", "congruent_mod_1", "cyclotomic",
+        "declare_generator", "declare_generator_product", "euler_phi",
+        "fit_phase_polynomial", "format_phase", "parse_phase",
+        "reset_generators", "unipotent_power_polys",
+    ),
+    "mobius": (
+        "CesaroReport", "CorrelationReport", "LimitTooLarge", "MobiusTable",
+        "UnboundedSequence", "cesaro_stats", "correlate", "mertens",
+        "mobius_by_factorization", "mobius_stream", "read_cache",
+        "sieve_mobius", "tree_fold", "write_cache",
+    ),
+    "nilseq": (
+        "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
+        "SkewProductState", "Tag", "constant", "deinterleave", "e_array",
+        "e_phase", "from_function", "furstenberg_orbit", "heisenberg_seq",
+        "indicator", "interleave", "phase_block_exact", "phase_block_fast",
+        "poly_exp", "quadratic_seq", "theta_kappa",
+    ),
+    "torus": (
+        "Character", "CharacterSequence", "MismatchAt", "TorusPoint",
+        "WeylReport", "character_seq", "orbit_point",
+        "verify_polynomial_form", "weyl_test",
+    ),
+    "nctorus": (
+        "ClockShiftReport", "DimensionMismatch", "NotCompatible",
+        "NotRational", "NotUnitVector", "PhasePolyReport", "ThetaMatrix",
+        "WeylElement", "WeylWord", "apply_auto", "apply_auto_inverse",
+        "clock_shift_check", "commutator_phase", "gns_apply",
+        "iterate_phase_polys", "state_seq", "word_identity", "word_mul",
+        "word_pow",
+    ),
+    "spectral": (
+        "AtomPartition", "BochnerMeasure", "DecompositionResult",
+        "GPolynomial", "NotDiagonal", "SectorReport", "ShiftPhaseOperator",
+        "SparseVector", "ZeroDensityCertificate", "bochner_data",
+        "classify_atoms", "compact_subspace", "decompose",
+        "integer_solutions", "op_pow",
+    ),
+}
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _NAMES:                  # a layer, as `nilseqlab.torus`
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value             # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

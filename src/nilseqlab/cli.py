@@ -8,19 +8,23 @@ separate file so everything else is byte-identical across runs.
 Exit codes: 0 success, 2 config validation failure (nothing written),
 3 any other failure, write errors included (a failure report is still
 written when possible).  Errors also appear as one JSON object on stderr.
+
+Only the standard library and `exactnum` load with this module; each
+subcommand's layers (numpy with them) load in the `import` stage of
+`run`, so `classify` never loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
 import traceback
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import mobius, nctorus, nilseq, spectral, torus
 from .exactnum import (
     IntMatrix,
     IntegralPolynomial,
@@ -29,9 +33,14 @@ from .exactnum import (
     classify_entropy,
     declare_generator,
     parse_phase,
+    write_atomic,
 )
-from .nilseq import SequenceStream
-from .spectral import GPolynomial, ShiftPhaseOperator, SparseVector
+
+if TYPE_CHECKING:
+    from .mobius import MobiusTable
+    from .nctorus import ThetaMatrix
+    from .nilseq import SequenceStream
+    from .spectral import SparseVector
 
 __all__ = ["ValidationError", "run", "emit_plotdata", "main"]
 
@@ -153,6 +162,8 @@ def _declare_generators(cfg: dict) -> None:
 
 
 def _sparse_vector(obj: Any, where: str, dim: int) -> SparseVector:
+    from .spectral import SparseVector
+
     if not isinstance(obj, list):
         raise ValidationError(f"{where}: expected a list of site entries")
     sites = {}
@@ -167,7 +178,9 @@ def _sparse_vector(obj: Any, where: str, dim: int) -> SparseVector:
     return SparseVector.from_sites(dim, sites)
 
 
-def _theta(obj: Any, where: str, d: int) -> nctorus.ThetaMatrix:
+def _theta(obj: Any, where: str, d: int) -> ThetaMatrix:
+    from .nctorus import ThetaMatrix
+
     if not isinstance(obj, list) or len(obj) != d:
         raise ValidationError(f"{where}: expected {d} rows of phase strings")
     rows = []
@@ -177,13 +190,15 @@ def _theta(obj: Any, where: str, d: int) -> nctorus.ThetaMatrix:
         rows.append(tuple(_phase(x, f"{where}[{j}][{k}]")
                           for k, x in enumerate(row)))
     try:
-        return nctorus.ThetaMatrix(tuple(rows))
+        return ThetaMatrix(tuple(rows))
     except Exception as exc:
         raise ValidationError(f"{where}: {exc}")
 
 
 def build_sequence(spec: Any, precision: str) -> SequenceStream:
     """Strictly validated sequence sub-schema shared by seq/correlate."""
+    from . import nilseq   # every sequence type is built on it
+
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValidationError("sequence: expected an object with a 'type' key")
     t = spec["type"]
@@ -210,6 +225,8 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
         return stream
     if t == "torus":
         _check_keys(spec, "sequence", ["type", "matrix", "point", "character"])
+        from . import torus
+
         A = _int_matrix(spec["matrix"], "sequence.matrix")
         pt = torus.TorusPoint.make(
             [_phase(c, f"sequence.point[{i}]")
@@ -222,6 +239,8 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
     if t == "nc":
         _check_keys(spec, "sequence",
                     ["type", "S", "theta", "element", "state_vector"])
+        from . import nctorus
+
         S = _int_matrix(spec["S"], "sequence.S")
         theta = _theta(spec["theta"], "sequence.theta", S.dim)
         elem_spec = spec["element"]
@@ -301,7 +320,9 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _mobius_table_cached(limit: int) -> mobius.MobiusTable:
+def _mobius_table_cached(limit: int) -> MobiusTable:
+    from . import mobius
+
     cache_dir = os.environ.get("NILSEQ_CACHE_DIR")
     if not cache_dir:
         return mobius.sieve_mobius(limit)
@@ -317,6 +338,8 @@ def _mobius_table_cached(limit: int) -> mobius.MobiusTable:
 def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "checkpoints"],
                 ["generators", "segment_size"])
+    from . import mobius
+
     pts = _checkpoints(cfg["checkpoints"], "checkpoints")
     if not pts:
         raise ValidationError("checkpoints: need at least one")
@@ -351,6 +374,8 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
 def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
     _check_keys(cfg, "config", ["kind", "poly", "harmonics", "checkpoints"],
                 ["generators"])
+    from . import torus
+
     poly = _phase_poly(cfg["poly"], "poly")
     harmonics = _int_list(cfg["harmonics"], "harmonics")
     if not harmonics or any(k == 0 for k in harmonics):
@@ -383,6 +408,8 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
     _check_keys(cfg, "config",
                 ["kind", "operators", "polys", "u", "v"],
                 ["generators", "checkpoints"])
+    from .spectral import GPolynomial, ShiftPhaseOperator, SparseVector, decompose
+
     ops_spec = cfg["operators"]
     if not isinstance(ops_spec, list) or not ops_spec:
         raise ValidationError("operators: expected a nonempty list")
@@ -429,7 +456,7 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
 
     u, v = vec("u"), vec("v")
     pts = _checkpoints(cfg.get("checkpoints", []), "checkpoints")
-    res = spectral.decompose(g, u, v)
+    res = decompose(g, u, v)
     out = res.to_json_dict()
     out["cesaro_bounds"] = {str(N): res.certificate.cesaro_bound(N) for N in pts}
     residual_rows = [[n, val.real, val.imag]
@@ -451,26 +478,31 @@ _RUNNERS: dict[str, Callable[[dict, str, int], dict]] = {
     "decompose": _run_decompose,
 }
 
+# The layers each kind's runner imports, and the layer that builds each
+# sequence type; `run` loads them in its timed `import` stage.
+_KIND_LAYERS = {"classify": (), "torus-seq": (), "nc-seq": (),
+                "correlate": ("mobius",), "weyl": ("torus",),
+                "decompose": ("spectral",)}
+_SEQUENCE_LAYER = {"constant": "nilseq", "poly-exp": "nilseq",
+                   "heisenberg": "nilseq", "furstenberg": "nilseq",
+                   "torus": "torus", "nc": "nctorus", "mobius": "mobius"}
+
+
+def _layers(kind: str, cfg: dict) -> tuple[str, ...]:
+    """Layers a run imports; an unknown sequence type adds none, since
+    the runner rejects it."""
+    spec = cfg.get("sequence")
+    t = spec.get("type") if isinstance(spec, dict) else None
+    seq = _SEQUENCE_LAYER.get(t) if isinstance(t, str) else None
+    return _KIND_LAYERS[kind] + ((seq,) if seq else ())
+
 
 # ---------------------------------------------------------------------------
 # plot-data emission
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to a temporary file, then rename it over path, so a
-    reader sees the old file or the whole new one, never a partial one."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: str, rows: Sequence[Sequence]) -> None:
@@ -478,7 +510,7 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence]) -> None:
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
                               for x in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_plotdata(report: dict, out_dir: str) -> list[str]:
@@ -575,6 +607,11 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
             "results": None,
             "plot": None,
         }
+        stage, t = "import", time.perf_counter()
+        for layer in _layers(kind, cfg):
+            importlib.import_module(f".{layer}", __package__)
+        timings["import"] = time.perf_counter() - t
+
         stage, t = "compute", time.perf_counter()
         report.update(_RUNNERS[kind](cfg, precision, threads))
         timings["compute"] = time.perf_counter() - t

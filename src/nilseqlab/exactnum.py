@@ -4,7 +4,8 @@ Integer matrices, integral polynomials held in the binomial basis
 C(t,0), C(t,1), ..., scalars of the form rational + sum of rational
 multiples of declared irrational generators, and polynomials with such
 coefficients.  Everything here is immutable and side-effect free except
-for the process-wide generator registry, which is append-only.
+for the process-wide generator registry, which is append-only, and
+`write_atomic`, the one file writer of the package.
 
 The binomial basis is the natural one for power iterates of unipotent
 matrices: an integer matrix U with (U - I)^d = 0 satisfies
@@ -17,12 +18,11 @@ for rationality tests.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import mpmath
 
 __all__ = [
     "NotInGL",
@@ -49,6 +49,7 @@ __all__ = [
     "PhasePolynomial",
     "fit_phase_polynomial",
     "congruent_mod_1",
+    "write_atomic",
 ]
 
 
@@ -305,7 +306,8 @@ def char_poly(S: IntMatrix) -> IntegralPolynomial:
     for k in range(1, d + 1):
         AM = S @ M
         tr = sum(AM.rows[i][i] for i in range(d))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
         c = -tr // k
         coeffs[d - k] = c
         M = AM + IntMatrix.identity(d).scale(c)
@@ -401,7 +403,8 @@ def cyclotomic(k: int) -> tuple[int, ...]:
     for d in range(1, k):
         if k % d == 0:
             num, rem = _poly_divmod_z(num, list(cyclotomic(d)))
-            assert not any(rem)
+            if any(rem):
+                raise ArithmeticError(f"x^{k} - 1 leaves a remainder mod Phi_{d}")
     _CYCLOTOMIC_CACHE[k] = tuple(num)
     return _CYCLOTOMIC_CACHE[k]
 
@@ -446,7 +449,7 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
     exact integer polynomial division; the positive-entropy value is
     numeric: the roots of each squarefree factor are found at 60 digits,
     and each must leave a residual below 1e-30 times the factor's largest
-    coefficient, or an AssertionError is raised.
+    coefficient, or ArithmeticError is raised.
     """
     if S.det() not in (1, -1):
         raise NotInGL(f"determinant {S.det()}; not an automorphism of the torus")
@@ -468,13 +471,16 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
         acc = IntMatrix.identity(d)
         for _ in range(d):
             acc = acc @ nil
-        assert acc.is_zero(), "cyclotomic factorization must force unipotence"
+        if not acc.is_zero():
+            raise ArithmeticError("cyclotomic factorization did not force unipotence")
         return EntropyReport(
             verdict="zero", dim=d, unipotence_order=m,
             cyclotomic_orders=tuple(sorted(orders)),
         )
     # positive entropy: sum log|root| over roots of the non-cyclotomic part,
     # one squarefree factor at a time so multiple roots cannot stall polyroots
+    import mpmath  # only here: the zero-entropy verdict is pure integer algebra
+
     with mpmath.workdps(60):
         h = mpmath.mpf(0)
         for fac, mult in _squarefree_mults(remainder):
@@ -489,7 +495,9 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
             scale = max(abs(c) for c in poly_hi)
             for r in roots:
                 val = mpmath.polyval(poly_hi, r)
-                assert abs(val) < scale * mpmath.mpf(10) ** (-30)
+                if not abs(val) < scale * mpmath.mpf(10) ** (-30):
+                    raise ArithmeticError(
+                        f"root {r} leaves residual {val} at 60 digits")
         h_float = float(h)
     return EntropyReport(
         verdict="positive", dim=d,
@@ -903,3 +911,27 @@ def fit_phase_polynomial(
             raise DegreeBoundExceeded(
                 f"degree-{degree_bound} fit fails at held-out t={t}")
     return poly
+
+
+# ---------------------------------------------------------------------------
+# atomic file output
+
+
+def write_atomic(path: str, data: str | bytes) -> None:
+    """Write data to a temporary file beside path, then rename it over path.
+
+    A reader sees the old file or the whole new one, never a partial one.
+    The temporary name carries the pid and a random token and is created
+    with O_EXCL, so concurrent writers of one path never share or remove
+    each other's temporary file; each removes only its own on failure.
+    It is made with mode 0o666 less the umask, as open() would make it.
+    """
+    tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

@@ -10,14 +10,13 @@ run reproduces the serial result bit for bit.
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .exactnum import write_atomic
 from .nilseq import SequenceStream
 
 __all__ = [
@@ -241,6 +240,8 @@ def correlate(
 
     indices = range((n_max - 1) // segment_size + 1)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only with a pool
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             segments = list(pool.map(segment, indices))
     else:
@@ -304,12 +305,8 @@ def write_cache(table: MobiusTable, path: str) -> None:
         enc = np.concatenate([enc, np.full(pad, 3, dtype=np.uint8)])
     quads = enc.reshape(-1, 4)
     packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(packed.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, CACHE_MAGIC + struct.pack("<Q", table.limit)
+                 + packed.tobytes())
 
 
 def read_cache(path: str) -> MobiusTable:

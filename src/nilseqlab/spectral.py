@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .exactnum import (
     IntegralPolynomial,
     PhasePolynomial,
@@ -358,12 +356,51 @@ def compact_subspace(generators: Sequence[ShiftPhaseOperator]) -> SectorReport:
 # integer solutions of polynomial equations (hit sets)
 
 
+def _horner(ints: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _root_brackets(ints: Sequence[int], bound: int) -> list[int]:
+    """Sorted integers from -bound to bound, both included, such that each
+    real root of the integer polynomial `ints` (low degree first) in that
+    range is one of them or lies between two of them that are 1 apart.
+
+    Recursion on the derivative: between two of its brackets more than 1
+    apart the derivative has no root, so the polynomial is strictly
+    monotone there (Rolle) and a sign change is bisected over the
+    integers, all in exact integer arithmetic.
+    """
+    if len(ints) == 1:                  # a nonzero constant has no root
+        return [-bound, bound]
+    cuts = _root_brackets([i * c for i, c in enumerate(ints)][1:], bound)
+    out = set(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        flo, fhi = _horner(ints, lo), _horner(ints, hi)
+        if hi - lo < 2 or flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fmid = _horner(ints, mid)
+            if fmid == 0:
+                lo = hi = mid
+            elif (fmid > 0) == (flo > 0):
+                lo = mid
+            else:
+                hi = mid
+        out.update((lo, hi))
+    return sorted(out)
+
+
 def integer_solutions(p: IntegralPolynomial, target: int) -> tuple[int, ...] | None:
     """All integer n with p(n) = target; None means identically true.
 
-    Numeric root candidates (rounded, +-1 widened) are verified exactly,
-    so no false positives; degrees and coefficients here are small
-    enough that no real root escapes the widening.
+    Exact at any size: with the denominators cleared, degree 1 is one
+    division and degree 2 takes math.isqrt of the discriminant; higher
+    degrees bracket every real root inside the Cauchy bound by
+    `_root_brackets`.  Every candidate is then checked as p(n) == target.
     """
     mono = [Fraction(c) for c in p.monomial_coefficients()] or [Fraction(0)]
     mono[0] -= target
@@ -373,15 +410,16 @@ def integer_solutions(p: IntegralPolynomial, target: int) -> tuple[int, ...] | N
         return None if mono[0] == 0 else ()
     den = math.lcm(*[c.denominator for c in mono])
     ints = [int(c * den) for c in mono]
-    # numpy wants highest degree first
-    roots = np.roots(list(reversed([float(c) for c in ints])))
-    cands = set()
-    for z in roots:
-        if abs(z.imag) < 0.5:
-            base = round(z.real)
-            cands.update((base - 1, base, base + 1))
-    hits = sorted(n for n in cands if p(n) == target)
-    return tuple(hits)
+    a0, a1, lead = ints[0], ints[1], ints[-1]
+    if len(ints) == 2:
+        cands = [-a0 // a1]
+    elif len(ints) == 3:
+        s = math.isqrt(max(a1 * a1 - 4 * lead * a0, 0))
+        cands = [(-a1 - s) // (2 * lead), (-a1 + s) // (2 * lead)]
+    else:
+        cauchy = 1 + -(-max(abs(c) for c in ints[:-1]) // abs(lead))
+        cands = _root_brackets(ints, cauchy)
+    return tuple(sorted({n for n in cands if p(n) == target}))
 
 
 def integer_hits(polys: Sequence[IntegralPolynomial],

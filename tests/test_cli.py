@@ -150,12 +150,12 @@ def test_timings_cover_every_stage(tmp_path):
                            "--out", out)
     assert code == 0, err
     timings = json.load(open(os.path.join(out, "timings.json")))
-    assert set(timings) == {"validate", "compute", "emit"}
+    assert set(timings) == {"validate", "import", "compute", "emit"}
     assert all(v >= 0 for v in timings.values())
 
 
 def test_interrupted_write_leaves_no_partial_report(tmp_path, monkeypatch):
-    from nilseqlab import cli
+    from nilseqlab import cli, exactnum
 
     cfg = os.path.join(CONFIGS, "classify_shear.json")
     out = tmp_path / "out"
@@ -182,7 +182,7 @@ def test_interrupted_write_leaves_no_partial_report(tmp_path, monkeypatch):
         f = open(path, mode, *args, **kwargs)
         return HalfWrite(f) if "w" in mode else f
 
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(exactnum, "open", failing_open, raising=False)
     for target in (out, tmp_path / "fresh"):
         # the failure report cannot be written either; the exit code says it
         assert cli.main(["classify", "--config", cfg, "--out", str(target)]) == 3
@@ -435,12 +435,12 @@ def test_nonfinite_coefficients_fail_validation(site, part, value, tmp_path):
 
 
 def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
-    from nilseqlab import cli
+    from nilseqlab import torus
 
     def no_compute(*args, **kwargs):
         raise AssertionError("weyl_test reached past the budget")
 
-    monkeypatch.setattr(cli.torus, "weyl_test", no_compute)
+    monkeypatch.setattr(torus, "weyl_test", no_compute)
     cfg = write_config(tmp_path, {
         "kind": "weyl", "poly": {"coeffs": ["0", "1/1000000007"]},
         "harmonics": [1], "checkpoints": [10, 5 * 10 ** 6]})
@@ -458,6 +458,20 @@ def test_furstenberg_constant_polynomial_is_a_compute_failure(tmp_path):
     report = _failure_report(out)
     assert report["failed_stage"] == "compute"
     assert report["error"]["type"] == "DegreeZero"
+
+
+def test_decompose_certificate_keeps_a_hit_beyond_float_precision(tmp_path):
+    far = 2 ** 60 + 100       # <g(n)u, v> = 1 exactly at n = far
+    cfg = write_config(tmp_path, {
+        "kind": "decompose", "operators": [{"shift": [1]}], "polys": [[0, 1]],
+        "u": {"sites": [{"site": [0], "re": 1.0}]},
+        "v": {"sites": [{"site": [far], "re": 1.0}]}})
+    out = tmp_path / "out"
+    assert _main("decompose", cfg, out) == 0
+    cert = json.load(open(out / "report.json"))["results"]["certificate"]
+    assert cert["kind"] == "finite-hits"
+    assert cert["hits"] == [far]
+    assert (out / "residual.csv").read_text() == f"n,re,im\n{far},1.0,0.0\n"
 
 
 def test_corrupt_cache_is_a_compute_failure(tmp_path, monkeypatch):
@@ -482,12 +496,12 @@ def test_corrupt_cache_is_a_compute_failure(tmp_path, monkeypatch):
     (KeyboardInterrupt, None), (SystemExit, None)])
 def test_every_exception_maps_to_one_exit_code(exc, code, tmp_path,
                                                monkeypatch, capsys):
-    from nilseqlab import cli
+    from nilseqlab import torus
 
     def boom(*args, **kwargs):
         raise exc("boom")
 
-    monkeypatch.setattr(cli.torus, "weyl_test", boom)
+    monkeypatch.setattr(torus, "weyl_test", boom)
     cfg = os.path.join(CONFIGS, "weyl_rational.json")
     out = tmp_path / "out"
     if code is None:                    # not caught: the user asked to stop
@@ -518,7 +532,7 @@ def test_emit_failure_writes_failure_report(tmp_path, monkeypatch):
     assert report["failed_stage"] == "emit"
     assert report["error"]["type"] == "OSError"
     assert set(json.load(open(out / "timings.json"))) == {
-        "validate", "compute", "emit"}
+        "validate", "import", "compute", "emit"}
 
 
 def test_seq_reads_its_config_once(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +255,30 @@ def test_fibonacci_square_entropy():
     assert abs(rep.entropy - 0.9624236501192069) < 1e-12
     assert abs(rep.nc_lower_bound - 0.48121182505960347) < 1e-12
     assert abs(rep.nc_lower_bound - rep.entropy / 2) < 1e-15
+
+
+_FORCED_RESIDUAL = """
+import sys
+import mpmath
+from nilseqlab.exactnum import IntMatrix, classify_entropy
+mpmath.polyval = lambda coeffs, x: mpmath.mpf(1)
+try:
+    classify_entropy(IntMatrix.from_rows([[2, 1], [1, 1]]))
+except ArithmeticError as exc:
+    print(sys.flags.optimize, type(exc).__name__)
+"""
+
+
+def test_root_residual_check_raises_also_under_O(monkeypatch):
+    """The residual check is an error, not an assert: python -O keeps it."""
+    import mpmath
+
+    monkeypatch.setattr(mpmath, "polyval", lambda coeffs, x: mpmath.mpf(1))
+    with pytest.raises(ArithmeticError, match="residual"):
+        classify_entropy(IntMatrix.from_rows([[2, 1], [1, 1]]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORCED_RESIDUAL],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["1", "ArithmeticError"], proc.stderr
 
 
 def test_mixed_block_positive_entropy():

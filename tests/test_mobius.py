@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +244,32 @@ def test_cache_rejects_truncation(tmp_path):
         fh.write(blob[:-3])
     with pytest.raises(ValueError):
         read_cache(path)
+
+
+_CACHE_WRITER = """
+import sys, time
+import numpy as np
+from nilseqlab.mobius import read_cache, sieve_mobius, write_cache
+path, seconds = sys.argv[1], float(sys.argv[2])
+table = sieve_mobius(20000)
+end = time.monotonic() + seconds
+while time.monotonic() < end:
+    write_cache(table, path)
+    if not np.array_equal(read_cache(path).values, table.values):
+        sys.exit("read back a different table")
+"""
+
+
+def test_two_cache_writers_share_one_path(tmp_path):
+    """Two processes (never more) that write and read one cache path in a
+    loop: every write is whole and no writer loses its temporary file."""
+    path = str(tmp_path / "mobius_20000.bin")
+    procs = [subprocess.Popen([sys.executable, "-c", _CACHE_WRITER, path, "2"],
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    errors = [proc.communicate(timeout=120)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], errors
+    assert os.listdir(tmp_path) == ["mobius_20000.bin"]
 
 
 def test_cache_rejects_payload_code_3(tmp_path):

@@ -262,6 +262,43 @@ def test_integer_solutions_exact():
     assert integer_solutions(mono([-10**6, 1]), 0) == (10**6,)
 
 
+def test_integer_solutions_beyond_float_precision():
+    r = 2 ** 60 + 100
+    assert integer_solutions(mono([-r, 1]), 0) == (r,)
+    assert integer_solutions(mono([-r * r, 0, 1]), 0) == (-r, r)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(roots=st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=5),
+       lead=st.integers(1, 2 ** 20),
+       rootless=st.lists(st.sampled_from(["square", "half", "cubic"]),
+                         max_size=2),
+       shift=st.integers(1, 2 ** 40),
+       target=st.integers(-2 ** 40, 2 ** 40))
+def test_integer_solutions_finds_every_root_of_a_product(roots, lead, rootless,
+                                                         shift, target):
+    """target + lead * prod (t - r_i), times factors with no integer root,
+    solved for p(n) = target: exactly the planted roots come back."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = _times(coeffs, [-r, 1])
+    for kind in rootless:
+        coeffs = _times(coeffs, {"square": [shift, 0, 1],       # t^2 + s
+                                 "half": [1, 2],                # 2t + 1
+                                 "cubic": [2, 0, 0, 1]}[kind])  # t^3 + 2
+    p = mono([coeffs[0] + target] + coeffs[1:])
+    got = integer_solutions(p, target)
+    assert all(p(n) == target for n in got)
+    assert got == tuple(sorted(set(roots)))
+
+
 def test_integer_hits_pivots_past_constant_polynomials():
     # the first polynomial is constant, so the second one is the pivot
     polys = (mono([3]), mono([-4, 0, 1]), mono([0, 1]))
