@@ -1,20 +1,34 @@
 #!/usr/bin/env python3
 """Regenerate the golden outputs for every shipped config.
 
-Each config in configs/ runs through the CLI into
-configs/golden/<name>/; the CSV and JSON artifacts there are committed
-and compared byte-for-byte by the test suite.  Timings are deleted
-because they are run-dependent by design.
+Each config in configs/ runs through the CLI once per precision:
+`--precision fast` into configs/golden/<name>/ and the default
+`--precision exact` into configs/golden_exact/<name>/.  The CSV and
+JSON artifacts there are committed and compared byte-for-byte by the
+test suite.  Timings are deleted because they are run-dependent by
+design.
+
+The CLI runs from this checkout's src/ and writes into a temporary
+directory beside the golden one; the old golden directory is replaced
+only after the CLI exits 0, so a failed run leaves it as it was.
+
+Usage: python scripts/make_goldens.py
 """
 
+import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 CONFIG_DIR = os.path.join(ROOT, "configs")
-GOLDEN_DIR = os.path.join(CONFIG_DIR, "golden")
+GOLDEN_DIRS = {
+    "fast": os.path.join(CONFIG_DIR, "golden"),
+    "exact": os.path.join(CONFIG_DIR, "golden_exact"),
+}
 
 SUBCOMMAND = {
     "classify": "classify",
@@ -26,32 +40,55 @@ SUBCOMMAND = {
 }
 
 
-def main() -> int:
-    import json
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
+
+def write_golden(config: str, subcommand: str, precision: str, dest: str) -> int:
+    """Run one config into dest; return the CLI's exit code."""
+    parent = os.path.dirname(dest)
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=f".{os.path.basename(dest)}.", dir=parent)
+    try:
+        out = os.path.join(work, "out")
+        cmd = [sys.executable, "-m", "nilseqlab.cli", subcommand,
+               "--config", config, "--out", out, "--precision", precision]
+        print("+", " ".join(cmd))
+        code = subprocess.run(cmd, env=_child_env()).returncode
+        if code != 0:
+            return code
+        timings = os.path.join(out, "timings.json")
+        if os.path.exists(timings):
+            os.remove(timings)
+        if os.path.isdir(dest):
+            os.rename(dest, os.path.join(work, "old"))
+        os.rename(out, dest)
+        return 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def main() -> int:
     configs = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
     if not configs:
         print("no configs found", file=sys.stderr)
         return 1
     for name in configs:
-        base = name[:-5]
-        with open(os.path.join(CONFIG_DIR, name)) as f:
-            kind = json.load(f)["kind"]
-        out = os.path.join(GOLDEN_DIR, base)
-        if os.path.isdir(out):
-            shutil.rmtree(out)
-        cmd = [sys.executable, "-m", "nilseqlab.cli", SUBCOMMAND[kind],
-               "--config", os.path.join(CONFIG_DIR, name),
-               "--out", out, "--precision", "fast"]
-        print("+", " ".join(cmd))
-        res = subprocess.run(cmd)
-        if res.returncode != 0:
-            print(f"FAILED: {name} (exit {res.returncode})", file=sys.stderr)
-            return res.returncode
-        timings = os.path.join(out, "timings.json")
-        if os.path.exists(timings):
-            os.remove(timings)
-    print(f"golden outputs written under {GOLDEN_DIR}")
+        path = os.path.join(CONFIG_DIR, name)
+        with open(path) as f:
+            subcommand = SUBCOMMAND[json.load(f)["kind"]]
+        for precision, tree in GOLDEN_DIRS.items():
+            code = write_golden(path, subcommand, precision,
+                                os.path.join(tree, name[:-5]))
+            if code != 0:
+                print(f"FAILED: {name} --precision {precision} (exit {code})",
+                      file=sys.stderr)
+                return code
+    print("golden outputs written under "
+          + " and ".join(GOLDEN_DIRS.values()))
     return 0
 
 

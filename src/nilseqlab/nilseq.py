@@ -325,6 +325,53 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
 # polynomial phase evaluation: one exact kernel, plus a float route
 
 
+# Blocks shorter than this are walked point by point: below it, setting
+# up the lanes costs more than it saves (measured crossover, see README).
+_LANE_MIN_POINTS = 256
+# Points per lane pass: bounds the lane temporaries, not the bits.
+_LANE_CHUNK = 1 << 15
+# Points per lane: a prefix sum over it of values below 2^53 (one mod D
+# row) or 2^32 (one 32-bit limb) must stay below 2^64.
+_LANE_WIDTH = 1 << 10
+# Cap on a fixed-point lane's anchor error, in units of 2^-128: it must
+# stay below 2^64 for _round_fixed, and the share of points it flags
+# grows with it.  Only degrees above 5 need lanes shorter than 1024.
+_LANE_SPREAD_CAP = 1 << 48
+_U64_MAX = np.uint64(2 ** 64 - 1)
+_LIMB = np.uint64(32)
+_LIMB_MASK = np.uint64(2 ** 32 - 1)
+
+
+def _round_fixed(hi: np.ndarray, lo: np.ndarray, spread: int):
+    """Nearest doubles to Y / 2^128 with Y = hi 2^64 + lo, and a mask of
+    the points where the true value may round elsewhere.
+
+    The true value lies in [Y, Y + spread) (units of 2^-128, spread
+    below 2^64).  For hi >= 2^53 the 53-bit significand sits in hi:
+    with s = bitlength(hi) - 53 it is m = hi >> s, and the value rounds
+    up exactly when the remainder reaches the midpoint 2^(s-1) 2^64.
+    A point is unsure when the interval may hold a midpoint (a tie or a
+    value on its far side), when it runs past 2^128 (the value wraps to
+    near 0), or when hi < 2^53 (the value is below 2^-11).
+    """
+    # (hi | 2^53) >> 11 converts to float64 exactly; its biased exponent
+    # is 1011 + bitlength(hi), so s = exponent - 1064 (s = 1 for hi < 2^53)
+    top = ((hi | np.uint64(1 << 53)) >> np.uint64(11)).astype(np.float64)
+    shift = (top.view(np.uint64) >> np.uint64(52)) - np.uint64(1064)
+    m = hi >> shift
+    half = np.uint64(1) << (shift - np.uint64(1))
+    rem = hi - (m << shift)
+    # (m + up) 2^(s - 64): the scale is the double with biased exponent s + 959
+    scale = ((shift + np.uint64(959)) << np.uint64(52)).view(np.float64)
+    values = (m + (rem >= half)).astype(np.float64) * scale
+    reaches_next_hi = lo > _U64_MAX - np.uint64(spread)
+    unsure = hi < np.uint64(1 << 53)
+    unsure |= (rem == half) & (lo == 0)                            # midpoint at Y
+    unsure |= reaches_next_hi & (rem == half - np.uint64(1))       # midpoint above Y
+    unsure |= reaches_next_hi & (hi == _U64_MAX)                   # wrap past 1
+    return values, unsure
+
+
 class PhaseKernel:
     """Exact tabulation of p(n) mod 1 by forward differences.
 
@@ -337,6 +384,10 @@ class PhaseKernel:
     arithmetic mod D.  The one rounding is a_0 / D, and Python's int/int
     division is correctly rounded, so every phase is the same float as
     float(p(n) mod 1) taken exactly.
+
+    Long blocks run the same table in numpy lanes (`_lanes`), each lane
+    anchored at an exact table; every phase is still the float a_0 / D,
+    bit for bit.
     """
 
     def __init__(self, p: PhasePolynomial):
@@ -365,10 +416,86 @@ class PhaseKernel:
                 s = a[j] + a[j + 1]
                 a[j] = s - D if s >= D else s
 
+    def _spread(self, width: int) -> int:
+        """Bound on the anchor error after width - 1 steps: the error of
+        row 0 after i steps is sum_j C(i, j) eps_j with each eps_j < 1."""
+        return sum(math.comb(width - 1, j) for j in range(self.degree + 1))
+
+    def _lanes(self, anchors: list[list[int]], width: int):
+        """a_0 / D at width consecutive points from each anchor table, in
+        point order, with the mask of points the caller must redo exactly
+        (None when there are none).
+
+        Row j of the table after i steps is its anchor plus the prefix
+        sum of row j + 1 over the first i steps, so each row is one
+        cumulative sum along the lane, from the constant last row up.
+        D < 2^53: the rows are reduced mod D, and a_0 / D is a quotient
+        of two exact doubles, correctly rounded like int / int.  Larger
+        D: row j is anchored at Y_j = floor(2^128 a_j / D) and runs mod
+        2^128 in four 32-bit limbs, carried after each row.  After i
+        steps the true 2^128 a_0 / D lies in [Y_0, Y_0 + sum_j C(i, j)),
+        which _round_fixed rounds or flags.
+        """
+        D, lanes = self.denominator, len(anchors)
+        if D < 1 << 53:
+            # rows x limbs (one, mod D) x lanes
+            table = np.array(anchors, dtype=np.uint64).T[:, None, :]
+        else:
+            fixed = b"".join(((a << 128) // D).to_bytes(16, "little")
+                             for row in anchors for a in row)
+            table = (np.frombuffer(fixed, dtype="<u4").astype(np.uint64)
+                     .reshape(lanes, self.degree + 1, 4).transpose(1, 2, 0))
+        row = np.broadcast_to(table[-1][:, :, None], table.shape[1:] + (width,))
+        for anchor in table[-2::-1]:
+            nxt = np.empty(row.shape, dtype=np.uint64)
+            nxt[:, :, 0] = 0
+            np.cumsum(row[:, :, :-1], axis=2, out=nxt[:, :, 1:])
+            nxt += anchor[:, :, None]
+            if D < 1 << 53:
+                nxt %= np.uint64(D)
+            else:
+                for k in range(3):
+                    nxt[k + 1] += nxt[k] >> _LIMB
+                    nxt[k] &= _LIMB_MASK
+                nxt[3] &= _LIMB_MASK
+            row = nxt
+        row = row.reshape(row.shape[0], -1)
+        if D < 1 << 53:
+            return row[0].astype(np.float64) / float(D), None
+        return _round_fixed((row[3] << _LIMB) | row[2], (row[1] << _LIMB) | row[0],
+                            self._spread(width))
+
     def block(self, start: int, stop: int) -> np.ndarray:
         """p(n) mod 1 for n in [start, stop)."""
         count = max(stop - start, 0)
-        return np.fromiter(self._walk(start, count), np.float64, count)
+        if count < _LANE_MIN_POINTS:
+            return np.fromiter(self._walk(start, count), np.float64, count)
+        D, width = self.denominator, min(count, _LANE_WIDTH)
+        while D >= 1 << 53 and width > 2 and self._spread(width) > _LANE_SPREAD_CAP:
+            width //= 2
+        # anchor of the next lane: the table jumps width points at once,
+        # D Delta^j p(n + w) = sum_{i >= j} C(w, i - j) D Delta^i p(n)
+        jump = [math.comb(width, k) for k in range(self.degree + 1)]
+        a = self.differences(start)
+        out = np.empty(count, dtype=np.float64)
+        step = max(_LANE_CHUNK // width, 1) * width
+        for pos in range(0, count, step):
+            n = min(count - pos, step)
+            anchors = []
+            for _ in range(-(-n // width)):
+                anchors.append(a)
+                a = [sum(c * x for c, x in zip(jump, a[j:])) % D for j in range(len(a))]
+            values, unsure = self._lanes(anchors, width)
+            out[pos: pos + n] = values[:n]
+            if unsure is None:
+                continue
+            redo = np.flatnonzero(unsure[:n])
+            if 8 * redo.size > n:  # mostly tiny or tied phases: walk
+                out[pos: pos + n] = np.fromiter(self._walk(start + pos, n), np.float64, n)
+            else:
+                for k in redo.tolist():
+                    out[pos + k] = self.differences(start + pos + k)[0] / D
+        return out
 
 
 def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:

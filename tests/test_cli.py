@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
 GOLDEN = os.path.join(CONFIGS, "golden")
+# one golden tree per precision, both written by scripts/make_goldens.py
+GOLDEN_TREES = {"fast": GOLDEN, "exact": os.path.join(CONFIGS, "golden_exact")}
 
 SUBCOMMAND = {
     "classify_fibonacci": "classify",
@@ -43,14 +45,14 @@ def write_config(tmp_path, body):
     return str(path)
 
 
-@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
-def test_golden_outputs_reproduced(name, tmp_path):
-    out = str(tmp_path / name)
+def _assert_golden_bytes(tmp_path, name, precision, env_extra=None, label=""):
+    out = str(tmp_path / f"{name}-{precision}")
     code, _, err = run_cli(SUBCOMMAND[name], "--config",
                            os.path.join(CONFIGS, f"{name}.json"),
-                           "--out", out, "--precision", "fast")
+                           "--out", out, "--precision", precision,
+                           env_extra=env_extra)
     assert code == 0, err
-    golden_dir = os.path.join(GOLDEN, name)
+    golden_dir = os.path.join(GOLDEN_TREES[precision], name)
     entries = sorted(os.listdir(golden_dir))
     assert entries
     for fname in entries:
@@ -58,7 +60,13 @@ def test_golden_outputs_reproduced(name, tmp_path):
             want = f.read()
         with open(os.path.join(out, fname), "rb") as f:
             got = f.read()
-        assert got == want, f"{name}/{fname} drifted from golden"
+        assert got == want, f"{label}{name}/{fname} drifted from {precision} golden"
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
+def test_golden_outputs_reproduced(name, tmp_path):
+    for precision in GOLDEN_TREES:
+        _assert_golden_bytes(tmp_path, name, precision)
 
 
 # Builds of libm's sin/cos and OpenBLAS kernels a host may select.  The
@@ -77,19 +85,10 @@ HOST_VARIANTS = {
 @pytest.mark.parametrize("variant", sorted(HOST_VARIANTS))
 def test_goldens_independent_of_libm_and_blas_builds(variant, tmp_path):
     for name in sorted(SUBCOMMAND):
-        out = str(tmp_path / name)
-        code, _, err = run_cli(SUBCOMMAND[name], "--config",
-                               os.path.join(CONFIGS, f"{name}.json"),
-                               "--out", out, "--precision", "fast",
-                               env_extra=HOST_VARIANTS[variant])
-        assert code == 0, err
-        golden_dir = os.path.join(GOLDEN, name)
-        for fname in sorted(os.listdir(golden_dir)):
-            with open(os.path.join(golden_dir, fname), "rb") as f:
-                want = f.read()
-            with open(os.path.join(out, fname), "rb") as f:
-                got = f.read()
-            assert got == want, f"{variant}: {name}/{fname} drifted from golden"
+        for precision in GOLDEN_TREES:
+            _assert_golden_bytes(tmp_path, name, precision,
+                                 env_extra=HOST_VARIANTS[variant],
+                                 label=f"{variant}: ")
 
 
 def _close(got, want, tol=1e-9):
@@ -131,7 +130,8 @@ def _parsed(path):
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMAND))
 def test_exact_route_agrees_with_goldens(name, tmp_path):
-    # the default precision; the goldens hold the fast route's bytes
+    # the cross-route check: the default exact route against the fast
+    # route's bytes, within 1e-9
     out = str(tmp_path / name)
     code, _, err = run_cli(SUBCOMMAND[name], "--config",
                            os.path.join(CONFIGS, f"{name}.json"), "--out", out)

@@ -3,19 +3,22 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilseqlab import nilseq
 from nilseqlab.exactnum import PhasePolynomial, PhaseScalar, binom_int, parse_phase
 from nilseqlab.nilseq import (
     ArityMismatch,
     DegreeZero,
     E_ABS_ERROR,
     EXP_REL_ERROR,
+    PhaseKernel,
     SequenceStream,
     Tag,
     constant,
@@ -234,6 +237,149 @@ def test_phase_block_exact_is_the_exact_reduction(p, basis, start, width):
                     dtype=np.float64)
     assert got.dtype == np.float64 and got.shape == (max(width, 0),)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# The lane kernel (PhaseKernel.block on long blocks) must give the bits of
+# the exact reduction at every point, including the points it cannot round
+# from its fixed-point interval: exact ties, values just past an integer
+# (a wrap past 1), values below 2^-11, and every lane and chunk seam.
+
+# One denominator per case, so that D stays in its regime: below 2^53
+# (the mod-D lanes), on both sides of 2^53, odd (2^128 a / D has a
+# fraction) and dyadic (it has none below 2^128; at 2^54 every other
+# value in [1/2, 1) is a tie); or small ones with generators, which make
+# D about 10^40.
+LANE_DENOMINATORS = {
+    "small": (1, 2, 3, 7, 12),
+    "near-2^53": (2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53 + 1),
+    "odd": (2 ** 61 - 1, 3 ** 40),
+    "dyadic": (2 ** 54, 2 ** 64, 2 ** 70, 2 ** 130),
+    "generators": (1, 2, 3, 12),
+}
+
+
+@st.composite
+def lane_phases(draw, den, generators):
+    r = PhaseScalar(Fraction(draw(st.integers(-(2 ** 70), 2 ** 70)), den))
+    if not generators:
+        return r
+    return r + parse_phase(draw(st.sampled_from(("g1", "-g2", "3*g1 - 2*g2"))))
+
+
+@st.composite
+def hard_constants(draw):
+    """0, a value just below 1, a dyadic, or a midpoint between two
+    adjacent doubles in [2^-e, 2^(1-e)), with either parity below it."""
+    # zeros and midpoints are the cases the lanes must flag: drawn twice as often
+    kind = draw(st.sampled_from(("zero", "midpoint", "zero", "midpoint",
+                                 "below_one", "dyadic")))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "below_one":
+        return 1 - Fraction(1, 2 ** draw(st.sampled_from((54, 60, 100))))
+    if kind == "dyadic":
+        return Fraction(draw(st.integers(0, 2 ** 64 - 1)), 2 ** 64)
+    e = draw(st.integers(1, 13))
+    k = draw(st.one_of(st.integers(0, 2 ** 52 - 1), st.just(2 ** 52 - 1)))
+    return Fraction(2 ** 53 + 2 * k + 1, 2 ** (e + 53))
+
+
+# (walk below, points per lane, points per chunk) with the widest block
+# to draw: the shipped geometry with blocks on both sides of its
+# walk/lane crossover, and small ones that put many lane and chunk seams
+# into a short block
+SHIPPED_LANE_GEOMETRY = (nilseq._LANE_MIN_POINTS, nilseq._LANE_WIDTH, nilseq._LANE_CHUNK)
+SMALL_LANE_GEOMETRIES = st.tuples(
+    st.tuples(st.integers(1, 8), st.integers(2, 16), st.integers(16, 64)), st.just(120))
+LANE_GEOMETRIES = st.one_of(
+    st.tuples(st.just(SHIPPED_LANE_GEOMETRY), st.just(2 * nilseq._LANE_MIN_POINTS)),
+    SMALL_LANE_GEOMETRIES, SMALL_LANE_GEOMETRIES)
+
+
+@st.composite
+def lane_cases(draw):
+    """(p, start, width, geometry) with p(n0) = A and p(n0 + t) = B for
+    hard constants A, B and a dyadic gap t, and anything a random R
+    makes it elsewhere: in m = n - n0,
+    p = A + (B - A) m / t + (m^2 - t m) R(m)."""
+    geometry, max_width = draw(LANE_GEOMETRIES)
+    width = draw(st.integers(1, max_width))
+    family = draw(st.sampled_from(sorted(LANE_DENOMINATORS)))
+    den = draw(st.sampled_from(LANE_DENOMINATORS[family]))
+    r = [draw(lane_phases(den, family == "generators"))
+         for _ in range(draw(st.integers(0, 3)))]
+    a, b = draw(hard_constants()), draw(hard_constants())
+    t = 2 ** draw(st.integers(0, 6))
+    q = [PhaseScalar(a), PhaseScalar((b - a) / t)] + [PhaseScalar.zero()] * len(r)
+    for k, c in enumerate(r):
+        q[k + 2] = q[k + 2] + c
+        q[k + 1] = q[k + 1] + c.scale(Fraction(-t))
+    n0 = draw(st.integers(-(2 ** 62), 2 ** 62))
+    coeffs = [PhaseScalar.zero()] * len(q)
+    for k, c in enumerate(q):
+        for m in range(k + 1):
+            coeffs[m] = coeffs[m] + c.scale(Fraction(math.comb(k, m) * (-n0) ** (k - m)))
+    start = n0 - draw(st.integers(0, width - 1))
+    return PhasePolynomial.from_coeffs(coeffs, "monomial"), start, width, geometry
+
+
+@settings(max_examples=150)
+@given(lane_cases())
+def test_lane_kernel_is_the_exact_reduction(case):
+    p, start, width, (min_points, lane_width, chunk) = case
+    with mock.patch.multiple(nilseq, _LANE_MIN_POINTS=min_points,
+                             _LANE_WIDTH=lane_width, _LANE_CHUNK=chunk):
+        got = phase_block_exact(p, start, start + width)
+    want = np.array([p(n).float_mod_1() for n in range(start, start + width)],
+                    dtype=np.float64)
+    assert got.shape == (width,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+TIE_CONSTANTS = {
+    "zero": Fraction(0),
+    "tie-to-even-above": Fraction(1, 2) + Fraction(3, 2 ** 54),
+    "tie-to-even-below": Fraction(1, 2) + Fraction(1, 2 ** 54),
+    "tie-in-1/8": Fraction(1, 8) + Fraction(5, 2 ** 56),
+    "just-below-1": 1 - Fraction(1, 2 ** 100),
+}
+TIE_SLOPES = {
+    "generator": "g1",
+    "odd-big-D": f"1/{2 ** 61 - 1}",
+    "dyadic": f"1/{2 ** 64}",  # exact anchors: the tie sits at Y itself
+    "mixed": "1/3 + g2",
+}
+
+
+@pytest.mark.parametrize("slope", sorted(TIE_SLOPES))
+@pytest.mark.parametrize("constant", sorted(TIE_CONSTANTS))
+def test_lane_kernel_flags_ties_and_wraps(constant, slope):
+    # p(n) = c0 + s (n - n0)^2 - s (n - n0) is exactly c0 at n0, 300
+    # points into a 1000-point lane: a tie for the midpoints, an exact
+    # integer for "zero" (its fixed-point value sits just below 2^128)
+    s = parse_phase(TIE_SLOPES[slope])
+    c0, n0 = TIE_CONSTANTS[constant], 2 ** 62 - 12345
+    coeffs = (PhaseScalar(c0) + s.scale(Fraction(n0 * n0 + n0)),
+              s.scale(Fraction(-1 - 2 * n0)), s)
+    p = PhasePolynomial.from_coeffs(coeffs, "monomial")
+    kernel = PhaseKernel(p)
+    start = n0 - 300
+    got = kernel.block(start, start + 1000)
+    want = np.fromiter(kernel._walk(start, 1000), np.float64, 1000)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[300] == float(c0) == p(n0).float_mod_1()
+
+
+def test_lane_kernel_matches_the_walk_on_weyl_linear():
+    # the three 200,001-point blocks of configs/weyl_linear.json: many
+    # lanes and chunks, with the shipped generator
+    for h in (1, 2, 3):
+        p = PhasePolynomial.from_coeffs(
+            (PhaseScalar.zero(), parse_phase("g1").scale(Fraction(h))), "monomial")
+        kernel = PhaseKernel(p)
+        got = kernel.block(-10 ** 5, 10 ** 5 + 1)
+        want = np.fromiter(kernel._walk(-10 ** 5, 200_001), np.float64, 200_001)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _fast_pin_cases():
