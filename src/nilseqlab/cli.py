@@ -23,7 +23,8 @@ import os
 import sys
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .exactnum import (
     IntMatrix,
@@ -126,8 +127,8 @@ def _finite(x: Any) -> bool:
     return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
 
 
-def _complex(obj: Any, where: str) -> complex:
-    _check_keys(obj, where, [], ["re", "im"])
+def _complex(obj: dict, where: str) -> complex:
+    """The optional re/im of an object whose keys are already checked."""
     re = obj.get("re", 0.0)
     im = obj.get("im", 0.0)
     if not (_finite(re) and _finite(im)):
@@ -172,9 +173,7 @@ def _sparse_vector(obj: Any, where: str, dim: int) -> SparseVector:
         site = tuple(_int_list(entry["site"], f"{where}[{i}].site"))
         if len(site) != dim:
             raise ValidationError(f"{where}[{i}].site: expected length {dim}")
-        sites[site] = sites.get(site, 0) + _complex(
-            {k: v for k, v in entry.items() if k in ("re", "im")},
-            f"{where}[{i}]")
+        sites[site] = sites.get(site, 0) + _complex(entry, f"{where}[{i}]")
     return SparseVector.from_sites(dim, sites)
 
 
@@ -204,8 +203,7 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
     t = spec["type"]
     if t == "constant":
         _check_keys(spec, "sequence", ["type"], ["re", "im"])
-        return nilseq.constant(_complex(
-            {k: v for k, v in spec.items() if k in ("re", "im")}, "sequence"))
+        return nilseq.constant(_complex(spec, "sequence"))
     if t == "poly-exp":
         _check_keys(spec, "sequence", ["type", "poly"])
         return nilseq.poly_exp(_phase_poly(spec["poly"], "sequence.poly"),
@@ -256,8 +254,7 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
                 raise ValidationError(
                     f"sequence.element[{i}].exponents: expected length {S.dim}")
             terms[exps] = terms.get(exps, 0) + _complex(
-                {k: v for k, v in term.items() if k in ("re", "im")},
-                f"sequence.element[{i}]")
+                term, f"sequence.element[{i}]")
         u = nctorus.WeylElement.from_terms(S.dim, terms)
         w = _sparse_vector(spec["state_vector"], "sequence.state_vector", S.dim)
         try:
@@ -269,7 +266,9 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
 
 
 # ---------------------------------------------------------------------------
-# kind runners: each returns a deterministic results dict
+# kind runners: each returns a deterministic results dict and a plot dict
+# that maps each output file name to (header, rows) for a .csv file, the
+# rows iterated once, or to the object itself for a .json file
 
 
 def _run_classify(cfg: dict, precision: str, threads: int) -> dict:
@@ -287,11 +286,12 @@ def _run_classify(cfg: dict, precision: str, threads: int) -> dict:
             "entropy": rep.entropy,
             "nc_lower_bound": rep.nc_lower_bound,
         },
-        "plot": None,
+        "plot": {},
     }
 
 
-def _seq_common(cfg: dict, precision: str) -> tuple[SequenceStream, int, int]:
+def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
+    _check_keys(cfg, "config", ["kind", "sequence", "range"], ["generators"])
     rng = cfg["range"]
     _check_keys(rng, "range", ["start", "stop"])
     start, stop = _int(rng["start"], "range.start"), _int(rng["stop"], "range.stop")
@@ -300,12 +300,6 @@ def _seq_common(cfg: dict, precision: str) -> tuple[SequenceStream, int, int]:
     if stop - start > 10 ** 7:
         raise ValidationError("range: wider than 10^7 samples")
     stream = build_sequence(cfg["sequence"], precision)
-    return stream, start, stop
-
-
-def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
-    _check_keys(cfg, "config", ["kind", "sequence", "range"], ["generators"])
-    stream, start, stop = _seq_common(cfg, precision)
     values = stream.evaluate_block(start, stop)
     return {
         "results": {
@@ -315,8 +309,9 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
             "start": start,
             "stop": stop,
         },
-        "plot": {"kind": "values", "start": start,
-                 "values": [[float(v.real), float(v.imag)] for v in values]},
+        "plot": {"values.csv": ("n,re,im", zip(range(start, stop),
+                                               values.real.tolist(),
+                                               values.imag.tolist()))},
     }
 
 
@@ -337,15 +332,12 @@ def _mobius_table_cached(limit: int) -> MobiusTable:
 
 def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "checkpoints"],
-                ["generators", "segment_size"])
+                ["generators"])
     from . import mobius
 
     pts = _checkpoints(cfg["checkpoints"], "checkpoints")
     if not pts:
         raise ValidationError("checkpoints: need at least one")
-    seg = _int(cfg.get("segment_size", 1 << 15), "segment_size")
-    if seg < 16:
-        raise ValidationError("segment_size: too small")
     spec = cfg["sequence"]
     if isinstance(spec, dict) and spec.get("type") == "mobius":
         _check_keys(spec, "sequence", ["type"])
@@ -354,8 +346,7 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     else:
         stream = build_sequence(spec, precision)
         table = _mobius_table_cached(max(pts))
-    rep = mobius.correlate(stream, pts, table=table,
-                           segment_size=seg, threads=threads)
+    rep = mobius.correlate(stream, pts, table=table, threads=threads)
     rows = [[N, s.real, s.imag, abs(s)]
             for N, s in zip(rep.checkpoints, rep.sums)]
     return {
@@ -367,7 +358,7 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
             "sums": [[s.real, s.imag] for s in rep.sums],
             "abs_sums": list(rep.abs_sums()),
         },
-        "plot": {"kind": "correlation", "rows": rows},
+        "plot": {"correlation.csv": ("N,re_S,im_S,abs_S", rows)},
     }
 
 
@@ -400,7 +391,7 @@ def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
             rows.append([h.harmonic, N, mean.real, mean.imag, abs(mean)])
     return {
         "results": {"checkpoints": list(rep.checkpoints), "harmonics": harm_out},
-        "plot": {"kind": "weyl", "rows": rows},
+        "plot": {"weyl.csv": ("harmonic,N,re_mean,im_mean,abs_mean", rows)},
     }
 
 
@@ -448,8 +439,7 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
                 raise ValidationError(
                     f"{key}.atoms[{i}].eigenphases: expected {len(ops)} phases")
             atoms[str(a["id"])] = (
-                _complex({k: x for k, x in a.items() if k in ("re", "im")},
-                         f"{key}.atoms[{i}]"),
+                _complex(a, f"{key}.atoms[{i}]"),
                 [_phase(x, f"{key}.atoms[{i}].eigenphases[{j}]")
                  for j, x in enumerate(phases)])
         return SparseVector.from_sites(delta, v.site_dict(), atoms)
@@ -464,8 +454,8 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
                                        res.certificate.values)]
     return {
         "results": out,
-        "plot": {"kind": "decomposition", "terms": out["nil_terms"],
-                 "residual_rows": residual_rows},
+        "plot": {"nil_terms.json": out["nil_terms"],
+                 "residual.csv": ("n,re,im", residual_rows)},
     }
 
 
@@ -505,43 +495,24 @@ def _write_json(path: str, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str, header: str, rows: Sequence[Sequence]) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: str, rows: Iterable[Iterable]) -> None:
+    # str of a float (Python or numpy) is its shortest round-trip repr;
+    # the row strings are freed once joined, before the file is written
+    lines = (",".join(map(str, row)) for row in rows)
+    write_atomic(path, "\n".join(chain([header], lines, [""])))
 
 
 def emit_plotdata(report: dict, out_dir: str) -> list[str]:
-    """Write CSV/JSON artifacts for a finished report; returns paths."""
-    plot = report.get("plot")
+    """Write each file of the report's plot dict; returns the paths."""
     written = []
-    if plot is None:
-        return written
-    os.makedirs(out_dir, exist_ok=True)
-    kind = plot["kind"]
-    if kind == "values":
-        path = os.path.join(out_dir, "values.csv")
-        rows = [[plot["start"] + i, re, im]
-                for i, (re, im) in enumerate(plot["values"])]
-        _write_csv(path, "n,re,im", rows)
+    for name, data in report.get("plot", {}).items():
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            _write_csv(path, *data)
+        else:
+            _write_json(path, data)
         written.append(path)
-    elif kind == "correlation":
-        path = os.path.join(out_dir, "correlation.csv")
-        _write_csv(path, "N,re_S,im_S,abs_S", plot["rows"])
-        written.append(path)
-    elif kind == "weyl":
-        path = os.path.join(out_dir, "weyl.csv")
-        _write_csv(path, "harmonic,N,re_mean,im_mean,abs_mean", plot["rows"])
-        written.append(path)
-    elif kind == "decomposition":
-        tpath = os.path.join(out_dir, "nil_terms.json")
-        _write_json(tpath, plot["terms"])
-        written.append(tpath)
-        rpath = os.path.join(out_dir, "residual.csv")
-        _write_csv(rpath, "n,re,im", plot["residual_rows"])
-        written.append(rpath)
     return written
 
 
@@ -605,7 +576,6 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
             "status": "ok",
             "failed_stage": None,
             "results": None,
-            "plot": None,
         }
         stage, t = "import", time.perf_counter()
         for layer in _layers(kind, cfg):

@@ -210,7 +210,7 @@ def _rational_period(p: PhasePolynomial) -> int:
 
 
 def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
-              checkpoints: Sequence[int], precision: str = "fast") -> WeylReport:
+              checkpoints: Sequence[int], precision: str = "exact") -> WeylReport:
     """Two-sided averages (1/(2N+1)) sum_{|n|<=N} e(k p(n)).
 
     expect_zero follows the equidistribution criterion: some nonconstant
@@ -218,8 +218,11 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     over an exact period: when the window covers whole periods the mean
     IS the one-period mean, by the same arithmetic.  A period longer
     than the widest window goes the block route, so no harmonic
-    evaluates more than 2 max(checkpoints) + 1 points.
+    evaluates more than 2 max(checkpoints) + 1 points.  precision picks
+    the block route's phase path as in nilseq.poly_exp.
     """
+    if precision not in ("exact", "fast"):
+        raise ValueError(f"unknown precision {precision!r}")
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")

@@ -373,6 +373,39 @@ def test_plot_csv_shapes(tmp_path):
     assert res_lines[0] == "n,re,im"
 
 
+def test_emit_plotdata_writes_each_named_file(tmp_path):
+    from nilseqlab import cli
+
+    plot = {"terms.json": [{"a": 1}],
+            "rows.csv": ("n,x", zip(range(-1, 2), [0.5, 0.1, -3.0]))}
+    out = tmp_path / "out"
+    assert cli.emit_plotdata({"plot": plot}, str(out)) == [
+        str(out / "terms.json"), str(out / "rows.csv")]
+    assert json.load(open(out / "terms.json")) == [{"a": 1}]
+    assert (out / "rows.csv").read_text() == "n,x\n-1,0.5\n0,0.1\n1,-3.0\n"
+    assert cli.emit_plotdata({"plot": {}}, str(tmp_path / "none")) == []
+    assert not (tmp_path / "none").exists()
+
+
+def test_write_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    import numpy as np
+    from nilseqlab import cli
+
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "x,n", [[np.float64(0.5), 3],
+                                      [np.float64(1e-300), np.int64(-2)]])
+    assert path.read_text() == "x,n\n0.5,3\n1e-300,-2\n"
+
+
+def test_correlate_rejects_segment_size_key(tmp_path, capsys):
+    cfg = json.load(open(os.path.join(CONFIGS, "correlate_quadratic.json")))
+    cfg["segment_size"] = 1 << 15
+    out = tmp_path / "out"
+    assert _main("correlate", write_config(tmp_path, cfg), out) == 2
+    assert "unknown key 'segment_size'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------ one exit-code boundary
 
 

@@ -223,3 +223,18 @@ def test_weyl_fast_and_exact_agree():
     fast = weyl_test(p, [1], [2000], precision="fast")
     exact = weyl_test(p, [1], [2000], precision="exact")
     assert abs(fast.harmonics[0].means[0] - exact.harmonics[0].means[0]) < 1e-9
+
+
+def test_weyl_default_precision_is_exact():
+    p = PhasePolynomial.from_coeffs(
+        (PhaseScalar.zero(), parse_phase("g1")), basis="monomial")
+    default = weyl_test(p, [1, 2], [100, 2000])
+    exact = weyl_test(p, [1, 2], [100, 2000], precision="exact")
+    assert [h.means for h in default.harmonics] == \
+        [h.means for h in exact.harmonics]
+
+
+def test_weyl_rejects_unknown_precision():
+    p = PhasePolynomial.from_coeffs((PhaseScalar.zero(), parse_phase("g1")))
+    with pytest.raises(ValueError, match="unknown precision"):
+        weyl_test(p, [1], [10], precision="bogus")
