@@ -22,8 +22,7 @@ import json
 import os
 import sys
 import time
-import traceback
-from itertools import chain
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .exactnum import (
@@ -44,6 +43,9 @@ if TYPE_CHECKING:
     from .spectral import SparseVector
 
 __all__ = ["ValidationError", "run", "emit_plotdata", "main"]
+
+# rows per piece of CSV text handed to write_atomic
+_CSV_CHUNK = 1 << 16
 
 KINDS = ("classify", "torus-seq", "nc-seq", "decompose", "correlate", "weyl")
 
@@ -301,6 +303,14 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
         raise ValidationError("range: wider than 10^7 samples")
     stream = build_sequence(cfg["sequence"], precision)
     values = stream.evaluate_block(start, stop)
+
+    def rows() -> Iterable[tuple[int, float, float]]:
+        # floats are made one CSV chunk at a time, as _write_csv takes them
+        for lo in range(0, len(values), _CSV_CHUNK):
+            part = values[lo:lo + _CSV_CHUNK]
+            yield from zip(range(start + lo, start + lo + len(part)),
+                           part.real.tolist(), part.imag.tolist())
+
     return {
         "results": {
             "tag": str(stream.tag),
@@ -309,9 +319,7 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
             "start": start,
             "stop": stop,
         },
-        "plot": {"values.csv": ("n,re,im", zip(range(start, stop),
-                                               values.real.tolist(),
-                                               values.imag.tolist()))},
+        "plot": {"values.csv": ("n,re,im", rows())},
     }
 
 
@@ -322,8 +330,12 @@ def _mobius_table_cached(limit: int) -> MobiusTable:
     if not cache_dir:
         return mobius.sieve_mobius(limit)
     path = os.path.join(cache_dir, f"mobius_{limit}.bin")
-    if os.path.exists(path):
-        return mobius.read_cache(path)
+    try:
+        table = mobius.read_cache(path)
+        if table.limit == limit:
+            return table
+    except (FileNotFoundError, ValueError):
+        pass  # a missing, torn, corrupt or old-format file: re-sieve over it
     table = mobius.sieve_mobius(limit)
     os.makedirs(cache_dir, exist_ok=True)
     mobius.write_cache(table, path)
@@ -497,9 +509,16 @@ def _write_json(path: str, obj) -> None:
 
 def _write_csv(path: str, header: str, rows: Iterable[Iterable]) -> None:
     # str of a float (Python or numpy) is its shortest round-trip repr;
-    # the row strings are freed once joined, before the file is written
+    # rows are joined and written _CSV_CHUNK at a time, so the text of one
+    # chunk is alive at once, not of the whole file
     lines = (",".join(map(str, row)) for row in rows)
-    write_atomic(path, "\n".join(chain([header], lines, [""])))
+
+    def chunks() -> Iterable[str]:
+        yield header + "\n"
+        while chunk := list(islice(lines, _CSV_CHUNK)):
+            yield "\n".join(chunk) + "\n"
+
+    write_atomic(path, chunks())
 
 
 def emit_plotdata(report: dict, out_dir: str) -> list[str]:
@@ -599,6 +618,8 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
         error = {"type": type(exc).__name__, "message": str(exc)}
         shown = {"stage": stage, **error}
         if not rejected:  # an unexpected failure: say where it happened
+            import traceback
+
             shown["traceback"] = traceback.format_exc()
         print(json.dumps({"error": shown}, sort_keys=True), file=sys.stderr)
         if rejected:
@@ -621,6 +642,13 @@ def _write_report(report: dict, out_dir: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # One OpenBLAS thread: its idle worker spins for about 0.1 s of CPU
+    # after numpy loads.  No CLI value path calls BLAS or LAPACK (phase
+    # sums are fixed-order elementwise adds), so the pool's size cannot
+    # reach an output byte.  Set here, before the `import` stage of `run`
+    # loads numpy, not at import, so importing `cli` leaves the
+    # environment alone; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="nilseqlab",
         description="nilsequence construction, decomposition, and "

@@ -917,9 +917,11 @@ def fit_phase_polynomial(
 # atomic file output
 
 
-def write_atomic(path: str, data: str | bytes) -> None:
+def write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
     """Write data to a temporary file beside path, then rename it over path.
 
+    data is a str, bytes, or an iterable of str chunks written in turn, so
+    a large text need never be whole in memory.
     A reader sees the old file or the whole new one, never a partial one.
     The temporary name carries the pid and a random token and is created
     with O_EXCL, so concurrent writers of one path never share or remove
@@ -930,7 +932,10 @@ def write_atomic(path: str, data: str | bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data)
+            if isinstance(data, (str, bytes)):
+                f.write(data)
+            else:
+                f.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

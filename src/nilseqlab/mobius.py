@@ -11,6 +11,7 @@ run reproduces the serial result bit for bit.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ __all__ = [
 DEFAULT_SEGMENT = 1 << 20
 HARD_LIMIT = 10 ** 9
 
-CACHE_MAGIC = b"MOB1"
+CACHE_MAGIC = b"MOB2"
 
 
 class LimitTooLarge(ValueError):
@@ -294,7 +295,14 @@ def cesaro_stats(a: SequenceStream, checkpoints: Sequence[int]) -> CesaroReport:
 
 
 # ---------------------------------------------------------------------------
-# cache file: magic, u64 little-endian limit, 2-bit packed values
+# cache file: magic, u64 little-endian limit, u32 zlib.crc32 of the limit
+# bytes and the payload, then the payload: 2-bit packed values
+
+_CACHE_HEADER = struct.Struct("<4sQI")
+
+
+def _cache_crc(limit: int, payload: bytes | memoryview) -> int:
+    return zlib.crc32(payload, zlib.crc32(struct.pack("<Q", limit)))
 
 
 def write_cache(table: MobiusTable, path: str) -> None:
@@ -305,20 +313,29 @@ def write_cache(table: MobiusTable, path: str) -> None:
         enc = np.concatenate([enc, np.full(pad, 3, dtype=np.uint8)])
     quads = enc.reshape(-1, 4)
     packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    write_atomic(path, CACHE_MAGIC + struct.pack("<Q", table.limit)
-                 + packed.tobytes())
+    payload = packed.tobytes()
+    write_atomic(path, _CACHE_HEADER.pack(CACHE_MAGIC, table.limit,
+                                          _cache_crc(table.limit, payload))
+                 + payload)
 
 
 def read_cache(path: str) -> MobiusTable:
+    """The table write_cache stored; ValueError for a file of another
+    format, a short or long payload, or a checksum mismatch."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
+        blob = fh.read()
+    if blob[:4] != CACHE_MAGIC:
+        raise ValueError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < _CACHE_HEADER.size:
+        raise ValueError(f"{path}: short header")
+    _, limit, crc = _CACHE_HEADER.unpack_from(blob)
+    payload = memoryview(blob)[_CACHE_HEADER.size:]
     need = (limit + 3) // 4
-    if len(packed) != need:
-        raise ValueError(f"{path}: expected {need} payload bytes, found {len(packed)}")
+    if len(payload) != need:
+        raise ValueError(f"{path}: expected {need} payload bytes, found {len(payload)}")
+    if _cache_crc(limit, payload) != crc:
+        raise ValueError(f"{path}: checksum mismatch")
+    packed = np.frombuffer(payload, dtype=np.uint8)
     quads = np.stack([packed & 3, (packed >> 2) & 3, (packed >> 4) & 3, (packed >> 6) & 3], axis=1)
     codes = quads.reshape(-1)[:limit]
     if (codes == 3).any():  # 3 only pads the last byte

@@ -397,6 +397,27 @@ def test_write_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
     assert path.read_text() == "x,n\n0.5,3\n1e-300,-2\n"
 
 
+def test_write_csv_in_chunks_matches_one_join(tmp_path):
+    from nilseqlab import cli
+
+    rows = [(n, n / 7, -n * 1e-300) for n in range(2 * cli._CSV_CHUNK + 3)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "n,a,b", iter(rows))
+    lines = [",".join(map(str, row)) for row in rows]
+    assert path.read_text() == "\n".join(["n,a,b", *lines, ""])
+
+
+def test_seq_values_in_many_chunks_match_golden(tmp_path, monkeypatch):
+    from nilseqlab import cli
+
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 5)    # 33 rows: 7 chunks
+    out = tmp_path / "out"
+    assert _main("seq", os.path.join(CONFIGS, "seq_torus_shear.json"), out,
+                 "--precision", "fast") == 0
+    golden = os.path.join(GOLDEN, "seq_torus_shear", "values.csv")
+    assert (out / "values.csv").read_bytes() == open(golden, "rb").read()
+
+
 def test_correlate_rejects_segment_size_key(tmp_path, capsys):
     cfg = json.load(open(os.path.join(CONFIGS, "correlate_quadratic.json")))
     cfg["segment_size"] = 1 << 15
@@ -507,21 +528,45 @@ def test_decompose_certificate_keeps_a_hit_beyond_float_precision(tmp_path):
     assert (out / "residual.csv").read_text() == f"n,re,im\n{far},1.0,0.0\n"
 
 
-def test_corrupt_cache_is_a_compute_failure(tmp_path, monkeypatch):
+def _old_format(blob):
+    # the unchecksummed MOB1 layout: magic, u64 limit, payload
+    return b"MOB1" + blob[4:12] + blob[16:]
+
+
+def _other_limit(blob):
+    # a valid file, but for limit 50: its header disagrees with the name
+    from nilseqlab.mobius import sieve_mobius, write_cache
+
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "mobius_50.bin")
+        write_cache(sieve_mobius(50), path)
+        return open(path, "rb").read()
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda blob: blob[:16] + bytes([blob[16] ^ 1]) + blob[17:],
+    lambda blob: blob[:-3],
+    _old_format,
+    _other_limit,
+], ids=["flipped-bit", "truncated", "old-format", "other-limit"])
+def test_bad_cache_file_is_a_miss(spoil, tmp_path, monkeypatch):
+    from nilseqlab.mobius import read_cache
+
     cache = tmp_path / "cache"
     monkeypatch.setenv("NILSEQ_CACHE_DIR", str(cache))
     cfg = write_config(tmp_path, {"kind": "correlate", "checkpoints": [100],
                                   "sequence": {"type": "mobius"}})
     assert _main("correlate", cfg, tmp_path / "cold") == 0
     path = cache / "mobius_100.bin"
-    blob = bytearray(path.read_bytes())
-    blob[12] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    out = tmp_path / "warm"
-    assert _main("correlate", cfg, out) == 3
-    report = _failure_report(out)
-    assert report["error"]["type"] == "ValueError"
-    assert "code 3" in report["error"]["message"]
+    good = path.read_bytes()
+    path.write_bytes(spoil(good))
+    assert _main("correlate", cfg, tmp_path / "warm") == 0
+    for name in ("report.json", "correlation.csv"):
+        assert ((tmp_path / "warm" / name).read_bytes()
+                == (tmp_path / "cold" / name).read_bytes())
+    assert path.read_bytes() == good        # re-sieved and rewritten
+    assert read_cache(str(path)).limit == 100
+    assert os.listdir(cache) == ["mobius_100.bin"]
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -1,7 +1,9 @@
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -278,9 +280,28 @@ def test_cache_rejects_payload_code_3(tmp_path):
     path = str(tmp_path / "mob.bin")
     write_cache(table, path)
     blob = bytearray(open(path, "rb").read())
-    blob[12] ^= 0xFF                    # n = 1..4: mu(2) = -1 becomes code 3
+    blob[16] ^= 0xFF                    # n = 1..4: mu(2) = -1 becomes code 3
+    crc = zlib.crc32(bytes(blob[16:]), zlib.crc32(bytes(blob[4:12])))
+    blob[12:16] = struct.pack("<I", crc)  # a writer's bug, not a torn file
     open(path, "wb").write(bytes(blob))
     with pytest.raises(ValueError, match="code 3"):
+        read_cache(path)
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (lambda b: b[:16] + bytes([b[16] ^ 0x10]) + b[17:], "checksum"),
+    # limit 997 -> 999: the same payload length, so only the checksum sees it
+    (lambda b: b[:4] + bytes([b[4] ^ 0x02]) + b[5:], "checksum"),
+    (lambda b: b"MOB1" + b[4:12] + b[16:], "bad magic"),
+    (lambda b: b[:10], "short header"),
+], ids=["payload-bit", "limit-bit", "old-format", "short-header"])
+def test_cache_rejects_spoiled_file(spoil, match, tmp_path):
+    table = sieve_mobius(997)
+    path = str(tmp_path / "mob.bin")
+    write_cache(table, path)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(spoil(blob))
+    with pytest.raises(ValueError, match=match):
         read_cache(path)
 
 

@@ -1,7 +1,9 @@
-"""Start-up budget: each subcommand loads only the layers it runs.
+"""Start-up budget: each subcommand loads only the layers it runs, and
+numpy starts without an OpenBLAS worker pool.
 
-Every case runs in a fresh interpreter and reads `sys.modules` after the
-run, so nothing the test process has already imported leaks in.
+Every case runs in a fresh interpreter and reads `sys.modules`, its
+thread count and its environment after the run, so nothing the test
+process has already imported or set leaks in.
 """
 
 import importlib
@@ -14,15 +16,21 @@ import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
-WATCHED = ("numpy", "mpmath", "concurrent.futures")
+WATCHED = ("numpy", "mpmath", "concurrent.futures", "traceback")
+TASKS = "/proc/self/task"            # one entry per thread (Linux)
 
-# the CLI (or only its import, with no arguments), then the watched
-# modules that are loaded at exit
+# the CLI (or only its import, with no arguments), then at exit the
+# watched modules that are loaded, the thread count and the OpenBLAS
+# thread setting
 _PROBE = f"""
-import json, sys
+import json, os, sys
 from nilseqlab import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+print(json.dumps({{
+    "code": code,
+    "loaded": [m for m in {WATCHED!r} if m in sys.modules],
+    "threads": len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else None,
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}}))
 """
 
 # every name the package root exported when it imported its layers eagerly
@@ -66,29 +74,64 @@ EXPORTED = {
 }
 
 
-def _loaded(*argv):
+def _probe(*argv, openblas=None):
     env = dict(os.environ)
     env.pop("NILSEQ_CACHE_DIR", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                           capture_output=True, text=True, env=env, cwd=REPO,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    return set(loaded)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == 0, proc.stderr
+    return probe
 
 
-def _run(tmp_path, sub, config, *extra):
+def _loaded(*argv):
+    return set(_probe(*argv)["loaded"])
+
+
+def _cli_argv(tmp_path, sub, config, *extra):
     if isinstance(config, dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         config = str(path)
-    return _loaded(sub, "--config", config,
-                   "--out", str(tmp_path / "out"), *extra)
+    return (sub, "--config", config, "--out", str(tmp_path / "out"), *extra)
+
+
+def _run(tmp_path, sub, config, *extra):
+    return _loaded(*_cli_argv(tmp_path, sub, config, *extra))
 
 
 def test_cli_import_loads_no_numerics():
-    assert _loaded() == set()
+    probe = _probe()
+    assert set(probe["loaded"]) == set()
+    assert probe["openblas"] is None    # only main sets it
+
+
+NUMPY_RUNS = {"weyl_linear": "weyl", "correlate_quadratic": "correlate",
+              "seq_torus_shear": "seq"}
+
+
+@pytest.mark.skipif(not os.path.isdir(TASKS), reason=f"no {TASKS}")
+@pytest.mark.parametrize("name", sorted(NUMPY_RUNS))
+def test_numpy_runs_start_no_blas_threads(name, tmp_path):
+    # OpenBLAS starts its worker pool when numpy loads; no CLI value path
+    # calls BLAS, so the process keeps its one thread
+    probe = _probe(*_cli_argv(tmp_path, NUMPY_RUNS[name],
+                              os.path.join(CONFIGS, f"{name}.json")))
+    assert "numpy" in probe["loaded"]
+    assert probe["threads"] == 1
+    assert probe["openblas"] == "1"
+
+
+def test_user_openblas_setting_wins(tmp_path):
+    probe = _probe(*_cli_argv(tmp_path, "weyl",
+                              os.path.join(CONFIGS, "weyl_rational.json")),
+                   openblas="2")
+    assert probe["openblas"] == "2"
 
 
 @pytest.mark.parametrize("matrix, loads", [
@@ -110,9 +153,12 @@ def test_weyl_loads_no_mpmath(tmp_path):
     ("2", {"numpy", "concurrent.futures"}),  # the pool is the only user
 ])
 def test_correlate_loads_the_pool_only_with_threads(threads, loads, tmp_path):
-    assert _run(tmp_path, "correlate",
-                os.path.join(CONFIGS, "correlate_quadratic.json"),
-                "--threads", threads, "--precision", "fast") == loads
+    loaded = _run(tmp_path, "correlate",
+                  os.path.join(CONFIGS, "correlate_quadratic.json"),
+                  "--threads", threads, "--precision", "fast")
+    if threads != "1":
+        loaded.discard("traceback")  # concurrent.futures loads logging
+    assert loaded == loads
 
 
 def test_every_exported_name_still_resolves():
