@@ -350,6 +350,8 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     pts = _checkpoints(cfg["checkpoints"], "checkpoints")
     if not pts:
         raise ValidationError("checkpoints: need at least one")
+    if pts[-1] > mobius.HARD_LIMIT:
+        raise ValidationError(f"checkpoints: at most {mobius.HARD_LIMIT}, the sieve bound")
     spec = cfg["sequence"]
     if isinstance(spec, dict) and spec.get("type") == "mobius":
         _check_keys(spec, "sequence", ["type"])

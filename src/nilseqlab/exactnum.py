@@ -11,17 +11,22 @@ The binomial basis is the natural one for power iterates of unipotent
 matrices: an integer matrix U with (U - I)^d = 0 satisfies
 U^t = sum_j C(t,j) (U - I)^j for every integer t, so entries of matrix
 powers are integral polynomials with integer binomial coefficients.
-Monomial coefficients are exposed as exact Fractions for display and
-for rationality tests.
+PhasePolynomial is held in the same basis.  Each change of basis is
+written once below (forward differences, and one cached table each way)
+and shared by both polynomial classes; monomial coefficients are exposed
+exactly, for display and for rationality tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -195,6 +200,43 @@ def _trim(seq: Sequence) -> tuple:
     return tuple(out)
 
 
+def _forward_differences(values: Sequence) -> list:
+    """Delta^j f(0) for j < len(values), from f(0), f(1), ...: the
+    binomial coefficients of the polynomial through those values."""
+    diffs, out = list(values), []
+    while diffs:
+        out.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return out
+
+
+@functools.cache
+def _binomial_in_monomials(j: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of C(t, j), low degree first."""
+    poly = [Fraction(1)]
+    for i in range(j):
+        # times (t - i) / (i + 1)
+        poly = [(a - i * b) / (i + 1)
+                for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    return tuple(poly)
+
+
+@functools.cache
+def _monomial_in_binomials(k: int) -> tuple[int, ...]:
+    """Binomial coefficients of t^k, low degree first (j! S(k, j))."""
+    return tuple(_forward_differences([t ** k for t in range(k + 1)]))
+
+
+def _rebase(coeffs: Sequence, table: Callable[[int], tuple], mul: Callable, zero) -> list:
+    """sum_j coeffs[j] * table(j): coefficients moved to the other basis,
+    where table(j) is the j-th basis element written in that basis."""
+    out = [zero] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        for k, a in enumerate(table(j)):
+            out[k] = out[k] + mul(c, a)
+    return out
+
+
 @dataclass(frozen=True)
 class IntegralPolynomial:
     """Polynomial taking integer values on integers.
@@ -211,28 +253,14 @@ class IntegralPolynomial:
 
     @staticmethod
     def from_values(values: Sequence[int]) -> "IntegralPolynomial":
-        """Interpolate from values at t = 0, 1, ..., len(values)-1.
-
-        Binomial coefficients are the forward differences at 0.
-        """
-        diffs = list(values)
-        coeffs = []
-        for _ in range(len(values)):
-            coeffs.append(diffs[0])
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        return IntegralPolynomial.from_binomial(coeffs)
+        """Interpolate from values at t = 0, 1, ..., len(values)-1."""
+        return IntegralPolynomial.from_binomial(_forward_differences(values))
 
     @staticmethod
     def from_monomial(coeffs: Sequence[int]) -> "IntegralPolynomial":
         """Build from integer monomial coefficients (low degree first)."""
-        deg = len(_trim(coeffs))
-        vals = []
-        for t in range(max(deg, 1)):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            vals.append(acc)
-        return IntegralPolynomial.from_values(vals)
+        return IntegralPolynomial.from_binomial(
+            _rebase(coeffs, _monomial_in_binomials, operator.mul, 0))
 
     @staticmethod
     def constant(c: int) -> "IntegralPolynomial":
@@ -247,10 +275,8 @@ class IntegralPolynomial:
         return sum(c * binom_int(t, j) for j, c in enumerate(self.coeffs))
 
     def __add__(self, other: "IntegralPolynomial") -> "IntegralPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntegralPolynomial.from_binomial([x + y for x, y in zip(a, b)])
+        return IntegralPolynomial.from_binomial(
+            [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: "IntegralPolynomial") -> "IntegralPolynomial":
         return self + other.scale(-1)
@@ -270,20 +296,7 @@ class IntegralPolynomial:
 
     def monomial_coefficients(self) -> tuple[Fraction, ...]:
         """Exact monomial coefficients, low degree first."""
-        if not self.coeffs:
-            return ()
-        out = [Fraction(0)] * len(self.coeffs)
-        for j, c in enumerate(self.coeffs):
-            # C(t, j) = t(t-1)...(t-j+1) / j!
-            poly = [Fraction(1)]
-            for i in range(j):
-                poly = [0] + poly
-                poly = [a - i * b for a, b in zip(poly, poly[1:] + [Fraction(0)])]
-                # the line above computes poly*(t - i) coefficient-wise
-            fj = Fraction(1, math.factorial(j))
-            for k, a in enumerate(poly):
-                out[k] += c * fj * a
-        return _trim(out) if any(out) else ()
+        return _trim(_rebase(self.coeffs, _binomial_in_monomials, operator.mul, Fraction(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -793,22 +806,26 @@ def format_phase(p: PhaseScalar) -> str:
 class PhasePolynomial:
     """Polynomial with PhaseScalar coefficients, evaluated at integers.
 
-    basis is "binomial" (coeffs[j] multiplies C(n,j)) or "monomial".
-    Binomial is the working basis: fitting by finite differences and the
-    unipotent power formulas both land there.  Conversions are exact.
+    Stored in the binomial basis, as IntegralPolynomial is:
+    p(n) = sum_j coeffs[j] * C(n, j).  Fitting by finite differences and
+    the unipotent power formulas both land there.  Monomial coefficients
+    come in through from_coeffs and go out through monomial_coefficients,
+    both exactly.
     """
 
     coeffs: tuple[PhaseScalar, ...]
-    basis: str = "binomial"
-
-    def __post_init__(self):
-        if self.basis not in ("binomial", "monomial"):
-            raise ValueError(f"unknown basis {self.basis!r}")
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[PhaseScalar], basis: str = "binomial") -> "PhasePolynomial":
-        tup = _trim(tuple(coeffs))
-        return PhasePolynomial(tup, basis)
+        """Coefficients (low degree first) in the basis named "binomial"
+        or "monomial"; trailing zeros are trimmed."""
+        coeffs = tuple(coeffs)
+        if basis == "monomial":
+            coeffs = _rebase(coeffs, _monomial_in_binomials, PhaseScalar.scale,
+                             PhaseScalar.zero())
+        elif basis != "binomial":
+            raise ValueError(f"unknown basis {basis!r}")
+        return PhasePolynomial(_trim(coeffs))
 
     @staticmethod
     def constant(c: PhaseScalar) -> "PhasePolynomial":
@@ -816,11 +833,11 @@ class PhasePolynomial:
 
     @staticmethod
     def zero() -> "PhasePolynomial":
-        return PhasePolynomial((), "binomial")
+        return PhasePolynomial(())
 
     @staticmethod
     def from_integral(p: IntegralPolynomial, s: PhaseScalar) -> "PhasePolynomial":
-        """s * p(n) as a phase polynomial (binomial basis)."""
+        """s * p(n) as a phase polynomial."""
         return PhasePolynomial.from_coeffs([s.scale(c) for c in p.coeffs])
 
     @property
@@ -829,48 +846,25 @@ class PhasePolynomial:
 
     def __call__(self, n: int) -> PhaseScalar:
         acc = PhaseScalar.zero()
-        if self.basis == "binomial":
-            for j, c in enumerate(self.coeffs):
-                acc = acc + c.scale(binom_int(n, j))
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc.scale(n) + c
+        for j, c in enumerate(self.coeffs):
+            acc = acc + c.scale(binom_int(n, j))
         return acc
 
     def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        a = self.to_binomial().coeffs
-        b = other.to_binomial().coeffs
-        n = max(len(a), len(b))
-        a = a + (PhaseScalar.zero(),) * (n - len(a))
-        b = b + (PhaseScalar.zero(),) * (n - len(b))
-        return PhasePolynomial.from_coeffs([x + y for x, y in zip(a, b)])
+        return PhasePolynomial.from_coeffs(
+            [x + y for x, y in zip_longest(self.coeffs, other.coeffs,
+                                           fillvalue=PhaseScalar.zero())])
 
     def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         return self + other.scale(-1)
 
     def scale(self, q) -> "PhasePolynomial":
-        return PhasePolynomial(tuple(c.scale(q) for c in self.coeffs), self.basis)
+        return PhasePolynomial.from_coeffs(c.scale(q) for c in self.coeffs)
 
-    def to_binomial(self) -> "PhasePolynomial":
-        if self.basis == "binomial":
-            return self
-        deg = max(self.degree, 0)
-        values = [self(t) for t in range(deg + 1)]
-        return PhasePolynomial.from_coeffs(_finite_differences(values))
-
-    def to_monomial(self) -> "PhasePolynomial":
-        if self.basis == "monomial":
-            return self
-        out = [PhaseScalar.zero() for _ in self.coeffs]
-        for j, c in enumerate(self.coeffs):
-            poly = [Fraction(1)]
-            for i in range(j):
-                poly = [Fraction(0)] + poly
-                poly = [a - i * b for a, b in zip(poly, poly[1:] + [Fraction(0)])]
-            fj = Fraction(1, math.factorial(j))
-            for k, a in enumerate(poly):
-                out[k] = out[k] + c.scale(fj * a)
-        return PhasePolynomial.from_coeffs(out, basis="monomial")
+    def monomial_coefficients(self) -> tuple[PhaseScalar, ...]:
+        """Exact monomial coefficients, low degree first."""
+        return _trim(_rebase(self.coeffs, _binomial_in_monomials, PhaseScalar.scale,
+                             PhaseScalar.zero()))
 
     def is_rational(self) -> bool:
         return all(c.is_rational() for c in self.coeffs)
@@ -878,17 +872,7 @@ class PhasePolynomial:
     def has_irrational_nonconstant(self) -> bool:
         """True when some coefficient of positive degree is irrational
         (the equidistribution criterion for e(p(n)))."""
-        mono = self.to_monomial()
-        return any(not c.is_rational() for c in mono.coeffs[1:])
-
-
-def _finite_differences(values: Sequence[PhaseScalar]) -> list[PhaseScalar]:
-    diffs = list(values)
-    out = []
-    for _ in range(len(values)):
-        out.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return out
+        return any(not c.is_rational() for c in self.monomial_coefficients()[1:])
 
 
 def fit_phase_polynomial(
@@ -905,7 +889,7 @@ def fit_phase_polynomial(
     at every integer.  Verification failure raises DegreeBoundExceeded.
     """
     samples = [evaluate(t) for t in range(degree_bound + 1)]
-    poly = PhasePolynomial.from_coeffs(_finite_differences(samples))
+    poly = PhasePolynomial.from_coeffs(_forward_differences(samples))
     for t in range(degree_bound + 1, degree_bound + 1 + held_out):
         if not congruent_mod_1(poly(t), evaluate(t)):
             raise DegreeBoundExceeded(

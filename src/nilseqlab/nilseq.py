@@ -16,6 +16,7 @@ classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -391,7 +392,7 @@ class PhaseKernel:
     """
 
     def __init__(self, p: PhasePolynomial):
-        values = [c.exact_value() for c in p.to_binomial().coeffs] or [Fraction(0)]
+        values = [c.exact_value() for c in p.coeffs] or [Fraction(0)]
         self.denominator = math.lcm(*(v.denominator for v in values))
         self.numerators = tuple(v.numerator * (self.denominator // v.denominator)
                                 for v in values)
@@ -547,6 +548,19 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _phase_route(precision: str) -> Callable[[PhasePolynomial, int, int], np.ndarray]:
+    """phase_block_exact or phase_block_fast, by precision name.
+
+    The module names are read at call time, so a wrapper installed on
+    either one sees every block of the stream that this call builds.
+    """
+    if precision == "exact":
+        return phase_block_exact
+    if precision == "fast":
+        return phase_block_fast
+    raise ValueError(f"unknown precision {precision!r}")
+
+
 def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     """The sequence e(p(n)).
 
@@ -555,9 +569,7 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     "exact" reduces each phase as a rational plus generator combination,
     "fast" runs the compensated difference table.
     """
-    if precision not in ("exact", "fast"):
-        raise ValueError(f"unknown precision {precision!r}")
-    phases = phase_block_exact if precision == "exact" else phase_block_fast
+    phases = _phase_route(precision)
 
     def block(start: int, stop: int) -> np.ndarray:
         return e_array(phases(p, start, stop))
@@ -584,9 +596,7 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
     then the hits; the residue bounds are integer arithmetic, so they
     hold at any n.  precision picks the phase route as in poly_exp.
     """
-    if precision not in ("exact", "fast"):
-        raise ValueError(f"unknown precision {precision!r}")
-    phases = phase_block_exact if precision == "exact" else phase_block_fast
+    phases = _phase_route(precision)
     terms, m, hits = tuple(terms), int(modulus), dict(hits)
 
     def block(start: int, stop: int) -> np.ndarray:
@@ -761,15 +771,14 @@ def furstenberg_orbit(p: PhasePolynomial) -> tuple[SkewProductState, SequenceStr
     leading monomial coefficient) and the initial coordinates are
     x_j = b_{k-j}.  Constant polynomials have no tower: DegreeZero.
     """
-    pb = p.to_binomial()
-    k = pb.degree
+    k = p.degree
     if k < 1:
         raise DegreeZero("polynomial must have degree >= 1")
-    coeffs = pb.coeffs
+    coeffs = p.coeffs
     alpha = coeffs[k]
     points = tuple(coeffs[k - j] for j in range(1, k + 1))
     state = SkewProductState(alpha=alpha, points=points)
-    stream = poly_exp(pb)
+    stream = poly_exp(p)
     return state, replace(stream, provenance=f"furstenberg(deg={k})", tag=Tag.nil(k))
 
 
@@ -787,19 +796,7 @@ def interleave(components: Sequence[SequenceStream], m: int) -> SequenceStream:
     if m < 1 or len(components) != m:
         raise ArityMismatch(f"need exactly m={m} components, got {len(components)}")
     comps = tuple(components)
-
-    kinds = {c.tag.kind for c in comps}
-    steps = [c.tag.step for c in comps if c.tag.step is not None]
-    step = max(steps) if steps else None
-    if "unknown" in kinds:
-        tag = Tag.unknown()
-    elif kinds == {"nil"}:
-        tag = Tag("nil", step)
-    elif kinds == {"zero_density"}:
-        tag = Tag.zero_density()
-    else:
-        tag = Tag("almost_nil", step)
-
+    tag = functools.reduce(_tag_add, (c.tag for c in comps))
     bounds = [c.bound for c in comps]
     bound = None if any(b is None for b in bounds) else max(bounds)
 

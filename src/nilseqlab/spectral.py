@@ -485,7 +485,7 @@ class DecompositionResult:
 
     def to_json_dict(self) -> dict:
         def poly_dict(f: PhasePolynomial) -> dict:
-            return {"basis": f.basis,
+            return {"basis": "binomial",
                     "coeffs": [format_phase(c) for c in f.coeffs]}
         return {
             "nil_terms": [
@@ -641,8 +641,7 @@ class AtomPartition:
 
 
 def _irrational_signature(f: PhasePolynomial) -> tuple:
-    b = f.to_binomial()
-    sig = [c.irr for c in b.coeffs]
+    sig = [c.irr for c in f.coeffs]
     while sig and not sig[-1]:
         sig.pop()
     return tuple(sig)

@@ -33,11 +33,11 @@ from .exactnum import (
 from .nilseq import (
     SequenceStream,
     Tag,
+    _phase_route,
     e_array,
     e_phase,
     interleave,
     phase_block_exact,
-    phase_block_fast,
     poly_exp,
 )
 from .mobius import tree_fold
@@ -202,9 +202,8 @@ class WeylReport:
 
 def _rational_period(p: PhasePolynomial) -> int:
     """T with p(n + T) = p(n) mod 1 for all n; p must be rational."""
-    mono = p.to_monomial()
     T = 1
-    for c in mono.coeffs:
+    for c in p.monomial_coefficients():
         T = math.lcm(T, c.rational.denominator)
     return T
 
@@ -221,8 +220,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     evaluates more than 2 max(checkpoints) + 1 points.  precision picks
     the block route's phase path as in nilseq.poly_exp.
     """
-    if precision not in ("exact", "fast"):
-        raise ValueError(f"unknown precision {precision!r}")
+    phases_fn = _phase_route(precision)
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
@@ -249,7 +247,6 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                                     method="periodic-fold", period=T,
                                     means=tuple(means)))
         else:
-            phases_fn = phase_block_fast if precision == "fast" else phase_block_exact
             phases = phases_fn(q, -n_max, n_max + 1)
             vals = e_array(phases)
             means = []

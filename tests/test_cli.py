@@ -291,10 +291,12 @@ def test_threads_and_precision_validation(tmp_path):
 
 
 def test_computation_failure_writes_failure_report(tmp_path):
+    # a constant polynomial has no Furstenberg tower, which only the
+    # computation finds out
     cfg = write_config(tmp_path, {
         "kind": "correlate",
-        "sequence": {"type": "mobius"},
-        "checkpoints": [2 * 10**9],
+        "sequence": {"type": "furstenberg", "poly": {"coeffs": ["1/3"]}},
+        "checkpoints": [10],
     })
     out = str(tmp_path / "out")
     code, _, err = run_cli("correlate", "--config", cfg, "--out", out)
@@ -303,7 +305,7 @@ def test_computation_failure_writes_failure_report(tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     assert report["status"] == "error"
     assert report["failed_stage"] == "compute"
-    assert report["error"]["type"] == "LimitTooLarge"
+    assert report["error"]["type"] == "DegreeZero"
     assert os.path.exists(os.path.join(out, "timings.json"))
     # report subcommand refuses to re-emit from a failure report
     code, _, err = run_cli("report", "--config",
@@ -500,6 +502,16 @@ def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
         "harmonics": [1], "checkpoints": [10, 5 * 10 ** 6]})
     out = tmp_path / "out"
     assert _main("weyl", cfg, out) == 2       # 2N + 1 = 10^7 + 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sequence", [{"type": "mobius"},
+                                      {"type": "constant", "re": 1.0}])
+def test_correlate_checkpoint_above_sieve_bound_fails_validation(sequence, tmp_path):
+    cfg = write_config(tmp_path, {"kind": "correlate", "sequence": sequence,
+                                  "checkpoints": [10, 10 ** 9 + 1]})
+    out = tmp_path / "out"
+    assert _main("correlate", cfg, out) == 2
     assert not out.exists()
 
 

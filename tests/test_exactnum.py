@@ -448,9 +448,34 @@ def phase_polys(draw):
 
 @given(phase_polys(), st.integers(min_value=-20, max_value=20))
 def test_phase_poly_basis_round_trip(p, n):
-    q = p.to_monomial().to_binomial()
-    assert congruent_mod_1(p(n), q(n))
-    assert p.to_monomial()(n) == p(n)
+    mono = p.monomial_coefficients()
+    assert PhasePolynomial.from_coeffs(mono, basis="monomial") == p
+    value = PhaseScalar.zero()
+    for k, c in enumerate(mono):
+        value = value + c.scale(n ** k)
+    assert value == p(n)
+
+
+def test_monomial_and_binomial_constructions_agree():
+    # 1/3 + g1 n^2 = 1/3 + g1 C(n, 1) + 2 g1 C(n, 2)
+    g1 = PhaseScalar.generator("g1")
+    third = PhaseScalar.from_rational(Fraction(1, 3))
+    mono = PhasePolynomial.from_coeffs((third, PhaseScalar.zero(), g1), basis="monomial")
+    bino = PhasePolynomial.from_coeffs((third, g1, g1.scale(2)))
+    assert mono == bino
+    assert hash(mono) == hash(bino)
+
+
+def test_phase_poly_scale_by_zero_is_the_zero_polynomial():
+    third = PhaseScalar.from_rational(Fraction(1, 3))
+    p = PhasePolynomial.from_coeffs((PhaseScalar.zero(), third, third))
+    assert p.scale(0) == PhasePolynomial.zero()
+    assert p.scale(0).degree == -1
+
+
+def test_from_coeffs_rejects_unknown_basis():
+    with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+        PhasePolynomial.from_coeffs((PhaseScalar.zero(),), basis="bogus")
 
 
 @given(phase_polys(), phase_polys(), st.integers(min_value=-20, max_value=20))

@@ -226,6 +226,13 @@ def test_poly_exp_matches_direct_formula(p, n):
     assert s.bound == 1.0
 
 
+def test_poly_exp_of_a_zero_scaled_polynomial_has_step_1():
+    third = parse_phase("1/3")
+    s = poly_exp(PhasePolynomial.from_coeffs((parse_phase("0"), third, third)).scale(0))
+    assert s.tag == Tag.nil(1)
+    assert s.provenance == "poly_exp(deg=-1, exact)"
+
+
 @given(phase_polys(max_degree=5), st.sampled_from(("binomial", "monomial")),
        st.integers(min_value=-10 ** 12, max_value=10 ** 12),
        st.integers(min_value=-3, max_value=40))
@@ -596,7 +603,7 @@ def test_tower_iterate_matches_closed_form(p, n):
     try:
         state, stream = furstenberg_orbit(p)
     except DegreeZero:
-        assert p.to_binomial().degree < 1
+        assert p.degree < 1
         return
     orbit = state.iterate(n)
     assert orbit[-1] == state.closed_form(n)
@@ -685,3 +692,6 @@ def test_interleave_tag_join():
     assert xi.tag == Tag.nil(3)
     mixed = interleave([nil1, indicator()], 2)
     assert mixed.tag == Tag.almost_nil(1)
+    assert interleave([indicator(), indicator(5)], 2).tag == Tag.zero_density()
+    assert interleave([nil3, indicator(), nil1], 3).tag == Tag.almost_nil(3)
+    assert interleave([nil3, from_function(lambda n: 0j)], 2).tag == Tag.unknown()
