@@ -3,7 +3,7 @@
 Layers, bottom up: `exactnum` (integer matrices, cyclotomic entropy
 classification, phase scalars over declared irrational generators,
 polynomial fitting), `mobius` (sieves, deterministic correlation sums,
-Cesaro statistics), `nilseq` (tagged sequence streams and the standard
+the sieve cache), `nilseq` (tagged sequence streams and the standard
 constructions), `torus` / `nctorus` (commutative and noncommutative
 toral automorphism sequences), `spectral` (the shift-phase operator
 model and the nilsequence + zero-density splitter), and `cli` (the
@@ -25,42 +25,38 @@ _NAMES = {
         "IntegralPolynomial", "NonClosedProduct", "NotInGL", "NotUnipotent",
         "PhasePolynomial", "PhaseScalar", "PowerPolys", "binom_int",
         "char_poly", "classify_entropy", "congruent_mod_1", "cyclotomic",
-        "declare_generator", "declare_generator_product", "euler_phi",
-        "fit_phase_polynomial", "format_phase", "parse_phase",
-        "reset_generators", "unipotent_power_polys",
+        "declare_generator", "euler_phi", "fit_phase_polynomial",
+        "format_phase", "parse_phase", "reset_generators",
+        "unipotent_power_polys",
     ),
     "mobius": (
-        "CesaroReport", "CorrelationReport", "LimitTooLarge", "MobiusTable",
-        "UnboundedSequence", "cesaro_stats", "correlate", "mertens",
+        "CorrelationReport", "LimitTooLarge", "MobiusTable",
+        "UnboundedSequence", "correlate", "mertens",
         "mobius_by_factorization", "mobius_stream", "read_cache",
         "sieve_mobius", "tree_fold", "write_cache",
     ),
     "nilseq": (
         "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
-        "SkewProductState", "Tag", "constant", "deinterleave", "e_array",
-        "e_phase", "from_function", "furstenberg_orbit", "heisenberg_seq",
-        "indicator", "interleave", "phase_block_exact", "phase_block_fast",
-        "poly_exp", "quadratic_seq", "theta_kappa",
+        "SkewProductState", "Tag", "constant", "e_array", "e_phase",
+        "from_function", "furstenberg_orbit", "heisenberg_seq", "indicator",
+        "interleave", "phase_block_exact", "phase_block_fast", "poly_exp",
+        "quadratic_seq", "theta_kappa",
     ),
     "torus": (
-        "Character", "CharacterSequence", "MismatchAt", "TorusPoint",
-        "WeylReport", "character_seq", "orbit_point",
-        "verify_polynomial_form", "weyl_test",
+        "Character", "CharacterSequence", "TorusPoint", "WeylReport",
+        "character_seq", "orbit_point", "weyl_test",
     ),
     "nctorus": (
-        "ClockShiftReport", "DimensionMismatch", "NotCompatible",
-        "NotRational", "NotUnitVector", "PhasePolyReport", "ThetaMatrix",
-        "WeylElement", "WeylWord", "apply_auto", "apply_auto_inverse",
-        "clock_shift_check", "commutator_phase", "gns_apply",
+        "DimensionMismatch", "NotCompatible", "NotUnitVector",
+        "PhasePolyReport", "ThetaMatrix", "WeylElement", "WeylWord",
+        "apply_auto", "apply_auto_inverse", "commutator_phase", "gns_apply",
         "iterate_phase_polys", "state_seq", "word_identity", "word_mul",
         "word_pow",
     ),
     "spectral": (
-        "AtomPartition", "BochnerMeasure", "DecompositionResult",
-        "GPolynomial", "NotDiagonal", "SectorReport", "ShiftPhaseOperator",
-        "SparseVector", "ZeroDensityCertificate", "bochner_data",
-        "classify_atoms", "compact_subspace", "decompose",
-        "integer_solutions", "op_pow",
+        "DecompositionResult", "GPolynomial", "NotDiagonal", "SectorReport",
+        "ShiftPhaseOperator", "SparseVector", "ZeroDensityCertificate",
+        "compact_subspace", "decompose", "integer_solutions", "op_pow",
     ),
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names}

@@ -33,6 +33,7 @@ from .exactnum import (
     classify_entropy,
     declare_generator,
     parse_phase,
+    reset_generators,
     write_atomic,
 )
 
@@ -582,6 +583,7 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
                 f"config kind {cfg_kind!r} does not match subcommand {kind!r}")
         if kind not in KINDS:
             raise ValidationError(f"unknown kind {kind!r}")
+        reset_generators()      # a run sees only its own config's generators
         _declare_generators(cfg)
         if precision not in ("exact", "fast"):
             raise ValidationError("precision must be exact or fast")

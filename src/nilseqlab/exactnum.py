@@ -4,8 +4,9 @@ Integer matrices, integral polynomials held in the binomial basis
 C(t,0), C(t,1), ..., scalars of the form rational + sum of rational
 multiples of declared irrational generators, and polynomials with such
 coefficients.  Everything here is immutable and side-effect free except
-for the process-wide generator registry, which is append-only, and
-`write_atomic`, the one file writer of the package.
+for the process-wide generator registry, which `declare_generator` adds
+to and `reset_generators` clears (the CLI clears it at the start of each
+run), and `write_atomic`, the one file writer of the package.
 
 The binomial basis is the natural one for power iterates of unipotent
 matrices: an integer matrix U with (U - I)^d = 0 satisfies
@@ -46,8 +47,6 @@ __all__ = [
     "unipotent_power_polys",
     "PhaseScalar",
     "declare_generator",
-    "declare_generator_product",
-    "generator_value",
     "reset_generators",
     "parse_phase",
     "format_phase",
@@ -67,7 +66,7 @@ class NotUnipotent(ValueError):
 
 
 class NonClosedProduct(ValueError):
-    """Product of two irrational generators that was never declared."""
+    """Product of two scalars that both have irrational parts."""
 
 
 class DegreeBoundExceeded(ValueError):
@@ -580,7 +579,6 @@ def unipotent_power_polys(S: IntMatrix, m: int) -> PowerPolys:
 
 
 _GENERATOR_VALUES: dict[str, Fraction] = {}
-_GENERATOR_PRODUCTS: dict[tuple[str, str], "PhaseScalar"] = {}
 
 _GID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -614,27 +612,9 @@ def declare_generator(gid: str, value) -> "PhaseScalar":
     return PhaseScalar(Fraction(0), ((gid, Fraction(1)),))
 
 
-def declare_generator_product(g1: str, g2: str, result: "PhaseScalar") -> None:
-    """Declare that generator g1 times generator g2 equals result.
-
-    Needed only when two irrational scalars must be multiplied; without
-    a declaration such products raise NonClosedProduct.
-    """
-    for g in (g1, g2):
-        if g not in _GENERATOR_VALUES:
-            raise ValueError(f"unknown generator {g!r}")
-    key = (min(g1, g2), max(g1, g2))
-    _GENERATOR_PRODUCTS[key] = result
-
-
-def generator_value(gid: str) -> Fraction:
-    return _GENERATOR_VALUES[gid]
-
-
 def reset_generators() -> None:
-    """Forget all declarations.  Intended for test isolation."""
+    """Forget all declarations, as in a fresh process."""
     _GENERATOR_VALUES.clear()
-    _GENERATOR_PRODUCTS.clear()
 
 
 @dataclass(frozen=True)
@@ -642,8 +622,8 @@ class PhaseScalar:
     """rational + sum of rational multiples of declared generators.
 
     Addition, negation, and scaling by rationals are closed.  A product
-    is defined when either operand is rational or every generator pair
-    involved has a declared product.  reduce_mod_1 normalizes only the
+    is defined only when either operand is rational; two irrational
+    operands raise NonClosedProduct.  reduce_mod_1 normalizes only the
     rational part into [0, 1); mod-1 congruence therefore means the
     difference is a plain integer.
     """
@@ -693,19 +673,8 @@ class PhaseScalar:
             return other.scale(self.rational)
         if other.is_rational():
             return self.scale(other.rational)
-        # cross terms: rational x irrational parts are fine, generator
-        # pairs must have been declared
-        acc = PhaseScalar(self.rational * other.rational)
-        acc = acc + PhaseScalar(Fraction(0), other.irr).scale(self.rational)
-        acc = acc + PhaseScalar(Fraction(0), self.irr).scale(other.rational)
-        for g1, c1 in self.irr:
-            for g2, c2 in other.irr:
-                key = (min(g1, g2), max(g1, g2))
-                if key not in _GENERATOR_PRODUCTS:
-                    raise NonClosedProduct(
-                        f"product {g1!r} * {g2!r} was never declared")
-                acc = acc + _GENERATOR_PRODUCTS[key].scale(c1 * c2)
-        return acc
+        raise NonClosedProduct(f"product of two irrational scalars "
+                               f"{format_phase(self)!r} * {format_phase(other)!r}")
 
     def reduce_mod_1(self) -> "PhaseScalar":
         return PhaseScalar(self.rational % 1, self.irr)
@@ -875,22 +844,25 @@ class PhasePolynomial:
         return any(not c.is_rational() for c in self.monomial_coefficients()[1:])
 
 
+# points past the fit range that fit_phase_polynomial verifies
+HELD_OUT = 3
+
+
 def fit_phase_polynomial(
     evaluate: Callable[[int], PhaseScalar],
     degree_bound: int,
-    held_out: int = 3,
 ) -> PhasePolynomial:
     """Fit a polynomial mod 1 of degree <= degree_bound to a sequence.
 
     Samples t = 0..degree_bound for the fit (Newton forward differences,
-    exact) and verifies the next `held_out` points.  Values only known
+    exact) and verifies the next HELD_OUT points.  Values only known
     mod 1 are fine: integer perturbations of the samples shift the
     fitted coefficients by integers, so the fit is still congruent mod 1
     at every integer.  Verification failure raises DegreeBoundExceeded.
     """
     samples = [evaluate(t) for t in range(degree_bound + 1)]
     poly = PhasePolynomial.from_coeffs(_forward_differences(samples))
-    for t in range(degree_bound + 1, degree_bound + 1 + held_out):
+    for t in range(degree_bound + 1, degree_bound + 1 + HELD_OUT):
         if not congruent_mod_1(poly(t), evaluate(t)):
             raise DegreeBoundExceeded(
                 f"degree-{degree_bound} fit fails at held-out t={t}")

@@ -1,9 +1,11 @@
 """Mobius function tables and averaged correlation sums.
 
-The sieve is segmented so memory stays bounded by the segment size; a
-second, independent routine derives mu(n) by dividing out primes from
-the values themselves (different bookkeeping, used as a cross-check and
-for golden files).  Correlation sums S(N) = (1/N) sum mu(n) xi(n) are
+The sieve works one segment at a time, but it fills a single int8
+table for all of 1..limit, so memory grows by about a byte a point; the
+segment size bounds only the per-segment scratch arrays.  A second,
+independent routine derives mu(n) by dividing out primes from the
+values themselves (different bookkeeping, used as a cross-check and for
+golden files).  Correlation sums S(N) = (1/N) sum mu(n) xi(n) are
 accumulated through a fixed binary reduction tree, so a segment-parallel
 run reproduces the serial result bit for bit.
 """
@@ -29,8 +31,6 @@ __all__ = [
     "mertens",
     "CorrelationReport",
     "correlate",
-    "CesaroReport",
-    "cesaro_stats",
     "tree_fold",
     "write_cache",
     "read_cache",
@@ -75,8 +75,7 @@ def _primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0]
 
 
-def sieve_mobius(limit: int, segment_size: int = DEFAULT_SEGMENT,
-                 hard_limit: int = HARD_LIMIT) -> MobiusTable:
+def sieve_mobius(limit: int, segment_size: int = DEFAULT_SEGMENT) -> MobiusTable:
     """Segmented sieve for mu(1..limit).
 
     Per segment: multiply in -1 for each prime p <= sqrt(limit) dividing
@@ -85,8 +84,8 @@ def sieve_mobius(limit: int, segment_size: int = DEFAULT_SEGMENT,
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit > hard_limit:
-        raise LimitTooLarge(f"limit {limit} exceeds configured bound {hard_limit}")
+    if limit > HARD_LIMIT:
+        raise LimitTooLarge(f"limit {limit} exceeds configured bound {HARD_LIMIT}")
     primes = _primes_up_to(max(int(limit ** 0.5), 1))
     out = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, segment_size):
@@ -259,38 +258,6 @@ def correlate(
         sums.append(total / k)
     return CorrelationReport(
         checkpoints=tuple(cks), sums=tuple(sums), sequence_bound=float(xi.bound),
-    )
-
-
-@dataclass(frozen=True)
-class CesaroReport:
-    """Two-sided averages over windows [-N, N]."""
-
-    checkpoints: tuple[int, ...]
-    abs_means: tuple[float, ...]
-    sq_means: tuple[float, ...]
-
-    @property
-    def quadratic_norm_estimate(self) -> float:
-        return float(np.sqrt(self.sq_means[-1]))
-
-
-def cesaro_stats(a: SequenceStream, checkpoints: Sequence[int]) -> CesaroReport:
-    """Cesaro averages of |a_n| and |a_n|^2 over [-N, N] per checkpoint."""
-    cks = sorted(int(k) for k in checkpoints)
-    if not cks or cks[0] < 0:
-        raise ValueError("need nonnegative checkpoints")
-    n_max = cks[-1]
-    vals = a.evaluate_block(-n_max, n_max + 1)
-    mags = np.abs(vals)
-    abs_means = []
-    sq_means = []
-    for k in cks:
-        window = mags[n_max - k: n_max + k + 1]
-        abs_means.append(float(tree_fold(window.astype(np.complex128)).real) / (2 * k + 1))
-        sq_means.append(float(tree_fold((window ** 2).astype(np.complex128)).real) / (2 * k + 1))
-    return CesaroReport(
-        checkpoints=tuple(cks), abs_means=tuple(abs_means), sq_means=tuple(sq_means),
     )
 
 

@@ -18,10 +18,8 @@ import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exactnum import (
-    DegreeBoundExceeded,
+    HELD_OUT,
     IntMatrix,
     IntegralPolynomial,
     NotUnipotent,
@@ -39,7 +37,6 @@ __all__ = [
     "NotCompatible",
     "DimensionMismatch",
     "NotUnitVector",
-    "NotRational",
     "ThetaMatrix",
     "WeylWord",
     "word_identity",
@@ -54,9 +51,10 @@ __all__ = [
     "iterate_phase_polys",
     "gns_apply",
     "state_seq",
-    "ClockShiftReport",
-    "clock_shift_check",
 ]
+
+# how far a state vector's norm may stand from 1
+NORM_TOL = 1e-9
 
 
 class NotCompatible(ValueError):
@@ -68,10 +66,6 @@ class DimensionMismatch(ValueError):
 
 
 class NotUnitVector(ValueError):
-    pass
-
-
-class NotRational(ValueError):
     pass
 
 
@@ -414,9 +408,9 @@ def iterate_phase_polys(S: IntMatrix, theta: ThetaMatrix,
         def phase_eval(t: int, _r=r) -> PhaseScalar:
             return orbit(t * m + _r).phase
 
-        poly = fit_phase_polynomial(phase_eval, bound, held_out=3)
+        poly = fit_phase_polynomial(phase_eval, bound)
         # exponent cross-check on the same sample range the fit used
-        for t in range(bound + 4):
+        for t in range(bound + 1 + HELD_OUT):
             w = orbit(t * m + r)
             got = tuple(p(t) for p in exps)
             if w.exponents != got:
@@ -460,8 +454,7 @@ def _site_pair_value(x: tuple[int, ...], w_sites, w_dict, theta: ThetaMatrix,
 
 
 def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
-              w: SparseVector, precision: str = "exact",
-              norm_tol: float = 1e-9) -> SequenceStream:
+              w: SparseVector, precision: str = "exact") -> SequenceStream:
     """rho(alpha^n u) = <pi(alpha^n u) w, w> for the vector state at w.
 
     For zero-entropy S the sequence comes from the residue closed
@@ -477,8 +470,8 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
         raise DimensionMismatch("element/vector/theta dimensions differ")
     if w.atoms:
         raise DimensionMismatch("GNS vectors are lattice-only")
-    if abs(w.norm() - 1.0) > norm_tol:
-        raise NotUnitVector(f"norm {w.norm()!r} not within {norm_tol} of 1")
+    if abs(w.norm() - 1.0) > NORM_TOL:
+        raise NotUnitVector(f"norm {w.norm()!r} not within {NORM_TOL} of 1")
 
     w_sites = w.sites
     w_dict = w.site_dict()
@@ -546,60 +539,3 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
         evaluate=ev, bound=bound, tag=Tag.almost_nil(max_deg),
         provenance=f"nc-torus state sequence (dim {d}, modulus {m})",
         block=phase_sum_block(mod_terms, m, hit_values, precision))
-
-
-# ---------------------------------------------------------------------------
-# finite-dimensional cross-check for rational theta
-
-
-@dataclass(frozen=True)
-class ClockShiftReport:
-    q: int
-    p: int
-    relation_error: float
-    max_word_error: float
-    words_checked: int
-
-
-def clock_shift_check(theta12: PhaseScalar, max_word_len: int = 8,
-                      n_words: int = 24, seed: int = 0) -> ClockShiftReport:
-    """Check the d=2 word algebra against explicit q x q matrices.
-
-    For theta12 = p/q the clock matrix (diagonal e(p j / q)) and the
-    cyclic shift satisfy the defining relation, so each symbolic word
-    must match the corresponding matrix product entrywise.
-    """
-    if not theta12.is_rational():
-        raise NotRational("clock/shift model needs rational theta12")
-    frac = theta12.exact_value()
-    q, p = frac.denominator, frac.numerator
-    omega = e_phase(p / q)
-    U = np.diag([omega ** j for j in range(q)])         # clock, u_1
-    V = np.zeros((q, q), dtype=np.complex128)           # shift, u_2
-    for j in range(q):
-        V[(j + 1) % q, j] = 1.0
-    relation_error = float(np.max(np.abs(U @ V - omega * V @ U)))
-
-    theta = ThetaMatrix.from_upper(2, {(0, 1): theta12})
-    mats = {1: U, -1: np.linalg.inv(U), 2: V, -2: np.linalg.inv(V)}
-    gens = {1: WeylWord.make([1, 0]), -1: WeylWord.make([-1, 0]),
-            2: WeylWord.make([0, 1]), -2: WeylWord.make([0, -1])}
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    for _ in range(n_words):
-        length = int(rng.integers(1, max_word_len + 1))
-        letters = [int(rng.choice([1, -1, 2, -2])) for _ in range(length)]
-        word = word_identity(2)
-        mat = np.eye(q, dtype=np.complex128)
-        for ell in letters:
-            word = word_mul(word, gens[ell], theta)
-            mat = mat @ mats[ell]
-        normal = (e_phase(word.phase.float_mod_1())
-                  * np.linalg.matrix_power(U, word.exponents[0])
-                  @ np.linalg.matrix_power(V, word.exponents[1]))
-        worst = max(worst, float(np.max(np.abs(normal - mat))))
-        checked += 1
-    return ClockShiftReport(q=q, p=p, relation_error=relation_error,
-                            max_word_error=worst, words_checked=checked)

@@ -51,7 +51,6 @@ __all__ = [
     "SkewProductState",
     "furstenberg_orbit",
     "interleave",
-    "deinterleave",
     "PhaseKernel",
     "phase_block_exact",
     "phase_block_fast",
@@ -820,27 +819,3 @@ def interleave(components: Sequence[SequenceStream], m: int) -> SequenceStream:
         provenance=f"interleave(m={m}: {', '.join(c.provenance for c in comps)})",
         block=block,
     )
-
-
-def deinterleave(xi: SequenceStream, m: int) -> tuple[SequenceStream, ...]:
-    """Components eta_r(t) = xi(t m + r); restriction to a residue class
-    preserves all three structured tags."""
-    if m < 1:
-        raise ArityMismatch(f"modulus must be positive, got {m}")
-    out = []
-    for r in range(m):
-        def ev(t: int, r: int = r) -> complex:
-            return xi.evaluate(t * m + r)
-
-        def block(start: int, stop: int, r: int = r) -> np.ndarray:
-            if stop <= start:
-                return np.zeros(0, dtype=np.complex128)
-            parent = xi.evaluate_block(start * m + r, (stop - 1) * m + r + 1)
-            return parent[::m]
-
-        out.append(SequenceStream(
-            evaluate=ev, bound=xi.bound, tag=xi.tag,
-            provenance=f"deinterleave({xi.provenance}, m={m}, r={r})",
-            block=block,
-        ))
-    return tuple(out)

@@ -42,12 +42,6 @@ __all__ = [
     "ZeroDensityCertificate",
     "DecompositionResult",
     "decompose",
-    "AtomClass",
-    "AtomPartition",
-    "classify_atoms",
-    "BochnerAtom",
-    "BochnerMeasure",
-    "bochner_data",
     "integer_solutions",
     "integer_hits",
 ]
@@ -591,7 +585,7 @@ def decompose(g: GPolynomial, u: SparseVector, v: SparseVector) -> Decomposition
         for k, uc in u_sites.sites:
             if k not in v_sites:
                 continue
-            f = fit_phase_polynomial(site_phase(k), fit_bound, held_out=3)
+            f = fit_phase_polynomial(site_phase(k), fit_bound)
             terms.append(NilTerm(coeff=uc * v_sites[k].conjugate(),
                                  phase_poly=f, origin=f"site:{k}"))
         certificate = ZeroDensityCertificate(kind="empty")
@@ -620,123 +614,3 @@ def decompose(g: GPolynomial, u: SparseVector, v: SparseVector) -> Decomposition
                                residual_stream=residual,
                                certificate=certificate, sector=sector,
                                total_stream=total)
-
-
-# ---------------------------------------------------------------------------
-# atomic spectral measure
-
-
-@dataclass(frozen=True)
-class AtomClass:
-    key: str
-    members: tuple[str, ...]
-    mass: float
-
-
-@dataclass(frozen=True)
-class AtomPartition:
-    classes: tuple[AtomClass, ...]
-    w2_mass: float
-    case: str              # "I" (mass 0) or "II"
-
-
-def _irrational_signature(f: PhasePolynomial) -> tuple:
-    sig = [c.irr for c in f.coeffs]
-    while sig and not sig[-1]:
-        sig.pop()
-    return tuple(sig)
-
-
-def classify_atoms(atoms: Sequence[tuple[str, float, Sequence[PhaseScalar]]],
-                   polys: Sequence[IntegralPolynomial]) -> AtomPartition:
-    """Partition atoms by rational-difference equivalence of their phases.
-
-    Two eigenphase tuples are equivalent when the phase polynomial of
-    their difference has all-rational coefficients; the classes are
-    keyed by the irrational parts of the phase-polynomial coefficients,
-    which subtract exactly.
-    """
-    groups: dict[tuple, list[tuple[str, float]]] = {}
-    for aid, mass, ph in atoms:
-        if mass < 0:
-            raise ValueError("atom masses must be nonnegative")
-        if len(ph) != len(polys):
-            raise ValueError("need one eigenphase per polynomial")
-        f = PhasePolynomial.zero()
-        for p, lam in zip(polys, ph):
-            f = f + PhasePolynomial.from_integral(p, lam)
-        groups.setdefault(_irrational_signature(f), []).append((str(aid), float(mass)))
-    classes = []
-    for sig in sorted(groups, key=repr):
-        members = groups[sig]
-        classes.append(AtomClass(key=repr(sig),
-                                 members=tuple(sorted(a for a, _ in members)),
-                                 mass=sum(m for _, m in members)))
-    w2 = sum(c.mass ** 2 for c in classes)
-    return AtomPartition(classes=tuple(classes), w2_mass=w2,
-                         case="II" if w2 > 0 else "I")
-
-
-# ---------------------------------------------------------------------------
-# finite Bochner data for diagonal families
-
-
-@dataclass(frozen=True)
-class BochnerAtom:
-    label: str
-    weight: complex
-    eigenphases: tuple[PhaseScalar, ...]
-
-
-@dataclass(frozen=True)
-class BochnerMeasure:
-    atoms: tuple[BochnerAtom, ...]
-
-    def total_weight(self) -> complex:
-        return sum((a.weight for a in self.atoms), 0j)
-
-    def sequence(self, polys: Sequence[IntegralPolynomial]) -> Callable[[int], complex]:
-        def phi(n: int) -> complex:
-            total = 0j
-            for a in self.atoms:
-                ph = PhaseScalar.zero()
-                for p, lam in zip(polys, a.eigenphases):
-                    ph = ph + lam.scale(p(n))
-                total += a.weight * e_phase(ph.float_mod_1())
-            return total
-        return phi
-
-
-def bochner_data(operators: Sequence[ShiftPhaseOperator], u: SparseVector,
-                 v: SparseVector) -> BochnerMeasure:
-    """Finite atomic measure representing <g(n)u, v> for diagonal families.
-
-    Every basis vector and every atom is a simultaneous eigenvector;
-    the weight at each is u_j * conj(v_j).  For u = v the weights are
-    nonnegative and sum to the squared norm.
-    """
-    for i, W in enumerate(operators):
-        if not W.is_diagonal():
-            raise NotDiagonal(f"operator {i} has nonzero shift {W.shift}")
-    if u.dim != v.dim:
-        raise ValueError("dimension mismatch")
-    out = []
-    v_sites = v.site_dict()
-    for k, uc in u.sites:
-        if k not in v_sites:
-            continue
-        phases = tuple((W.phase + W.form_at(k)).reduce_mod_1() for W in operators)
-        out.append(BochnerAtom(label=f"site:{k}", weight=uc * v_sites[k].conjugate(),
-                               eigenphases=phases))
-    v_atoms = v.atom_dict()
-    for aid, uc, ph in u.atoms:
-        if aid not in v_atoms:
-            continue
-        vc, vph = v_atoms[aid]
-        if tuple(vph) != tuple(ph):
-            raise ValueError(f"atom {aid!r} has conflicting eigenphases")
-        if len(ph) != len(operators):
-            raise ValueError(f"atom {aid!r} needs one eigenphase per operator")
-        out.append(BochnerAtom(label=f"atom:{aid}", weight=uc * vc.conjugate(),
-                               eigenphases=tuple(p.reduce_mod_1() for p in ph)))
-    return BochnerMeasure(atoms=tuple(out))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ from .exactnum import (
     PhasePolynomial,
     PhaseScalar,
     classify_entropy,
-    congruent_mod_1,
     unipotent_power_polys,
 )
 from .nilseq import (
@@ -43,25 +41,15 @@ from .nilseq import (
 from .mobius import tree_fold
 
 __all__ = [
-    "MismatchAt",
     "TorusPoint",
     "Character",
     "orbit_point",
     "CharacterSequence",
     "character_seq",
-    "verify_polynomial_form",
     "WeylHarmonic",
     "WeylReport",
     "weyl_test",
 ]
-
-
-class MismatchAt(AssertionError):
-    """Polynomial route and matrix-power route disagreed at some n."""
-
-    def __init__(self, n: int, message: str = ""):
-        self.n = n
-        super().__init__(message or f"routes disagree at n={n}")
 
 
 @dataclass(frozen=True)
@@ -155,27 +143,6 @@ def character_seq(A: IntMatrix, x: TorusPoint, v: Character,
     stream = interleave(components, m)
     return CharacterSequence(stream=stream, entropy=report, modulus=m,
                              residue_polys=tuple(polys))
-
-
-def verify_polynomial_form(A: IntMatrix, x: TorusPoint, v: Character,
-                           ns: Sequence[int]) -> int:
-    """Check the polynomial route against matrix powers at each n.
-
-    Both sides are exact scalars; any discrepancy raises MismatchAt.
-    Returns the number of points checked.
-    """
-    cs = character_seq(A, x, v)
-    if cs.residue_polys is None:
-        raise ValueError("matrix has positive entropy, no polynomial form")
-    m = cs.modulus
-    for n in ns:
-        r = n % m
-        t = (n - r) // m
-        poly_val = cs.residue_polys[r](t)
-        direct = v.pair(orbit_point(A, x, n))
-        if not congruent_mod_1(poly_val, direct):
-            raise MismatchAt(n)
-    return len(ns)
 
 
 # ---------------------------------------------------------------------------

@@ -734,7 +734,6 @@ def _at(obj, path):
 def test_exit_code_contract_under_config_mutations(data, tmp_path,
                                                    monkeypatch):
     from nilseqlab import cli
-    from nilseqlab.exactnum import reset_generators
 
     monkeypatch.delenv("NILSEQ_CACHE_DIR", raising=False)
     name = data.draw(st.sampled_from(sorted(FUZZ_SEEDS)))
@@ -749,7 +748,6 @@ def test_exit_code_contract_under_config_mutations(data, tmp_path,
     with open(path, "w") as f:
         json.dump(cfg, f)
     out = os.path.join(work, "out")
-    reset_generators()                  # as in a fresh process
     code = cli.main([SUBCOMMAND.get(name, "correlate"), "--config", path,
                      "--out", out, "--precision",
                      data.draw(st.sampled_from(["exact", "fast"]))])
@@ -759,3 +757,19 @@ def test_exit_code_contract_under_config_mutations(data, tmp_path,
     if code == 3:
         with open(os.path.join(out, "report.json")) as f:
             assert json.load(f)["status"] == "error"
+
+
+def test_exit_codes_do_not_depend_on_earlier_runs(tmp_path):
+    """Each run declares only its own config's generators, so a second
+    run in the same process exits as it would in a fresh one."""
+    with open(os.path.join(CONFIGS, "weyl_linear.json")) as f:
+        linear = json.load(f)
+    rational_g1 = dict(linear, generators={"g1": "1.5"})
+    undeclared = {k: v for k, v in linear.items() if k != "generators"}
+    codes = []
+    for i, pair in enumerate([(rational_g1, linear), (linear, undeclared)]):
+        for j, cfg in enumerate(pair):
+            path = tmp_path / f"config{i}{j}.json"
+            path.write_text(json.dumps(cfg))
+            codes.append(_main("weyl", path, tmp_path / f"out{i}{j}"))
+    assert codes == [0, 0, 0, 2]        # the exit codes of fresh processes

@@ -25,7 +25,6 @@ from nilseqlab.exactnum import (
     cyclotomic,
     cyclotomic_candidates,
     declare_generator,
-    declare_generator_product,
     euler_phi,
     fit_phase_polynomial,
     format_phase,
@@ -404,23 +403,27 @@ def test_mul_rational_times_irrational():
     assert p * PhaseScalar.from_rational(Fraction(2)) == parse_phase("1 + 2*g1")
 
 
-def test_mul_two_irrationals_needs_declaration():
-    g1 = PhaseScalar.generator("g1")
+def _assert_not_closed(a, b):
     with pytest.raises(NonClosedProduct):
-        g1 * g1
-    declare_generator_product("g1", "g1", PhaseScalar.from_rational(2))
-    assert g1 * g1 == PhaseScalar.from_rational(2)
+        a * b
+    with pytest.raises(NonClosedProduct):
+        b * a
+
+
+def test_mul_two_irrationals_needs_declaration():
+    # No product can be declared, so the square of a generator never closes.
+    g1 = PhaseScalar.generator("g1")
+    _assert_not_closed(g1, g1)
+    _assert_not_closed(g1.scale(Fraction(-2)), g1)
 
 
 def test_declared_product_of_distinct_generators():
-    declare_generator("g6", "2.449489742783178098197284074705891391966")
-    declare_generator_product("g1", "g2", PhaseScalar.generator("g6"))
-    got = PhaseScalar.generator("g1") * PhaseScalar.generator("g2")
-    assert got == PhaseScalar.generator("g6")
-    # scaling factors multiply through
-    a = PhaseScalar.generator("g1").scale(Fraction(3, 2))
-    b = PhaseScalar.generator("g2").scale(Fraction(4))
-    assert a * b == PhaseScalar.generator("g6").scale(Fraction(6))
+    # Distinct generators, scaled or with rational parts, never close either.
+    g1 = PhaseScalar.generator("g1")
+    g2 = PhaseScalar.generator("g2")
+    _assert_not_closed(g1, g2)
+    _assert_not_closed(g1.scale(Fraction(3, 2)), g2.scale(4))
+    _assert_not_closed(parse_phase("1/2 + g1"), parse_phase("1/3 - g2"))
 
 
 def test_conflicting_generator_value_rejected():

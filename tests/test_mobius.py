@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nilseqlab.mobius import (
     LimitTooLarge,
     UnboundedSequence,
-    cesaro_stats,
     correlate,
     mertens,
     mobius_by_factorization,
@@ -23,7 +22,7 @@ from nilseqlab.mobius import (
     tree_fold,
     write_cache,
 )
-from nilseqlab.nilseq import SequenceStream, constant, from_function, indicator
+from nilseqlab.nilseq import SequenceStream, constant, from_function
 
 MU_FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
@@ -200,22 +199,6 @@ def test_abs_sums_match():
     table = sieve_mobius(100)
     rep = correlate(constant(1.0), [10, 100], table=table)
     assert rep.abs_sums() == tuple(abs(s) for s in rep.sums)
-
-
-# ------------------------------------------------------------- Cesaro means
-
-def test_cesaro_indicator_exact():
-    a = indicator(at=0, value=2.0)
-    rep = cesaro_stats(a, [10, 100])
-    assert rep.abs_means == (2.0 / 21, 2.0 / 201)
-    assert rep.sq_means == (4.0 / 21, 4.0 / 201)
-    assert rep.quadratic_norm_estimate == float(np.sqrt(4.0 / 201))
-
-
-def test_cesaro_constant():
-    rep = cesaro_stats(constant(1.0), [5, 50])
-    assert rep.abs_means == (1.0, 1.0)
-    assert rep.sq_means == (1.0, 1.0)
 
 
 # ------------------------------------------------------------------ cache

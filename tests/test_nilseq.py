@@ -22,7 +22,6 @@ from nilseqlab.nilseq import (
     SequenceStream,
     Tag,
     constant,
-    deinterleave,
     e_array,
     e_phase,
     exp_nonpos,
@@ -654,10 +653,11 @@ def test_interleave_deinterleave_round_trip(m, data):
         t = data.draw(phases())
         comps.append(poly_exp(PhasePolynomial.from_coeffs((t, parse_phase("g1")))))
     xi = interleave(comps, m)
-    back = deinterleave(xi, m)
+    block = xi.evaluate_block(-7 * m, 6 * m)       # t = -7..5 in every class
     for r in range(m):
         for t in (-7, -1, 0, 1, 5):
-            assert back[r].evaluate(t) == comps[r].evaluate(t)
+            assert xi.evaluate(t * m + r) == comps[r].evaluate(t)
+        assert np.array_equal(block[r::m], comps[r].evaluate_block(-7, 6))
 
 
 @given(st.integers(min_value=-50, max_value=50))

@@ -21,8 +21,6 @@ from nilseqlab.spectral import (
     ShiftPhaseOperator,
     SparseVector,
     ZeroDensityCertificate,
-    bochner_data,
-    classify_atoms,
     compact_subspace,
     decompose,
     integer_hits,
@@ -463,75 +461,3 @@ def test_decompose_json_shape():
     assert d["certificate"]["kind"] == "empty"
     assert d["sector"]["lattice_compact"] is True
     assert len(d["nil_terms"]) == 1
-
-
-# ----------------------------------------------------------- atom classes
-
-def test_classify_atoms_by_rational_difference():
-    polys = (mono([0, 1]),)
-    atoms = [
-        ("a", 0.25, (parse_phase("g1"),)),
-        ("b", 0.25, (parse_phase("g1 + 1/2"),)),
-        ("c", 0.30, (parse_phase("g2"),)),
-        ("d", 0.20, (parse_phase("3/7"),)),
-    ]
-    part = classify_atoms(atoms, polys)
-    groups = {cls.members: cls.mass for cls in part.classes}
-    assert ("a", "b") in groups
-    assert groups[("a", "b")] == pytest.approx(0.5)
-    assert ("c",) in groups and ("d",) in groups
-    assert part.w2_mass == pytest.approx(0.5 ** 2 + 0.3 ** 2 + 0.2 ** 2)
-    assert part.case == "II"
-
-
-def test_classify_atoms_empty_is_case_one():
-    part = classify_atoms([], (mono([0, 1]),))
-    assert part.classes == ()
-    assert part.w2_mass == 0
-    assert part.case == "I"
-
-
-def test_classify_atoms_validation():
-    with pytest.raises(ValueError):
-        classify_atoms([("a", -0.1, (Z,))], (mono([0, 1]),))
-    with pytest.raises(ValueError):
-        classify_atoms([("a", 0.1, ())], (mono([0, 1]),))
-
-
-@given(st.fractions(min_value=-3, max_value=3, max_denominator=9))
-def test_classify_atoms_rational_translation_invariant(q):
-    polys = (mono([0, 1]), mono([0, 0, 1]))
-    base = [
-        ("a", 0.5, (parse_phase("g1"), parse_phase("1/3"))),
-        ("b", 0.5, (parse_phase("g1"), parse_phase("g2"))),
-    ]
-    shifted = [
-        (aid, m, (ph[0] + PhaseScalar.from_rational(q), ph[1]))
-        for aid, m, ph in base]
-    p1 = classify_atoms(base, polys)
-    p2 = classify_atoms(shifted, polys)
-    assert [c.members for c in p1.classes] == [c.members for c in p2.classes]
-
-
-# ------------------------------------------------------------ Bochner data
-
-def test_bochner_diagonal_measure():
-    V1 = op((0, 0), form=("g1", "0"))
-    V2 = op((0, 0), phase="1/6", form=("0", "g2"))
-    u = SparseVector.from_sites(2, {(0, 0): 0.6, (1, -1): 0.8})
-    meas = bochner_data([V1, V2], u, u)
-    assert meas.total_weight() == pytest.approx(1.0)
-    weights = sorted(a.weight.real for a in meas.atoms)
-    assert weights == [pytest.approx(0.36), pytest.approx(0.64)]
-    polys = (mono([0, 1]), mono([0, 0, 1]))
-    g = GPolynomial.make((V1, V2), polys)
-    phi = meas.sequence(polys)
-    pair = g.pairing(u, u)
-    for n in (-9, -2, 0, 1, 4, 11):
-        assert abs(phi(n) - pair(n)) < 1e-12
-
-
-def test_bochner_rejects_shifts():
-    with pytest.raises(NotDiagonal):
-        bochner_data([op((1, 0))], SparseVector.basis(2, (0, 0)),
-                     SparseVector.basis(2, (0, 0)))
