@@ -38,7 +38,7 @@ from .exactnum import (
 )
 
 if TYPE_CHECKING:
-    from .mobius import MobiusTable
+    from .mobius import MobiusCache
     from .nctorus import ThetaMatrix
     from .nilseq import SequenceStream
     from .spectral import SparseVector
@@ -324,23 +324,26 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _mobius_table_cached(limit: int) -> MobiusTable:
+def _mobius_cache(limit: int, threads: int) -> MobiusCache:
+    """The sieve cache for 1..limit, opened: the file in NILSEQ_CACHE_DIR
+    on a hit; sieved into it on a miss, or into a temporary file when no
+    directory is set."""
     from . import mobius
 
     cache_dir = os.environ.get("NILSEQ_CACHE_DIR")
     if not cache_dir:
-        return mobius.sieve_mobius(limit)
+        return mobius.sieve_cache(limit, threads=threads)
     path = os.path.join(cache_dir, f"mobius_{limit}.bin")
     try:
-        table = mobius.read_cache(path)
-        if table.limit == limit:
-            return table
+        cache = mobius.MobiusCache(open(path, "rb"))
     except (FileNotFoundError, ValueError):
         pass  # a missing, torn, corrupt or old-format file: re-sieve over it
-    table = mobius.sieve_mobius(limit)
+    else:
+        if cache.limit == limit:
+            return cache
+        cache.close()
     os.makedirs(cache_dir, exist_ok=True)
-    mobius.write_cache(table, path)
-    return table
+    return mobius.sieve_cache(limit, path, threads)
 
 
 def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
@@ -354,14 +357,15 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     if pts[-1] > mobius.HARD_LIMIT:
         raise ValidationError(f"checkpoints: at most {mobius.HARD_LIMIT}, the sieve bound")
     spec = cfg["sequence"]
-    if isinstance(spec, dict) and spec.get("type") == "mobius":
+    is_mobius = isinstance(spec, dict) and spec.get("type") == "mobius"
+    if is_mobius:
         _check_keys(spec, "sequence", ["type"])
-        table = _mobius_table_cached(max(pts))
-        stream = mobius.mobius_stream(table)
     else:
         stream = build_sequence(spec, precision)
-        table = _mobius_table_cached(max(pts))
-    rep = mobius.correlate(stream, pts, table=table, threads=threads)
+    with _mobius_cache(max(pts), threads) as cache:
+        if is_mobius:
+            stream = mobius.mobius_stream(cache)
+        rep = mobius.correlate(stream, pts, table=cache, threads=threads)
     rows = [[N, s.real, s.imag, abs(s)]
             for N, s in zip(rep.checkpoints, rep.sums)]
     return {

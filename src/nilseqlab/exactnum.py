@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 __all__ = [
     "NotInGL",
@@ -760,7 +760,7 @@ def format_phase(p: PhaseScalar) -> str:
         else:
             term = f"{c}*{g}"
         if parts:
-            parts.append(f"+ {term}" if c > 0 or c == 1 else f"+ {term}")
+            parts.append(f"+ {term}")
         else:
             parts.append(term)
     out = " ".join(parts)
@@ -873,11 +873,14 @@ def fit_phase_polynomial(
 # atomic file output
 
 
-def write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
+def write_atomic(path: str,
+                 data: str | Iterable[str] | Callable[[BinaryIO], None]) -> None:
     """Write data to a temporary file beside path, then rename it over path.
 
-    data is a str, bytes, or an iterable of str chunks written in turn, so
-    a large text need never be whole in memory.
+    data is a str, an iterable of str chunks written in turn, or a
+    function that writes the binary file it is handed (it may seek back,
+    as to fill in a header last), so a large output need never be whole
+    in memory.
     A reader sees the old file or the whole new one, never a partial one.
     The temporary name carries the pid and a random token and is created
     with O_EXCL, so concurrent writers of one path never share or remove
@@ -887,8 +890,10 @@ def write_atomic(path: str, data: str | bytes | Iterable[str]) -> None:
     tmp = f"{path}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb" if isinstance(data, bytes) else "w") as f:
-            if isinstance(data, (str, bytes)):
+        with open(fd, "wb" if callable(data) else "w") as f:
+            if callable(data):
+                data(f)
+            elif isinstance(data, str):
                 f.write(data)
             else:
                 f.writelines(data)

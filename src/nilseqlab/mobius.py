@@ -1,21 +1,28 @@
 """Mobius function tables and averaged correlation sums.
 
-The sieve works one segment at a time, but it fills a single int8
-table for all of 1..limit, so memory grows by about a byte a point; the
-segment size bounds only the per-segment scratch arrays.  A second,
-independent routine derives mu(n) by dividing out primes from the
-values themselves (different bookkeeping, used as a cross-check and for
-golden files).  Correlation sums S(N) = (1/N) sum mu(n) xi(n) are
-accumulated through a fixed binary reduction tree, so a segment-parallel
-run reproduces the serial result bit for bit.
+The sieve works one block of SIEVE_BLOCK points at a time.
+`sieve_mobius` concatenates the blocks into one int8 table, a byte a
+point; `sieve_cache` packs each block into the cache format as it is
+made, so its memory is a few blocks whatever the limit.  A cache file is
+read back by range (`MobiusCache.block`), and `correlate` reads its
+weights one summation segment at a time from a table or a cache, so it
+never fills a table for 1..N itself.  A second, independent routine
+derives mu(n) by dividing out primes from the values themselves
+(different bookkeeping, used as a cross-check and for golden files).
+Correlation sums S(N) = (1/N) sum mu(n) xi(n) are accumulated through a
+fixed binary reduction tree, so a segment-parallel run reproduces the
+serial result bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +33,7 @@ __all__ = [
     "LimitTooLarge",
     "UnboundedSequence",
     "MobiusTable",
+    "MobiusCache",
     "sieve_mobius",
     "mobius_by_factorization",
     "mertens",
@@ -34,11 +42,14 @@ __all__ = [
     "tree_fold",
     "write_cache",
     "read_cache",
+    "sieve_cache",
     "mobius_stream",
 ]
 
-DEFAULT_SEGMENT = 1 << 20
-HARD_LIMIT = 10 ** 9
+# points per sieve block: its int32 scratch is 2 MB an array, and one
+# block is what each sieving thread holds
+SIEVE_BLOCK = 1 << 19
+HARD_LIMIT = 10 ** 9          # < 2^31, so int32 holds every n and prod
 
 CACHE_MAGIC = b"MOB2"
 
@@ -65,47 +76,58 @@ class MobiusTable:
 
     __getitem__ = mu
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """mu(lo..hi-1) as int8, for 1 <= lo <= hi <= limit + 1."""
+        if not 1 <= lo <= hi <= self.limit + 1:
+            raise IndexError(f"block [{lo}, {hi}) outside 1..{self.limit}")
+        return self.values[lo:hi]
 
-def _primes_up_to(n: int) -> np.ndarray:
+
+def _sieve_primes(limit: int) -> list[int]:
+    """The primes <= sqrt(limit) a sieve up to limit divides by, after
+    the limit checks."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if limit > HARD_LIMIT:
+        raise LimitTooLarge(f"limit {limit} exceeds configured bound {HARD_LIMIT}")
+    n = max(int(limit ** 0.5), 1)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return np.nonzero(sieve)[0]
+    # Python ints, so that int32 arrays stay int32 when multiplied by p
+    return np.nonzero(sieve)[0].tolist()
 
 
-def sieve_mobius(limit: int, segment_size: int = DEFAULT_SEGMENT) -> MobiusTable:
-    """Segmented sieve for mu(1..limit).
+def _sieve_block(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """mu(lo..hi-1) as int8, for primes = those <= sqrt(hi - 1).
 
-    Per segment: multiply in -1 for each prime p <= sqrt(limit) dividing
-    n, zero out multiples of p^2, and track the product of the sieved
-    primes; a leftover cofactor > 1 is one more distinct prime factor.
+    Multiply in -1 for each prime p dividing n, zero out multiples of
+    p^2, and track the product of the sieved primes; a leftover cofactor
+    > 1 is one more distinct prime factor.  int32 is exact: prod divides
+    n, and n <= HARD_LIMIT < 2^31.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > HARD_LIMIT:
-        raise LimitTooLarge(f"limit {limit} exceeds configured bound {HARD_LIMIT}")
-    primes = _primes_up_to(max(int(limit ** 0.5), 1))
+    n_vals = np.arange(lo, hi, dtype=np.int32)
+    mu = np.ones(hi - lo, dtype=np.int8)
+    prod = np.ones(hi - lo, dtype=np.int32)
+    for p in primes:
+        start = (-lo) % p
+        mu[start:: p] *= -1
+        prod[start:: p] *= p
+        p2 = p * p
+        mu[(-lo) % p2:: p2] = 0
+    mu[prod != n_vals] *= -1
+    return mu
+
+
+def sieve_mobius(limit: int, segment_size: int = SIEVE_BLOCK) -> MobiusTable:
+    """mu(1..limit) as one table: the sieve blocks, concatenated."""
+    primes = _sieve_primes(limit)
     out = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)
-        n_vals = np.arange(lo, hi, dtype=np.int64)
-        mu = np.ones(hi - lo, dtype=np.int8)
-        prod = np.ones(hi - lo, dtype=np.int64)
-        for p in primes:
-            start = (-lo) % p
-            mu[start:: p] *= -1
-            prod[start:: p] *= p
-            p2 = p * p
-            start2 = (-lo) % p2
-            mu[start2:: p2] = 0
-        big_cofactor = prod != n_vals
-        mu[big_cofactor] = -mu[big_cofactor]
-        out[lo:hi] = mu
-    out[0] = 0
-    if limit >= 1:
-        out[1] = 1
+        out[lo:hi] = _sieve_block(lo, hi, primes)
     return MobiusTable(limit=limit, values=out)
 
 
@@ -175,7 +197,7 @@ def tree_fold(values: np.ndarray) -> complex:
     were produced, so any segment-parallel evaluation that fills the
     same array reduces to bitwise the same total.
     """
-    a = np.asarray(values, dtype=np.complex128).copy()
+    a = np.asarray(values, dtype=np.complex128)  # only read, never written
     while a.size > 1:
         if a.size % 2:
             tail = a[-1]
@@ -201,19 +223,41 @@ class CorrelationReport:
         return tuple(abs(s) for s in self.sums)
 
 
+def _in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn over items, results in order; with threads > 1 a pool computes
+    at most 2 * threads of them ahead of the consumer, so memory holds a
+    few results, never all of them."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only with a pool
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def correlate(
     xi: SequenceStream,
     checkpoints: Sequence[int],
-    table: MobiusTable | None = None,
+    table: MobiusTable | MobiusCache | None = None,
     segment_size: int = 1 << 15,
     threads: int = 1,
 ) -> CorrelationReport:
     """Averaged correlation of mu against a bounded stream.
 
     Checkpoints must be increasing; the largest determines the sieve
-    range.  Summation: per-segment products are reduced with tree_fold,
-    segment totals again with tree_fold, making the result independent
-    of evaluation order (and hence of `threads`).
+    range.  The weights come from `table` (a MobiusTable or an open
+    MobiusCache) one segment at a time; with no table, mu(1..N) is
+    sieved into a temporary cache file first.  Summation: per-segment
+    products are reduced with tree_fold, segment totals again with
+    tree_fold, making the result independent of evaluation order (and
+    hence of `threads`).
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -224,10 +268,10 @@ def correlate(
         raise UnboundedSequence(f"stream {xi.provenance!r} carries no bound")
     n_max = cks[-1]
     if table is None:
-        table = sieve_mobius(n_max)
+        with sieve_cache(n_max, threads=threads) as cache:
+            return correlate(xi, cks, cache, segment_size, threads)
     if table.limit < n_max:
         raise ValueError("mobius table shorter than the last checkpoint")
-    mu = table.values
 
     # the segment a checkpoint k falls in; only these keep their products
     keep = {(k - 1) // segment_size for k in cks}
@@ -235,17 +279,11 @@ def correlate(
     def segment(i: int) -> tuple[complex, np.ndarray | None]:
         lo = 1 + i * segment_size
         hi = min(lo + segment_size, n_max + 1)
-        vals = xi.evaluate_block(lo, hi) * mu[lo:hi]
+        vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
         return tree_fold(vals), (vals if i in keep else None)
 
-    indices = range((n_max - 1) // segment_size + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only with a pool
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            segments = list(pool.map(segment, indices))
-    else:
-        segments = [segment(i) for i in indices]
+    segments = list(_in_order(segment, range((n_max - 1) // segment_size + 1),
+                              threads))
 
     sums: list[complex] = []
     seg_totals = [total for total, _ in segments]
@@ -263,73 +301,173 @@ def correlate(
 
 # ---------------------------------------------------------------------------
 # cache file: magic, u64 little-endian limit, u32 zlib.crc32 of the limit
-# bytes and the payload, then the payload: 2-bit packed values
+# bytes and the payload, then the payload: mu + 1 in {0, 1, 2} packed two
+# bits a value, low bits first; code 3 only pads the last byte
 
 _CACHE_HEADER = struct.Struct("<4sQI")
+_CRC_CHUNK = 1 << 20          # payload bytes checksummed per read
+# byte -> its four values code - 1, low bits first, as the bytes of one
+# little-endian uint32, so a single gather decodes a range; code 3 gives 2
+_DECODE = (((np.arange(256)[:, None] >> np.arange(0, 8, 2)) % 4 - 1)
+           .astype(np.int8).view("<u4").ravel())
 
 
-def _cache_crc(limit: int, payload: bytes | memoryview) -> int:
-    return zlib.crc32(payload, zlib.crc32(struct.pack("<Q", limit)))
-
-
-def write_cache(table: MobiusTable, path: str) -> None:
-    """Pack mu values two bits each (mu+1 in {0,1,2}), low bits first."""
-    enc = (table.values[1:].astype(np.int16) + 1).astype(np.uint8)
+def _pack(mu: np.ndarray) -> bytes:
+    """Payload bytes of mu values; a block not the last has 4k values."""
+    enc = (mu + 1).astype(np.uint8)
     pad = (-len(enc)) % 4
     if pad:
         enc = np.concatenate([enc, np.full(pad, 3, dtype=np.uint8)])
     quads = enc.reshape(-1, 4)
     packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    payload = packed.tobytes()
-    write_atomic(path, _CACHE_HEADER.pack(CACHE_MAGIC, table.limit,
-                                          _cache_crc(table.limit, payload))
-                 + payload)
+    return packed.tobytes()
+
+
+def _write_cache_file(f: BinaryIO, limit: int,
+                      block: Callable[[int, int], np.ndarray],
+                      threads: int = 1) -> None:
+    """Write mu(1..limit), taken from block(lo, hi) one SIEVE_BLOCK at a
+    time, to the binary file f in the cache format.  The payload goes out
+    in order behind a blank header, the checksum accumulated as it goes;
+    the header is filled in last."""
+    def packed(lo: int) -> bytes:
+        return _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)))
+
+    f.write(bytes(_CACHE_HEADER.size))
+    crc = zlib.crc32(struct.pack("<Q", limit))
+    for chunk in _in_order(packed, range(1, limit + 1, SIEVE_BLOCK), threads):
+        crc = zlib.crc32(chunk, crc)
+        f.write(chunk)
+    f.seek(0)
+    f.write(_CACHE_HEADER.pack(CACHE_MAGIC, limit, crc))
+    f.flush()
+
+
+class MobiusCache:
+    """A cache file opened for reading mu by range.
+
+    The header, the payload length and the checksum are checked once, on
+    opening; `block` then reads only the bytes it needs with os.pread,
+    which shares no file offset between threads and, unlike a mapping,
+    adds no file pages to the process's memory.  The object owns `fh`
+    and closes it.
+    """
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+        try:
+            self.limit = self._check()
+        except BaseException:
+            fh.close()
+            raise
+
+    def _check(self) -> int:
+        fd, name = self._fh.fileno(), self._fh.name
+        header = os.pread(fd, _CACHE_HEADER.size, 0)
+        if header[:4] != CACHE_MAGIC:
+            raise ValueError(f"{name}: bad magic {header[:4]!r}")
+        if len(header) < _CACHE_HEADER.size:
+            raise ValueError(f"{name}: short header")
+        _, limit, crc = _CACHE_HEADER.unpack(header)
+        need = (limit + 3) // 4
+        found = os.fstat(fd).st_size - _CACHE_HEADER.size
+        if found != need:
+            raise ValueError(f"{name}: expected {need} payload bytes, found {found}")
+        running = zlib.crc32(struct.pack("<Q", limit))
+        for off in range(0, need, _CRC_CHUNK):
+            running = zlib.crc32(self._read(off, min(off + _CRC_CHUNK, need)), running)
+        if running != crc:
+            raise ValueError(f"{name}: checksum mismatch")
+        return int(limit)
+
+    def _read(self, start: int, stop: int) -> bytes:
+        """Payload bytes start..stop-1."""
+        data = os.pread(self._fh.fileno(), stop - start, _CACHE_HEADER.size + start)
+        if len(data) != stop - start:
+            raise ValueError(f"{self._fh.name}: payload shorter than its header says")
+        return data
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """mu(lo..hi-1) as int8, for 1 <= lo <= hi <= limit + 1;
+        ValueError for a payload code 3."""
+        if not 1 <= lo <= hi <= self.limit + 1:
+            raise IndexError(f"block [{lo}, {hi}) outside 1..{self.limit}")
+        packed = np.frombuffer(self._read((lo - 1) // 4, (hi + 2) // 4), dtype=np.uint8)
+        skip = (lo - 1) % 4
+        mu = _DECODE.take(packed).view(np.int8)[skip: skip + hi - lo]
+        if mu.max(initial=-1) > 1:  # code 3 only pads the last byte
+            raise ValueError(f"{self._fh.name}: payload code 3 at n = "
+                             f"{lo + int(np.argmax(mu > 1))}")
+        return mu
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> MobiusCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def sieve_cache(limit: int, path: str | None = None, threads: int = 1) -> MobiusCache:
+    """Sieve mu(1..limit) block by block into a cache file and open it.
+
+    The file is written atomically at `path`, or is an unlinked temporary
+    file when path is None.  `threads` threads sieve blocks; each packs
+    its own block, and the blocks are written in order, so memory holds a
+    few blocks, never the table, and the bytes equal write_cache's.
+    """
+    primes = _sieve_primes(limit)
+
+    def fill(f: BinaryIO) -> None:
+        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes),
+                          threads)
+
+    if path is not None:
+        write_atomic(path, fill)
+        return MobiusCache(open(path, "rb"))
+    fh = tempfile.TemporaryFile()
+    try:
+        fill(fh)
+    except BaseException:
+        fh.close()
+        raise
+    return MobiusCache(fh)
+
+
+def write_cache(table: MobiusTable, path: str) -> None:
+    """Store the table at path atomically, as sieve_cache would."""
+    write_atomic(path, lambda f: _write_cache_file(f, table.limit, table.block))
 
 
 def read_cache(path: str) -> MobiusTable:
     """The table write_cache stored; ValueError for a file of another
-    format, a short or long payload, or a checksum mismatch."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < _CACHE_HEADER.size:
-        raise ValueError(f"{path}: short header")
-    _, limit, crc = _CACHE_HEADER.unpack_from(blob)
-    payload = memoryview(blob)[_CACHE_HEADER.size:]
-    need = (limit + 3) // 4
-    if len(payload) != need:
-        raise ValueError(f"{path}: expected {need} payload bytes, found {len(payload)}")
-    if _cache_crc(limit, payload) != crc:
-        raise ValueError(f"{path}: checksum mismatch")
-    packed = np.frombuffer(payload, dtype=np.uint8)
-    quads = np.stack([packed & 3, (packed >> 2) & 3, (packed >> 4) & 3, (packed >> 6) & 3], axis=1)
-    codes = quads.reshape(-1)[:limit]
-    if (codes == 3).any():  # 3 only pads the last byte
-        raise ValueError(f"{path}: payload code 3 at n = {int(np.argmax(codes == 3)) + 1}")
-    flat = codes.astype(np.int8) - 1
-    values = np.zeros(limit + 1, dtype=np.int8)
-    values[1:] = flat
-    return MobiusTable(limit=int(limit), values=values)
+    format, a short or long payload, a checksum mismatch or a code 3."""
+    with MobiusCache(open(path, "rb")) as cache:
+        values = np.zeros(cache.limit + 1, dtype=np.int8)
+        values[1:] = cache.block(1, cache.limit + 1)
+    return MobiusTable(limit=cache.limit, values=values)
 
 
-def mobius_stream(table: MobiusTable) -> SequenceStream:
-    """mu itself as a stream (defined as 0 outside 1..limit)."""
-    values = table.values
+def mobius_stream(table: MobiusTable | MobiusCache) -> SequenceStream:
+    """mu itself as a stream (defined as 0 outside 1..limit), read from a
+    table or an open cache."""
+    limit = table.limit
 
     def ev(n: int) -> complex:
-        if 1 <= n <= table.limit:
-            return complex(int(values[n]))
+        if 1 <= n <= limit:
+            return complex(int(table.block(n, n + 1)[0]))
         return 0j
 
     def block(start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.complex128)
         lo = max(start, 1)
-        hi = min(stop, table.limit + 1)
+        hi = min(stop, limit + 1)
         if lo < hi:
-            out[lo - start: hi - start] = values[lo:hi]
+            out[lo - start: hi - start] = table.block(lo, hi)
         return out
 
     from .nilseq import Tag
     return SequenceStream(evaluate=ev, bound=1.0, tag=Tag.unknown(),
-                          provenance=f"mobius(limit={table.limit})", block=block)
+                          provenance=f"mobius(limit={limit})", block=block)

@@ -581,6 +581,87 @@ def test_bad_cache_file_is_a_miss(spoil, tmp_path, monkeypatch):
     assert os.listdir(cache) == ["mobius_100.bin"]
 
 
+# not a multiple of 4 and four sieve blocks long, with checkpoints on the
+# edges of summation segments (2^15 points) and sieve blocks (2^19)
+STREAM_LIMIT = 3 * 2 ** 19 + 4099
+STREAM_CHECKPOINTS = [1, 2 ** 15, 2 ** 15 + 1, 2 ** 19, 2 ** 19 + 1, 2 ** 20,
+                      2 ** 20 + 1, 3 * 2 ** 19, STREAM_LIMIT]
+
+
+@pytest.mark.parametrize("sequence", [
+    {"type": "mobius"},
+    {"type": "poly-exp", "poly": {"coeffs": ["1/7", "g1"]}},
+], ids=["mobius", "poly-exp"])
+def test_correlate_sums_do_not_depend_on_the_weight_source(sequence, tmp_path,
+                                                          monkeypatch):
+    from nilseqlab import cli, mobius
+
+    cfg = write_config(tmp_path, {
+        "kind": "correlate", "sequence": sequence,
+        "checkpoints": STREAM_CHECKPOINTS,
+        "generators": {"g1": "1.414213562373095048801688724209698078570"}})
+    csvs = {}
+    for threads in ("1", "2"):
+        for source in ("no-cache", "cold", "warm"):
+            if source == "no-cache":
+                monkeypatch.delenv("NILSEQ_CACHE_DIR", raising=False)
+            else:
+                monkeypatch.setenv("NILSEQ_CACHE_DIR", str(tmp_path / f"cache{threads}"))
+            out = tmp_path / f"{source}-{threads}"
+            assert _main("correlate", cfg, out, "--threads", threads,
+                         "--precision", "fast") == 0
+            csvs[source, threads] = (out / "correlation.csv").read_text()
+    assert len(set(csvs.values())) == 1, sorted(csvs)
+    want = [(float(re), float(im)) for _, re, im, _ in
+            (row.split(",") for row in csvs["cold", "1"].splitlines()[1:])]
+    table = mobius.sieve_mobius(STREAM_LIMIT)
+    stream = (mobius.mobius_stream(table) if sequence["type"] == "mobius"
+              else cli.build_sequence(sequence, "fast"))
+    for threads in (1, 2):
+        rep = mobius.correlate(stream, STREAM_CHECKPOINTS, table=table,
+                               threads=threads)
+        assert [(s.real, s.imag) for s in rep.sums] == want
+
+
+# Runs argv and prints its exit code and peak RSS in KiB, from os.wait4.
+# A small interpreter of its own launches the child: the kernel counts in
+# a child's peak the memory of the process it was spawned from (at exec),
+# which here would be the whole test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _correlate_peak_mb(tmp_path, n, cache):
+    cfg = write_config(tmp_path, {"kind": "correlate", "checkpoints": [n],
+                                  "sequence": {"type": "constant", "re": 1.0}})
+    env = dict(os.environ)
+    env.pop("NILSEQ_CACHE_DIR", None)
+    if cache:
+        env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{n}")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "nilseqlab.cli",
+         "correlate", "--config", cfg, "--out", str(tmp_path / f"out-{n}"),
+         "--threads", "1"],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib / 1024
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
+def test_correlate_peak_memory_does_not_grow_with_n(cache, tmp_path):
+    """correlate holds a few sieve blocks and summation segments, never a
+    table for 1..N: ten times the points peak less than 8 MB higher."""
+    small, large = (_correlate_peak_mb(tmp_path, n, cache)
+                    for n in (4 * 10 ** 5, 4 * 10 ** 6))
+    assert large < small + 8, (small, large)
+
+
 @pytest.mark.parametrize("exc, code", [
     (MemoryError, 3), (ZeroDivisionError, 3), (KeyError, 3),
     (KeyboardInterrupt, None), (SystemExit, None)])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nilseqlab.exactnum import (
     DegreeBoundExceeded,
-    EntropyReport,
     IntegralPolynomial,
     IntMatrix,
     NonClosedProduct,

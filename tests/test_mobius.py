@@ -11,13 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilseqlab.mobius import (
+    SIEVE_BLOCK,
     LimitTooLarge,
+    MobiusCache,
     UnboundedSequence,
     correlate,
     mertens,
     mobius_by_factorization,
     mobius_stream,
     read_cache,
+    sieve_cache,
     sieve_mobius,
     tree_fold,
     write_cache,
@@ -118,6 +121,8 @@ def test_correlate_constant_reproduces_mertens():
         assert s == complex(m) / n
     assert rep.sums[0] == -0.1 + 0j
     assert rep.method == "pairwise-tree"
+    # with no table, correlate sieves mu into a temporary cache itself
+    assert correlate(constant(1.0), [10, 100, 1000]).sums == rep.sums
 
 
 def test_correlate_mobius_with_itself():
@@ -229,6 +234,35 @@ def test_cache_rejects_truncation(tmp_path):
         fh.write(blob[:-3])
     with pytest.raises(ValueError):
         read_cache(path)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_cache_bytes_equal_write_cache(threads, tmp_path):
+    # not a multiple of 4, so the last byte is padded; four sieve blocks
+    limit = 3 * SIEVE_BLOCK + 4099
+    table = sieve_mobius(limit)
+    write_cache(table, str(tmp_path / "table.bin"))
+    streamed = tmp_path / f"mobius_{limit}.bin"
+    with sieve_cache(limit, str(streamed), threads=threads) as cache:
+        assert cache.limit == limit
+    assert streamed.read_bytes() == (tmp_path / "table.bin").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == [streamed.name, "table.bin"]
+    with sieve_cache(limit, threads=threads) as unlinked:
+        assert np.array_equal(unlinked.block(1, limit + 1), table.values[1:])
+
+
+def test_cache_block_matches_table_slice(tmp_path):
+    # every start offset within a byte, and ends inside and at the padding
+    table = sieve_mobius(997)
+    path = str(tmp_path / "mob.bin")
+    write_cache(table, path)
+    with MobiusCache(open(path, "rb")) as cache:
+        for lo in range(1, 999):
+            for hi in {*range(lo, min(lo + 9, 998)), 998}:
+                assert np.array_equal(cache.block(lo, hi), table.block(lo, hi))
+        for lo, hi in ((0, 5), (5, 999), (6, 5)):
+            with pytest.raises(IndexError):
+                cache.block(lo, hi)
 
 
 _CACHE_WRITER = """

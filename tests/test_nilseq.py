@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import math
 import random
@@ -19,7 +18,6 @@ from nilseqlab.nilseq import (
     E_ABS_ERROR,
     EXP_REL_ERROR,
     PhaseKernel,
-    SequenceStream,
     Tag,
     constant,
     e_array,

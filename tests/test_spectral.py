@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given

@@ -1,7 +1,5 @@
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
