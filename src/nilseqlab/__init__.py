@@ -1,13 +1,16 @@
 """Exact nilsequence construction, decomposition, and Mobius correlation.
 
-Layers, bottom up: `exactnum` (integer matrices, cyclotomic entropy
-classification, phase scalars over declared irrational generators,
-polynomial fitting), `mobius` (sieves, deterministic correlation sums,
-the sieve cache), `nilseq` (tagged sequence streams and the standard
-constructions), `torus` / `nctorus` (commutative and noncommutative
-toral automorphism sequences), `spectral` (the shift-phase operator
-model and the nilsequence + zero-density splitter), and `cli` (the
-config-driven experiment runner).
+Layers, bottom up; each imports only layers listed before it:
+`exactnum` (integer matrices, cyclotomic entropy classification, phase
+scalars over declared irrational generators, polynomial fitting),
+`nilseq` (the e(x) kernel, the fixed-tree sum `tree_fold`, tagged
+sequence streams and the standard constructions), then on `nilseq`
+`mobius` (sieves, deterministic correlation sums, the sieve cache),
+`torus` (commutative toral automorphism sequences) and `spectral` (the
+shift-phase operator model and the nilsequence + zero-density
+splitter), then `nctorus` (noncommutative toral automorphism sequences,
+on `spectral`'s hit sets), and `cli` (the config-driven experiment
+runner).
 
 Importing the package loads none of the layers: each name below is
 resolved on first access by the module `__getattr__` (PEP 562), so
@@ -33,14 +36,14 @@ _NAMES = {
         "CorrelationReport", "LimitTooLarge", "MobiusTable",
         "UnboundedSequence", "correlate", "mertens",
         "mobius_by_factorization", "mobius_stream", "read_cache",
-        "sieve_mobius", "tree_fold", "write_cache",
+        "sieve_mobius", "write_cache",
     ),
     "nilseq": (
         "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
         "SkewProductState", "Tag", "constant", "e_array", "e_phase",
         "from_function", "furstenberg_orbit", "heisenberg_seq", "indicator",
         "interleave", "phase_block_exact", "phase_block_fast", "poly_exp",
-        "quadratic_seq", "theta_kappa",
+        "quadratic_seq", "theta_kappa", "tree_fold",
     ),
     "torus": (
         "Character", "CharacterSequence", "TorusPoint", "WeylReport",

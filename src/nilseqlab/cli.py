@@ -91,9 +91,12 @@ def _int_matrix(obj: Any, where: str) -> IntMatrix:
     if any(len(r) != len(rows) for r in rows):
         raise ValidationError(f"{where}: matrix must be square")
     try:
-        return IntMatrix.from_rows(rows)
+        A = IntMatrix.from_rows(rows)
     except Exception as exc:
         raise ValidationError(f"{where}: {exc}")
+    if (det := A.det()) not in (1, -1):
+        raise ValidationError(f"{where}: determinant {det}, not in GL(d, Z)")
+    return A
 
 
 def _phase(obj: Any, where: str) -> PhaseScalar:

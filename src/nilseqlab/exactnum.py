@@ -134,47 +134,15 @@ class IntMatrix:
         return self == IntMatrix.identity(self.dim)
 
     def det(self) -> int:
-        # Bareiss fraction-free elimination; exact over Z.
-        d = self.dim
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(d - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, d):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, d):
-                for j in range(k + 1, d):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[d - 1][d - 1]
+        return (-1) ** self.dim * _faddeev_leverrier(self)[0][0]
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse, defined only for determinant +-1."""
-        dt = self.det()
-        if dt not in (1, -1):
+        (c0, *_), M = _faddeev_leverrier(self)
+        if c0 not in (1, -1):
+            dt = (-1) ** self.dim * c0
             raise NotInGL(f"determinant {dt}, matrix has no integer inverse")
-        d = self.dim
-        # Gauss-Jordan over Fractions, then the result is integral.
-        aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(d)]
-               for i, row in enumerate(self.rows)]
-        for col in range(d):
-            piv = next(r for r in range(col, d) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pval = aug[col][col]
-            aug[col] = [x / pval for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        inv = tuple(tuple(int(x) for x in row[d:]) for row in aug)
-        return IntMatrix(inv)
+        return M.scale(-c0)  # S M_d = -c_0 I, and 1 / c_0 = c_0
 
     def __pow__(self, n: int) -> "IntMatrix":
         base = self if n >= 0 else self.inverse()
@@ -302,28 +270,36 @@ class IntegralPolynomial:
 # characteristic polynomial and entropy classification
 
 
+def _faddeev_leverrier(S: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Monomial coefficients c_0..c_d of det(xI - S), low degree first,
+    and the last matrix M_d of the Faddeev-LeVerrier recursion.
+
+    M_1 = I, c_{d-k} = -tr(S M_k) / k, M_{k+1} = S M_k + c_{d-k} I; every
+    division is exact over the integers.  Cayley-Hamilton gives
+    S M_d = -c_0 I, so det S = (-1)^d c_0 and M_d is (-1)^(d+1) adj S.
+    """
+    d = S.dim
+    coeffs = [0] * d + [1]
+    M = IntMatrix.identity(d)
+    for k in range(1, d + 1):
+        SM = S @ M
+        tr = sum(SM.rows[i][i] for i in range(d))
+        if tr % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
+        coeffs[d - k] = -tr // k
+        if k < d:
+            M = SM + IntMatrix.identity(d).scale(coeffs[d - k])
+    return coeffs, M
+
+
 def char_poly(S: IntMatrix) -> IntegralPolynomial:
     """Characteristic polynomial det(xI - S), monic, exact.
 
-    Computed by the Faddeev-LeVerrier recursion; all divisions are exact
-    over the integers.  Returned as an IntegralPolynomial; monomial
-    coefficients (which are integers here) are available through
+    Computed by the Faddeev-LeVerrier recursion; monomial coefficients
+    (which are integers here) are available through
     monomial_coefficients().
     """
-    d = S.dim
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    M = IntMatrix.identity(d)
-    c = 1
-    for k in range(1, d + 1):
-        AM = S @ M
-        tr = sum(AM.rows[i][i] for i in range(d))
-        if tr % k:
-            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
-        c = -tr // k
-        coeffs[d - k] = c
-        M = AM + IntMatrix.identity(d).scale(c)
-    return IntegralPolynomial.from_monomial(coeffs)
+    return IntegralPolynomial.from_monomial(_faddeev_leverrier(S)[0])
 
 
 def euler_phi(k: int) -> int:
@@ -463,11 +439,11 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
     and each must leave a residual below 1e-30 times the factor's largest
     coefficient, or ArithmeticError is raised.
     """
-    if S.det() not in (1, -1):
-        raise NotInGL(f"determinant {S.det()}; not an automorphism of the torus")
     d = S.dim
-    mono = [int(c) for c in char_poly(S).monomial_coefficients()]
-    remainder = list(mono)
+    remainder, _ = _faddeev_leverrier(S)  # det S = (-1)^d c_0
+    if remainder[0] not in (1, -1):
+        dt = (-1) ** d * remainder[0]
+        raise NotInGL(f"determinant {dt}; not an automorphism of the torus")
     orders: list[int] = []
     for k in cyclotomic_candidates(d):
         ck = list(cyclotomic(k))

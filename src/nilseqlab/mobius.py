@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .exactnum import write_atomic
-from .nilseq import SequenceStream
+from .nilseq import SequenceStream, tree_fold  # tree_fold: re-exported
 
 __all__ = [
     "LimitTooLarge",
@@ -49,6 +49,9 @@ __all__ = [
 # points per sieve block: its int32 scratch is 2 MB an array, and one
 # block is what each sieving thread holds
 SIEVE_BLOCK = 1 << 19
+# points per correlate summation segment; it fixes the tree_fold shapes,
+# hence every output bit of a correlation sum
+SEGMENT = 1 << 15
 HARD_LIMIT = 10 ** 9          # < 2^31, so int32 holds every n and prod
 
 CACHE_MAGIC = b"MOB2"
@@ -121,12 +124,12 @@ def _sieve_block(lo: int, hi: int, primes: list[int]) -> np.ndarray:
     return mu
 
 
-def sieve_mobius(limit: int, segment_size: int = SIEVE_BLOCK) -> MobiusTable:
+def sieve_mobius(limit: int) -> MobiusTable:
     """mu(1..limit) as one table: the sieve blocks, concatenated."""
     primes = _sieve_primes(limit)
     out = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(1, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
         out[lo:hi] = _sieve_block(lo, hi, primes)
     return MobiusTable(limit=limit, values=out)
 
@@ -186,30 +189,6 @@ def mertens(table: MobiusTable, checkpoints: Sequence[int]) -> list[int]:
     return [int(csum[k]) for k in cks]
 
 
-# ---------------------------------------------------------------------------
-# fixed-tree summation
-
-
-def tree_fold(values: np.ndarray) -> complex:
-    """Sum through a fixed binary tree: repeatedly add element pairs.
-
-    The tree shape depends only on the length, never on how the values
-    were produced, so any segment-parallel evaluation that fills the
-    same array reduces to bitwise the same total.
-    """
-    a = np.asarray(values, dtype=np.complex128)  # only read, never written
-    while a.size > 1:
-        if a.size % 2:
-            tail = a[-1]
-            a = a[:-1]
-        else:
-            tail = None
-        a = a[0::2] + a[1::2]
-        if tail is not None:
-            a = np.concatenate([a, [tail]])
-    return complex(a[0]) if a.size else 0j
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Partial averages S(N) = (1/N) sum_{n=1..N} mu(n) xi(n)."""
@@ -246,18 +225,17 @@ def correlate(
     xi: SequenceStream,
     checkpoints: Sequence[int],
     table: MobiusTable | MobiusCache | None = None,
-    segment_size: int = 1 << 15,
     threads: int = 1,
 ) -> CorrelationReport:
     """Averaged correlation of mu against a bounded stream.
 
     Checkpoints must be increasing; the largest determines the sieve
     range.  The weights come from `table` (a MobiusTable or an open
-    MobiusCache) one segment at a time; with no table, mu(1..N) is
-    sieved into a temporary cache file first.  Summation: per-segment
-    products are reduced with tree_fold, segment totals again with
-    tree_fold, making the result independent of evaluation order (and
-    hence of `threads`).
+    MobiusCache) one segment of SEGMENT points at a time; with no table,
+    mu(1..N) is sieved into a temporary cache file first.  Summation:
+    per-segment products are reduced with tree_fold, segment totals
+    again with tree_fold, making the result independent of evaluation
+    order (and hence of `threads`).
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -269,28 +247,28 @@ def correlate(
     n_max = cks[-1]
     if table is None:
         with sieve_cache(n_max, threads=threads) as cache:
-            return correlate(xi, cks, cache, segment_size, threads)
+            return correlate(xi, cks, cache, threads)
     if table.limit < n_max:
         raise ValueError("mobius table shorter than the last checkpoint")
 
+    seg = SEGMENT
     # the segment a checkpoint k falls in; only these keep their products
-    keep = {(k - 1) // segment_size for k in cks}
+    keep = {(k - 1) // seg for k in cks}
 
     def segment(i: int) -> tuple[complex, np.ndarray | None]:
-        lo = 1 + i * segment_size
-        hi = min(lo + segment_size, n_max + 1)
+        lo = 1 + i * seg
+        hi = min(lo + seg, n_max + 1)
         vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
         return tree_fold(vals), (vals if i in keep else None)
 
-    segments = list(_in_order(segment, range((n_max - 1) // segment_size + 1),
-                              threads))
+    segments = list(_in_order(segment, range((n_max - 1) // seg + 1), threads))
 
     sums: list[complex] = []
     seg_totals = [total for total, _ in segments]
     for k in cks:
         # whole segments below k, then a partial slice of the segment k is in
-        full = (k - 1) // segment_size  # count of complete segments before k
-        partial_lo = 1 + full * segment_size
+        full = (k - 1) // seg  # count of complete segments before k
+        partial_lo = 1 + full * seg
         total = tree_fold(np.array(seg_totals[:full], dtype=np.complex128))
         total += tree_fold(segments[full][1][: k - partial_lo + 1])
         sums.append(total / k)

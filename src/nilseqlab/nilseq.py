@@ -41,6 +41,7 @@ __all__ = [
     "e_phase",
     "e_array",
     "E_ABS_ERROR",
+    "tree_fold",
     "exp_nonpos",
     "EXP_REL_ERROR",
     "poly_exp",
@@ -140,6 +141,30 @@ def e_phase(x: float) -> complex:
     j = round(t)
     c, s = _quarter_cos_sin(t - j)
     return complex(c, s) * _QUARTER_TURNS[j & 3]
+
+
+# ---------------------------------------------------------------------------
+# fixed-tree summation
+
+
+def tree_fold(values: np.ndarray) -> complex:
+    """Sum through a fixed binary tree: repeatedly add element pairs.
+
+    The tree shape depends only on the length, never on how the values
+    were produced, so any segment-parallel evaluation that fills the
+    same array reduces to bitwise the same total.
+    """
+    a = np.asarray(values, dtype=np.complex128)  # only read, never written
+    while a.size > 1:
+        if a.size % 2:
+            tail = a[-1]
+            a = a[:-1]
+        else:
+            tail = None
+        a = a[0::2] + a[1::2]
+        if tail is not None:
+            a = np.concatenate([a, [tail]])
+    return complex(a[0]) if a.size else 0j
 
 
 @dataclass(frozen=True)

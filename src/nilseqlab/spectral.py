@@ -104,10 +104,7 @@ class ShiftPhaseOperator:
         return ShiftPhaseOperator(shift, phase, form)
 
     def inverse(self) -> "ShiftPhaseOperator":
-        shift = tuple(-s for s in self.shift)
-        phase = -self.phase + self.form_at(self.shift)
-        form = tuple(-c for c in self.form)
-        return ShiftPhaseOperator(shift, phase, form)
+        return op_pow(self, -1)
 
     def commutator_phase(self, other: "ShiftPhaseOperator") -> PhaseScalar:
         """W1 W2 = e(c) W2 W1 with c = L1(r2) - L2(r1); central scalar."""

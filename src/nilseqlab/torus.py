@@ -37,8 +37,8 @@ from .nilseq import (
     interleave,
     phase_block_exact,
     poly_exp,
+    tree_fold,
 )
-from .mobius import tree_fold
 
 __all__ = [
     "TorusPoint",

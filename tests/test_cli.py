@@ -329,6 +329,38 @@ def test_nc_incompatible_theta_fails_validation(tmp_path):
     assert not os.path.exists(out)
 
 
+def _with_matrix(matrix):
+    """One config of each kind that takes a matrix, with that matrix."""
+    return {
+        "matrix": ("classify", {"kind": "classify", "matrix": matrix}),
+        "sequence.matrix": ("seq", {
+            "kind": "torus-seq",
+            "sequence": {"type": "torus", "matrix": matrix,
+                         "point": ["0", "1/3"], "character": [1, 0]},
+            "range": {"start": -4, "stop": 5}}),
+        "sequence.S": ("seq", {
+            "kind": "nc-seq",
+            "sequence": {"type": "nc", "S": matrix,
+                         "theta": [["0", "0"], ["0", "0"]],
+                         "element": [{"exponents": [0, 1], "re": 1.0}],
+                         "state_vector": [{"site": [0, 0], "re": 1.0}]},
+            "range": {"start": -4, "stop": 5}}),
+    }
+
+
+@pytest.mark.parametrize("where", ["matrix", "sequence.matrix", "sequence.S"])
+@pytest.mark.parametrize("matrix, det", [([[1, 1], [1, 1]], 0),
+                                         ([[2, 0], [0, 1]], 2)])
+def test_matrix_outside_gl_fails_validation(where, matrix, det, tmp_path, capsys):
+    sub, body = _with_matrix(matrix)[where]
+    out = tmp_path / "out"
+    assert _main(sub, write_config(tmp_path, body), out) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["stage"] == "validate"
+    assert err["message"].startswith(f"{where}: determinant {det},")
+
+
 def test_cache_dir_round_trip(tmp_path):
     cfg = write_config(tmp_path, {
         "kind": "correlate",

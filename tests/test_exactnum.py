@@ -76,14 +76,14 @@ def test_binom_pascal_identity(n, k):
 
 # ----------------------------------------------------------------- matrices
 
-@given(st.integers(min_value=2, max_value=4), st.data())
+@given(st.integers(min_value=1, max_value=5), st.data())
 def test_det_matches_numpy(dim, data):
     m = data.draw(int_matrices(dim))
     arr = np.array(m.rows, dtype=float)
     assert m.det() == round(np.linalg.det(arr))
 
 
-@given(st.integers(min_value=2, max_value=4),
+@given(st.integers(min_value=1, max_value=5),
        st.integers(min_value=0, max_value=10**6))
 def test_inverse_round_trip(dim, seed):
     m = unimodular(dim, seed)
@@ -164,7 +164,7 @@ def test_from_values_interpolates():
 
 # ----------------------------------------------------------- char polynomials
 
-@given(st.integers(min_value=2, max_value=4), st.data())
+@given(st.integers(min_value=1, max_value=5), st.data())
 def test_char_poly_matches_numpy(dim, data):
     m = data.draw(int_matrices(dim))
     got = char_poly(m).monomial_coefficients()  # low degree first
@@ -290,6 +290,13 @@ def test_mixed_block_positive_entropy():
     assert rep.verdict == "positive"
     # rotation block contributes nothing to the entropy
     assert abs(rep.entropy - 0.9624236501192069) < 1e-12
+
+
+@pytest.mark.parametrize("rows, det", [([[1, 1], [1, 1]], 0),
+                                       ([[2, 0], [0, 1]], 2)])
+def test_classify_rejects_matrix_outside_gl(rows, det):
+    with pytest.raises(NotInGL, match=f"^determinant {det};"):
+        classify_entropy(IntMatrix.from_rows(rows))
 
 
 def test_order_six_companion_zero_entropy():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilseqlab import mobius
 from nilseqlab.mobius import (
     SIEVE_BLOCK,
     LimitTooLarge,
@@ -58,11 +59,11 @@ def test_sieve_matches_factorization_route():
     assert np.array_equal(sieved.values[1:], fact[1:])
 
 
-def test_segment_size_invisible():
+def test_segment_size_invisible(monkeypatch):
     whole = sieve_mobius(3000)
     for seg in (7, 64, 1000, 4096):
-        assert np.array_equal(sieve_mobius(3000, segment_size=seg).values,
-                              whole.values)
+        monkeypatch.setattr(mobius, "SIEVE_BLOCK", seg)
+        assert np.array_equal(sieve_mobius(3000).values, whole.values)
 
 
 def test_sieve_limit_guards():
@@ -158,21 +159,22 @@ def test_correlate_threads_bitwise_identical():
     assert one.sums == four.sums
 
 
-def test_correlate_parallel_matches_serial_bitwise():
+def test_correlate_parallel_matches_serial_bitwise(monkeypatch):
     # the tree shape is fixed by the segmentation, so scheduling is invisible
     table = sieve_mobius(5000)
     xi = from_function(lambda n: np.exp(2j * np.pi * 0.618 * n), bound=1.0)
+    sums = {}
     for seg in (64, 1 << 15):
-        serial = correlate(xi, [4999], table=table, segment_size=seg, threads=1)
-        parallel = correlate(xi, [4999], table=table, segment_size=seg, threads=3)
+        monkeypatch.setattr(mobius, "SEGMENT", seg)
+        serial = correlate(xi, [4999], table=table, threads=1)
+        parallel = correlate(xi, [4999], table=table, threads=3)
         assert serial.sums == parallel.sums
+        sums[seg] = serial.sums[0]
     # different segmentations only agree up to rounding
-    a = correlate(xi, [4999], table=table, segment_size=64)
-    b = correlate(xi, [4999], table=table, segment_size=1 << 15)
-    assert abs(a.sums[0] - b.sums[0]) < 1e-12
+    assert abs(sums[64] - sums[1 << 15]) < 1e-12
 
 
-def test_correlate_sums_fold_every_segment_in_the_same_tree():
+def test_correlate_sums_fold_every_segment_in_the_same_tree(monkeypatch):
     # the sums a run gets from folding each segment as it is made equal,
     # bit for bit, the sums over the whole array of products
     table = sieve_mobius(5000)
@@ -186,8 +188,9 @@ def test_correlate_sums_fold_every_segment_in_the_same_tree():
         s = tree_fold(np.array(totals[:full], dtype=np.complex128))
         s += tree_fold(prods[full * seg: k])
         want.append(s / k)
+    monkeypatch.setattr(mobius, "SEGMENT", seg)
     for threads in (1, 2):
-        rep = correlate(xi, cks, table=table, segment_size=seg, threads=threads)
+        rep = correlate(xi, cks, table=table, threads=threads)
         assert rep.sums == tuple(want)
 
 

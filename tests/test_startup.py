@@ -31,6 +31,7 @@ code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps({{
     "code": code,
     "loaded": [m for m in {WATCHED!r} if m in sys.modules],
+    "layers": sorted(m for m in sys.modules if m.startswith("nilseqlab.")),
     "threads": len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else None,
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}}))
 """
@@ -49,13 +50,13 @@ EXPORTED = {
         "CorrelationReport", "LimitTooLarge", "MobiusTable",
         "UnboundedSequence", "correlate", "mertens",
         "mobius_by_factorization", "mobius_stream", "read_cache",
-        "sieve_mobius", "tree_fold", "write_cache"),
+        "sieve_mobius", "write_cache"),
     "nilseq": (
         "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
         "SkewProductState", "Tag", "constant", "e_array", "e_phase",
         "from_function", "furstenberg_orbit", "heisenberg_seq", "indicator",
         "interleave", "phase_block_exact", "phase_block_fast", "poly_exp",
-        "quadratic_seq", "theta_kappa"),
+        "quadratic_seq", "theta_kappa", "tree_fold"),
     "torus": (
         "Character", "CharacterSequence", "TorusPoint", "WeylReport",
         "character_seq", "orbit_point", "weyl_test"),
@@ -166,8 +167,12 @@ def test_classify_loads_no_numpy(matrix, loads, tmp_path):
 
 
 def test_weyl_loads_no_mpmath(tmp_path):
-    assert _run(tmp_path, "weyl",
-                os.path.join(CONFIGS, "weyl_rational.json")) == {"numpy"}
+    probe = _probe(*_cli_argv(tmp_path, "weyl",
+                              os.path.join(CONFIGS, "weyl_rational.json")))
+    assert set(probe["loaded"]) == {"numpy"}
+    # tree_fold lives in nilseq, so the Weyl averages load no sieve code
+    assert probe["layers"] == ["nilseqlab.cli", "nilseqlab.exactnum",
+                               "nilseqlab.nilseq", "nilseqlab.torus"]
 
 
 @pytest.mark.parametrize("threads, loads", [
