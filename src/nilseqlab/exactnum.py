@@ -27,7 +27,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import BinaryIO, Callable, Iterable, Sequence
 
 __all__ = [
@@ -120,9 +120,6 @@ class IntMatrix:
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
@@ -353,38 +350,9 @@ def _poly_gcd_monic(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fracti
     return a if b[0] == 0 else [Fraction(1)]
 
 
-def _squarefree_mults(p: Sequence[int]) -> list[tuple[list[Fraction], int]]:
-    """Squarefree factors of a monic poly with their multiplicities.
-
-    Repeated factors stall the numeric root finder, so roots are taken
-    per squarefree part and weighted by multiplicity instead.
-    """
-    f = [Fraction(c) for c in p]
-    deriv = [i * c for i, c in enumerate(f)][1:] or [Fraction(0)]
-    d = _poly_gcd_monic(f, deriv)
-    if len(d) == 1:
-        return [(f, 1)]
-    e, _ = _poly_divmod_z(f, d)
-    out: list[tuple[list[Fraction], int]] = []
-    mult = 1
-    while len(e) > 1:
-        y = _poly_gcd_monic(e, d)
-        z, _ = _poly_divmod_z(e, y)
-        if len(z) > 1:
-            out.append((z, mult))
-        e = y
-        d, _ = _poly_divmod_z(d, y)
-        mult += 1
-    return out
-
-
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-
-
+@functools.cache
 def cyclotomic(k: int) -> tuple[int, ...]:
     """Coefficients of the k-th cyclotomic polynomial, low degree first."""
-    if k in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[k]
     # x^k - 1 divided by the product of cyclotomics of proper divisors
     num = [0] * (k + 1)
     num[0], num[k] = -1, 1
@@ -393,8 +361,7 @@ def cyclotomic(k: int) -> tuple[int, ...]:
             num, rem = _poly_divmod_z(num, list(cyclotomic(d)))
             if any(rem):
                 raise ArithmeticError(f"x^{k} - 1 leaves a remainder mod Phi_{d}")
-    _CYCLOTOMIC_CACHE[k] = tuple(num)
-    return _CYCLOTOMIC_CACHE[k]
+    return tuple(num)
 
 
 def cyclotomic_candidates(d: int) -> list[int]:
@@ -434,10 +401,13 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
     Zero entropy holds exactly when the characteristic polynomial is a
     product of cyclotomic polynomials (no eigenvalue off the unit circle
     is possible otherwise for a monic integer polynomial).  The test is
-    exact integer polynomial division; the positive-entropy value is
-    numeric: the roots of each squarefree factor are found at 60 digits,
-    and each must leave a residual below 1e-30 times the factor's largest
-    coefficient, or ArithmeticError is raised.
+    exact integer polynomial division.  The positive-entropy value is
+    numeric: Yun's gcd chain splits the non-cyclotomic part exactly into
+    squarefree factors by multiplicity k, the roots of each factor are
+    found once at 60 digits, and each root r with |r| > 1 adds k log|r|.
+    Every root r of a factor sum_i c_i x^i must leave a residual below
+    1e-30 * sum_i |c_i| |r|^i, the magnitude Horner's rule adds up at r,
+    or ArithmeticError is raised.
     """
     d = S.dim
     remainder, _ = _faddeev_leverrier(S)  # det S = (-1)^d c_0
@@ -455,37 +425,39 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
             remainder = q if any(q) else [0]
     if len(remainder) == 1:
         m = math.lcm(*orders)
-        nil = (S ** m) - IntMatrix.identity(d)
-        acc = IntMatrix.identity(d)
-        for _ in range(d):
-            acc = acc @ nil
-        if not acc.is_zero():
+        if not ((S ** m - IntMatrix.identity(d)) ** d).is_zero():
             raise ArithmeticError("cyclotomic factorization did not force unipotence")
         return EntropyReport(
             verdict="zero", dim=d, unipotence_order=m,
             cyclotomic_orders=tuple(sorted(orders)),
         )
-    # positive entropy: sum log|root| over roots of the non-cyclotomic part,
-    # one squarefree factor at a time so multiple roots cannot stall polyroots
+    # positive entropy: Yun's gcd chain f_{k+1} = gcd(f_k, f_k') over the
+    # non-cyclotomic part; s_k = f_k / f_{k+1} holds each root of
+    # multiplicity > k once, so s_{k-1} / s_k holds those of multiplicity
+    # exactly k and every root is found once, on a squarefree polynomial
     import mpmath  # only here: the zero-entropy verdict is pure integer algebra
 
     with mpmath.workdps(60):
-        h = mpmath.mpf(0)
-        for fac, mult in _squarefree_mults(remainder):
-            poly_hi = [mpmath.mpf(c.numerator) / c.denominator
-                       for c in reversed(fac)]
-            roots = mpmath.polyroots(poly_hi, maxsteps=200, extraprec=120)
-            for r in roots:
-                mod = abs(r)
-                if mod > 1:
-                    h += mult * mpmath.log(mod)
-            # validation: residual at each root must be negligible
-            scale = max(abs(c) for c in poly_hi)
-            for r in roots:
-                val = mpmath.polyval(poly_hi, r)
-                if not abs(val) < scale * mpmath.mpf(10) ** (-30):
-                    raise ArithmeticError(
-                        f"root {r} leaves residual {val} at 60 digits")
+        h, tol = mpmath.mpf(0), mpmath.mpf(10) ** (-30)
+        f, s_prev = [Fraction(c) for c in remainder], None
+        for k in count():
+            f_next = _poly_gcd_monic(f, [i * c for i, c in enumerate(f)][1:] or [0])
+            s, _ = _poly_divmod_z(f, f_next)
+            part = _poly_divmod_z(s_prev, s)[0] if k else [1]
+            if len(part) > 1:
+                poly_hi = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(part)]
+                abs_hi = [abs(c) for c in poly_hi]
+                for r in mpmath.polyroots(poly_hi, maxsteps=200, extraprec=120):
+                    # residual against the magnitude Horner's rule adds up at r
+                    mod, val = abs(r), mpmath.polyval(poly_hi, r)
+                    if not abs(val) < tol * mpmath.polyval(abs_hi, mod):
+                        raise ArithmeticError(
+                            f"root {r} leaves residual {val} at 60 digits")
+                    if mod > 1:
+                        h += k * mpmath.log(mod)
+            if len(s) == 1:
+                break
+            f, s_prev = f_next, s
         h_float = float(h)
     return EntropyReport(
         verdict="positive", dim=d,

@@ -494,7 +494,7 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
             tag=Tag.unknown(),
             provenance=f"nc-torus state sequence (dim {d}, positive entropy)")
 
-    reports = {exps: iterate_phase_polys(S, theta, exps)
+    reports = {exps: iterate_phase_polys(S, theta, exps, entropy.unipotence_order)
                for exps, _ in u.terms}
     m = next(iter(reports.values())).modulus if reports else 1
 

@@ -157,9 +157,6 @@ class WeylHarmonic:
     period: int | None
     means: tuple[complex, ...]        # two-sided means per checkpoint
 
-    def abs_means(self) -> tuple[float, ...]:
-        return tuple(abs(s) for s in self.means)
-
 
 @dataclass(frozen=True)
 class WeylReport:
@@ -206,7 +203,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                 if total_count % T == 0:
                     means.append(period_mean)
                     continue
-                counts = [( (N - rho) // T ) - math.ceil((-N - rho) / T) + 1 for rho in range(T)]
+                counts = [(N - rho) // T + (N + rho) // T + 1 for rho in range(T)]
                 s = tree_fold(np.array([c * u for c, u in zip(counts, unit.tolist())],
                                        dtype=np.complex128))
                 means.append(s / total_count)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LARGE_ROOT_COMPANION
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
 GOLDEN = os.path.join(CONFIGS, "golden")
@@ -69,16 +71,27 @@ def test_golden_outputs_reproduced(name, tmp_path):
         _assert_golden_bytes(tmp_path, name, precision)
 
 
-# Builds of libm's sin/cos and OpenBLAS kernels a host may select.  The
-# goldens must not depend on them; where a variable means nothing on a
-# host (another libc, another CPU family) its case is a plain rerun.
+def _numpy_dispatch():
+    """numpy's runtime-dispatched SIMD targets, space-separated."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return " ".join(__cpu_dispatch__)
+
+
+# Builds of libm's sin/cos, numpy's SIMD loops and OpenBLAS kernels a host
+# may select.  The goldens must not depend on them; where a variable means
+# nothing on a host (another libc, another CPU family) its case is a plain
+# rerun.  numpy-baseline disables every dispatched target, so each ufunc
+# runs the loop built for the baseline CPU.
 PLAIN_LIBM = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2"}
+NUMPY_BASELINE = {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatch()}
 OLD_BLAS = {"OPENBLAS_CORETYPE": "Nehalem"}
 HOST_VARIANTS = {
-    "default": {},
     "plain-libm": PLAIN_LIBM,
-    "nehalem-blas": OLD_BLAS,
-    "plain-libm+nehalem-blas": {**PLAIN_LIBM, **OLD_BLAS},
+    "numpy-baseline": NUMPY_BASELINE,
+    "plain-libm+numpy-baseline+nehalem-blas": {**PLAIN_LIBM, **NUMPY_BASELINE, **OLD_BLAS},
 }
 
 
@@ -359,6 +372,19 @@ def test_matrix_outside_gl_fails_validation(where, matrix, det, tmp_path, capsys
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["stage"] == "validate"
     assert err["message"].startswith(f"{where}: determinant {det},")
+
+
+@pytest.mark.parametrize("sub, body", [
+    ("classify", {"kind": "classify", "matrix": LARGE_ROOT_COMPANION}),
+    ("seq", {"kind": "torus-seq",
+             "sequence": {"type": "torus", "matrix": LARGE_ROOT_COMPANION,
+                          "point": ["0"] * 7 + ["1/3"], "character": [1] + [0] * 7},
+             "range": {"start": -4, "stop": 5}}),
+])
+def test_large_eigenvalue_matrix_runs(sub, body, tmp_path):
+    out = tmp_path / "out"
+    assert _main(sub, write_config(tmp_path, body), out) == 0
+    assert json.loads((out / "report.json").read_text())["status"] == "ok"
 
 
 def test_cache_dir_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import LARGE_ROOT_COMPANION
 from nilseqlab.exactnum import (
     DegreeBoundExceeded,
     IntegralPolynomial,
@@ -253,6 +254,11 @@ def test_fibonacci_square_entropy():
     assert abs(rep.entropy - 0.9624236501192069) < 1e-12
     assert abs(rep.nc_lower_bound - 0.48121182505960347) < 1e-12
     assert abs(rep.nc_lower_bound - rep.entropy / 2) < 1e-15
+    # fib (+) fib (+) ...: each repeated root is found once and counted
+    # with its multiplicity; pinned to the last bit
+    for copies, entropy in [(2, 1.9248473002384139), (3, 2.8872709503576206)]:
+        blocks = np.kron(np.eye(copies, dtype=int), [[2, 1], [1, 1]])
+        assert classify_entropy(IntMatrix.from_rows(blocks.tolist())).entropy == entropy
 
 
 _FORCED_RESIDUAL = """
@@ -279,6 +285,37 @@ def test_root_residual_check_raises_also_under_O(monkeypatch):
     assert proc.stdout.split() == ["1", "ArithmeticError"], proc.stderr
 
 
+def _eig_entropy(rows):
+    """Independent oracle: sum of log|eigenvalue| > 0 from mpmath's dense
+    eigensolver on the integer matrix at 120 digits."""
+    import mpmath
+
+    with mpmath.workdps(120):
+        ev = mpmath.eig(mpmath.matrix(rows), left=False, right=False)
+        return float(mpmath.fsum(mpmath.log(abs(v)) for v in ev if abs(v) > 1))
+
+
+# Products of random transvections at d = 8 with eigenvalues up to ~10^6.
+LARGE_ROOT_PRODUCTS = [
+    [[-60537, -40236, -87263, 55844, 11963, 24326, -4354, 19549],
+     [-434968, -288569, -625556, 406158, 77645, 174189, -32106, 142061],
+     [-4614, -3251, -6730, 4737, 343, 1758, -573, 1721],
+     [-20783, -13753, -29859, 19391, 3695, 8331, -1506, 6773],
+     [-120707, -79997, -173512, 112773, 21381, 48341, -8871, 39409],
+     [-40216, -26679, -57792, 37787, 6811, 16072, -3025, 13216],
+     [-437869, -290559, -629761, 409021, 77993, 175318, -32403, 143081],
+     [75528, 50110, 108521, -71067, -12633, -30170, 5708, -24861]],
+    [[-6187, -50608, 127688, -118225, 16587, -7928, 46259, 36902],
+     [3683, 30497, -76751, 71033, -9957, 4684, -27813, -22185],
+     [15823, 129868, -327535, 302953, -42485, 19991, -118626, -94614],
+     [-17378, -142734, 359958, -332866, 46675, -21893, 130358, 103970],
+     [28268, 231614, -584252, 540699, -75844, 35979, -211639, -168813],
+     [-27818, -228501, 576178, -532977, 74740, -35181, 208691, 166451],
+     [-41546, -341044, 859983, -795760, 111604, -52769, 311520, 248479],
+     [3378, 27884, -70236, 64943, -9104, 4232, -25443, -20288]],
+]
+
+
 def test_mixed_block_positive_entropy():
     m = IntMatrix.from_rows([
         [2, 1, 0, 0],
@@ -290,6 +327,11 @@ def test_mixed_block_positive_entropy():
     assert rep.verdict == "positive"
     # rotation block contributes nothing to the entropy
     assert abs(rep.entropy - 0.9624236501192069) < 1e-12
+    # the root check scales with |r|^deg, so large eigenvalues classify too
+    for rows in [LARGE_ROOT_COMPANION, *LARGE_ROOT_PRODUCTS]:
+        rep = classify_entropy(IntMatrix.from_rows(rows))
+        assert rep.verdict == "positive"
+        assert rep.entropy == _eig_entropy(rows), rows
 
 
 @pytest.mark.parametrize("rows, det", [([[1, 1], [1, 1]], 0),
