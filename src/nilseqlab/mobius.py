@@ -20,6 +20,7 @@ import os
 import struct
 import tempfile
 import zlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -235,7 +236,10 @@ def correlate(
     mu(1..N) is sieved into a temporary cache file first.  Summation:
     per-segment products are reduced with tree_fold, segment totals
     again with tree_fold, making the result independent of evaluation
-    order (and hence of `threads`).
+    order (and hence of `threads`).  A segment keeps only its total and,
+    for each checkpoint k inside it, the tree_fold of its products up to
+    k, so memory holds no product arrays beyond the segments in flight,
+    however many checkpoints there are.
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -252,25 +256,25 @@ def correlate(
         raise ValueError("mobius table shorter than the last checkpoint")
 
     seg = SEGMENT
-    # the segment a checkpoint k falls in; only these keep their products
-    keep = {(k - 1) // seg for k in cks}
 
-    def segment(i: int) -> tuple[complex, np.ndarray | None]:
+    def segment(i: int) -> tuple[complex, list[complex]]:
+        """The segment's total, and the sum up to each checkpoint in it."""
         lo = 1 + i * seg
         hi = min(lo + seg, n_max + 1)
         vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
-        return tree_fold(vals), (vals if i in keep else None)
+        inside = cks[bisect_left(cks, lo): bisect_left(cks, hi)]
+        return tree_fold(vals), [tree_fold(vals[: k - lo + 1]) for k in inside]
 
     segments = list(_in_order(segment, range((n_max - 1) // seg + 1), threads))
 
-    sums: list[complex] = []
     seg_totals = [total for total, _ in segments]
-    for k in cks:
-        # whole segments below k, then a partial slice of the segment k is in
+    partials = [s for _, in_segment in segments for s in in_segment]
+    sums: list[complex] = []
+    for k, partial in zip(cks, partials):
+        # whole segments below k, then the part of the segment k is in
         full = (k - 1) // seg  # count of complete segments before k
-        partial_lo = 1 + full * seg
         total = tree_fold(np.array(seg_totals[:full], dtype=np.complex128))
-        total += tree_fold(segments[full][1][: k - partial_lo + 1])
+        total += partial
         sums.append(total / k)
     return CorrelationReport(
         checkpoints=tuple(cks), sums=tuple(sums), sequence_bound=float(xi.bound),

@@ -147,24 +147,71 @@ def e_phase(x: float) -> complex:
 # fixed-tree summation
 
 
+class _TreeFold:
+    """tree_fold of a sequence fed in pieces of any lengths, bit for bit.
+
+    A pairing level of tree_fold adds elements 2i and 2i + 1 and carries
+    an odd last element to the end of the next level, so it maps X ++ Y
+    to level(X) ++ level(Y) whenever len(X) is even.  The levels can
+    therefore run as the values arrive: each level holds back at most the
+    one value still waiting for its partner and passes its pairs up.
+    The state is one value a level, whatever the length or the way it is
+    cut; `total` adds the held-back values from the lowest level up, as
+    tree_fold carries its odd tails.  Nothing is padded: a zero added as
+    a missing partner would move the tree, and with it the bits.
+    """
+
+    def __init__(self):
+        self._held: list[complex | None] = []
+
+    def _push(self, level: int, x: complex) -> None:
+        """One value arriving at a level."""
+        held = self._held
+        while level < len(held) and held[level] is not None:
+            x = held[level] + x
+            held[level] = None
+            level += 1
+        if level == len(held):
+            held.append(x)
+        else:
+            held[level] = x
+
+    def feed(self, values: np.ndarray) -> None:
+        """The next values of the sequence; they are only read."""
+        a = np.asarray(values, dtype=np.complex128)
+        held = self._held
+        level = 0
+        while a.size:
+            if level == len(held):
+                held.append(None)
+            if held[level] is not None:
+                self._push(level, complex(a[0]))
+                a = a[1:]
+            if a.size % 2:
+                held[level] = complex(a[-1])
+                a = a[:-1]
+            a = a[0::2] + a[1::2]
+            level += 1
+
+    def total(self) -> complex:
+        carry = None
+        for x in self._held:
+            if x is not None:
+                carry = x if carry is None else x + carry
+        return 0j if carry is None else carry
+
+
 def tree_fold(values: np.ndarray) -> complex:
-    """Sum through a fixed binary tree: repeatedly add element pairs.
+    """Sum through a fixed binary tree: repeatedly add element pairs,
+    an odd last element carried to the end of the next level.
 
     The tree shape depends only on the length, never on how the values
     were produced, so any segment-parallel evaluation that fills the
     same array reduces to bitwise the same total.
     """
-    a = np.asarray(values, dtype=np.complex128)  # only read, never written
-    while a.size > 1:
-        if a.size % 2:
-            tail = a[-1]
-            a = a[:-1]
-        else:
-            tail = None
-        a = a[0::2] + a[1::2]
-        if tail is not None:
-            a = np.concatenate([a, [tail]])
-    return complex(a[0]) if a.size else 0j
+    fold = _TreeFold()
+    fold.feed(values)
+    return fold.total()
 
 
 @dataclass(frozen=True)
@@ -353,8 +400,11 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
 # Blocks shorter than this are walked point by point: below it, setting
 # up the lanes costs more than it saves (measured crossover, see README).
 _LANE_MIN_POINTS = 256
-# Points per lane pass: bounds the lane temporaries, not the bits.
-_LANE_CHUNK = 1 << 15
+# Points per lane pass: bounds the lane temporaries, not the bits.  At
+# 2^13 the four-limb temporaries of a pass (about 1 MB) stay in cache
+# and below the heap size glibc trims back after each pass (measured
+# against 2^12, 2^14 and 2^15; see README).
+_LANE_CHUNK = 1 << 13
 # Points per lane: a prefix sum over it of values below 2^53 (one mod D
 # row) or 2^32 (one 32-bit limb) must stay below 2^64.
 _LANE_WIDTH = 1 << 10
@@ -539,36 +589,56 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     of the differences only shifts values by integers at integer i.  B
     is chosen so C(B, degree) stays below 2^18, which caps the absolute
     phase error near 1e-10 uniformly; nothing accumulates across blocks.
-    B is also capped at count: the C(i, j) table is rebuilt on every
-    call, and its first count columns are the same at any width.
+    B is also capped at count, and the anchors are start + j B.
     """
-    count = stop - start
-    if count <= 0:
-        return np.zeros(0, dtype=np.float64)
+    return _fast_phases(p, start, stop, start, stop)
+
+
+def _binomial_rows(deg: int, i0: int, i1: int) -> np.ndarray:
+    """Row j holds C(i, j) for i in [i0, i1), exact in float64 at the
+    fast route's block sizes; each entry is computed on its own."""
+    idx = np.arange(i0, i1, dtype=np.float64)
+    rows = np.empty((deg + 1, i1 - i0), dtype=np.float64)
+    rows[0] = 1.0
+    for j in range(1, deg + 1):
+        rows[j] = rows[j - 1] * (idx - (j - 1)) / j
+    return rows
+
+
+def _fast_phases(p: PhasePolynomial, start: int, stop: int,
+                 lo: int, hi: int) -> np.ndarray:
+    """phase_block_fast(p, start, stop)[lo - start: hi - start], with
+    only those points computed, for start <= lo <= hi <= stop.
+
+    The anchor grid is the whole window's, start + j B with B set by
+    stop - start.  A point is a fixed-order elementwise sum of its
+    block's anchor coefficients times C(i, j), so any part of the window
+    gets the same floats as the whole.  The C(i, j) rows are rebuilt on
+    every call: once for i in [0, B) when a whole block fits in
+    [lo, hi), otherwise for each block's own range of i.
+    """
+    count = max(hi - lo, 0)
     kernel = PhaseKernel(p)
     deg, D = kernel.degree, kernel.denominator
     if deg == 0:
         return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
-    bsize = min(count, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
-    # row j holds C(i, j), exact in float64 at these sizes
-    table = np.empty((deg + 1, bsize), dtype=np.float64)
-    table[0] = 1.0
-    idx = np.arange(bsize, dtype=np.float64)
-    for j in range(1, deg + 1):
-        table[j] = table[j - 1] * (idx - (j - 1)) / j
+    bsize = min(stop - start, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
+    whole = _binomial_rows(deg, 0, bsize) if bsize <= count else None
     out = np.empty(count, dtype=np.float64)
-    pos = 0
-    while pos < count:
-        b = min(bsize, count - pos)
-        coeffs = [a / D for a in kernel.differences(start + pos)]
+    pos = lo
+    while pos < hi:
+        anchor = pos - (pos - start) % bsize
+        i0, i1 = pos - anchor, min(anchor + bsize, hi) - anchor
+        rows = whole[:, i0:i1] if whole is not None else _binomial_rows(deg, i0, i1)
+        coeffs = [a / D for a in kernel.differences(anchor)]
         # fixed-order elementwise sum, not a BLAS matvec: the kernel a
         # BLAS build picks (and its FMA use) must not reach the bits
-        acc = table[1, :b] * coeffs[1]
+        acc = rows[1] * coeffs[1]
         acc += coeffs[0]
         for j in range(2, deg + 1):
-            acc += table[j, :b] * coeffs[j]
-        out[pos: pos + b] = np.mod(acc, 1.0)
-        pos += b
+            acc += rows[j] * coeffs[j]
+        np.mod(acc, 1.0, out=out[pos - lo: anchor + i1 - lo])
+        pos = anchor + i1
     return out
 
 

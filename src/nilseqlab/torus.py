@@ -31,13 +31,14 @@ from .exactnum import (
 from .nilseq import (
     SequenceStream,
     Tag,
+    _fast_phases,
     _phase_route,
+    _TreeFold,
     e_array,
     e_phase,
     interleave,
     phase_block_exact,
     poly_exp,
-    tree_fold,
 )
 
 __all__ = [
@@ -172,6 +173,10 @@ def _rational_period(p: PhasePolynomial) -> int:
     return T
 
 
+# points evaluated at a time: bounds the memory, not the bits
+_PIECE = 1 << 15
+
+
 def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
               checkpoints: Sequence[int], precision: str = "exact") -> WeylReport:
     """Two-sided averages (1/(2N+1)) sum_{|n|<=N} e(k p(n)).
@@ -179,12 +184,20 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     expect_zero follows the equidistribution criterion: some nonconstant
     monomial coefficient of k p is irrational.  Rational k p is folded
     over an exact period: when the window covers whole periods the mean
-    IS the one-period mean, by the same arithmetic.  A period longer
-    than the widest window goes the block route, so no harmonic
-    evaluates more than 2 max(checkpoints) + 1 points.  precision picks
-    the block route's phase path as in nilseq.poly_exp.
+    IS the one-period mean, by the same arithmetic; otherwise residue
+    rho of the period has weight (N - rho)//T + (N + rho)//T + 1, its
+    count of points in the window.  A period longer than the widest
+    window goes the block route, so no harmonic evaluates more than
+    2 max(checkpoints) + 1 points.  precision picks the block route's
+    phase path as in nilseq.poly_exp, on the anchor grid of the widest
+    window.
+
+    Both routes evaluate _PIECE points at a time, once for all
+    checkpoints, and every sum is a tree_fold fed piece by piece
+    (nilseq._TreeFold), which gives the bits of tree_fold over the whole
+    array: memory is a few pieces, whatever N or T.
     """
-    phases_fn = _phase_route(precision)
+    _phase_route(precision)  # ValueError for an unknown precision
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
@@ -195,29 +208,41 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
         expect = q.has_irrational_nonconstant()
         T = _rational_period(q) if q.is_rational() else None
         if T is not None and T <= 2 * n_max + 1:
-            unit = e_array(phase_block_exact(q, 0, T))
-            period_mean = tree_fold(unit) / T
-            means = []
-            for N in cks:
-                total_count = 2 * N + 1
-                if total_count % T == 0:
-                    means.append(period_mean)
-                    continue
-                counts = [(N - rho) // T + (N + rho) // T + 1 for rho in range(T)]
-                s = tree_fold(np.array([c * u for c, u in zip(counts, unit.tolist())],
-                                       dtype=np.complex128))
-                means.append(s / total_count)
+            period = _TreeFold()
+            partial = {N: _TreeFold() for N in cks if (2 * N + 1) % T}
+            for lo in range(0, T, _PIECE):
+                hi = min(lo + _PIECE, T)
+                unit = e_array(phase_block_exact(q, lo, hi))
+                period.feed(unit)
+                rho = np.arange(lo, hi, dtype=np.int64)
+                weighted = np.empty_like(unit)
+                for N, fold in partial.items():
+                    counts = (N - rho) // T + (N + rho) // T + 1
+                    # real products; Python's c * u also adds 0 * the
+                    # other part, which moves only the sign of a zero,
+                    # and e(x) has no -0 part, so the sums are the same
+                    np.multiply(counts, unit.real, out=weighted.real)
+                    np.multiply(counts, unit.imag, out=weighted.imag)
+                    fold.feed(weighted)
+            period_mean = period.total() / T
+            means = [partial[N].total() / (2 * N + 1) if N in partial
+                     else period_mean for N in cks]
             out.append(WeylHarmonic(harmonic=k, expect_zero=expect,
                                     method="periodic-fold", period=T,
                                     means=tuple(means)))
         else:
-            phases = phases_fn(q, -n_max, n_max + 1)
-            vals = e_array(phases)
-            means = []
-            for N in cks:
-                window = vals[n_max - N: n_max + N + 1]
-                means.append(tree_fold(window) / (2 * N + 1))
+            folds = [_TreeFold() for _ in cks]
+            for lo in range(-n_max, n_max + 1, _PIECE):
+                hi = min(lo + _PIECE, n_max + 1)
+                vals = e_array(_fast_phases(q, -n_max, n_max + 1, lo, hi)
+                               if precision == "fast" else phase_block_exact(q, lo, hi))
+                for N, fold in zip(cks, folds):
+                    # the overlap of [lo, hi) with the window [-N, N]
+                    a, b = max(lo, -N), min(hi, N + 1)
+                    if a < b:
+                        fold.feed(vals[a - lo: b - lo])
             out.append(WeylHarmonic(harmonic=k, expect_zero=expect,
                                     method="block", period=None,
-                                    means=tuple(means)))
+                                    means=tuple(fold.total() / (2 * N + 1)
+                                                for N, fold in zip(cks, folds))))
     return WeylReport(checkpoints=tuple(cks), harmonics=tuple(out))

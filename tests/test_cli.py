@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LARGE_ROOT_COMPANION
+from conftest import LARGE_ROOT_COMPANION, SQRT2
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -694,30 +694,89 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-def _correlate_peak_mb(tmp_path, n, cache):
-    cfg = write_config(tmp_path, {"kind": "correlate", "checkpoints": [n],
-                                  "sequence": {"type": "constant", "re": 1.0}})
-    env = dict(os.environ)
-    env.pop("NILSEQ_CACHE_DIR", None)
-    if cache:
-        env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{n}")
+def _peak_rss_mb(argv, env=None):
+    """Peak RSS in MB of `python -m nilseqlab.cli *argv`, which must
+    exit 0."""
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "nilseqlab.cli",
-         "correlate", "--config", cfg, "--out", str(tmp_path / f"out-{n}"),
-         "--threads", "1"],
+         *argv],
         capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
     code, kib = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
     return kib / 1024
 
 
+def _correlate_peak_mb(tmp_path, checkpoints, cache=False):
+    name = f"{len(checkpoints)}-{checkpoints[-1]}"
+    cfg = tmp_path / f"correlate-{name}.json"
+    cfg.write_text(json.dumps({"kind": "correlate", "checkpoints": checkpoints,
+                               "sequence": {"type": "constant", "re": 1.0}}))
+    env = dict(os.environ)
+    env.pop("NILSEQ_CACHE_DIR", None)
+    if cache:
+        env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{name}")
+    return _peak_rss_mb(["correlate", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out-{name}"), "--threads", "1"], env)
+
+
 @pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
 def test_correlate_peak_memory_does_not_grow_with_n(cache, tmp_path):
     """correlate holds a few sieve blocks and summation segments, never a
     table for 1..N: ten times the points peak less than 8 MB higher."""
-    small, large = (_correlate_peak_mb(tmp_path, n, cache)
+    small, large = (_correlate_peak_mb(tmp_path, [n], cache)
                     for n in (4 * 10 ** 5, 4 * 10 ** 6))
     assert large < small + 8, (small, large)
+
+
+def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path):
+    """A checkpoint in each of 61 segments costs correlate one partial sum,
+    not the segment's products, and the sums are those of the whole
+    products array: each segment total folded, then the partial segment."""
+    import random
+
+    import numpy as np
+
+    from nilseqlab import mobius
+
+    seg = mobius.SEGMENT
+    rng = random.Random(61)
+    cks = [i * seg + rng.randrange(1, seg) for i in range(61)]
+    one = _correlate_peak_mb(tmp_path, cks[-1:])
+    many = _correlate_peak_mb(tmp_path, cks)
+    assert many < one + 8, (one, many)
+
+    n = cks[-1]
+    prods = np.full(n, 1 + 0j) * mobius.sieve_mobius(n).values[1:]
+    totals = [mobius.tree_fold(prods[lo: lo + seg]) for lo in range(0, n, seg)]
+    want = []
+    for k in cks:
+        full = (k - 1) // seg
+        s = mobius.tree_fold(np.array(totals[:full], dtype=np.complex128))
+        s += mobius.tree_fold(prods[full * seg: k])
+        want.append(s / k)
+    rows = (tmp_path / f"out-61-{n}" / "correlation.csv").read_text().splitlines()
+    assert [complex(float(re), float(im)) for _, re, im, _ in
+            (row.split(",") for row in rows[1:])] == want
+
+
+@pytest.mark.parametrize("small, large", [
+    ((["1/7", "g1"], 10 ** 5), (["1/7", "g1"], 10 ** 6)),
+    ((["0", "0", "1/99991"], 60000), (["0", "0", "1/999983"], 600000)),
+], ids=["block", "periodic"])
+def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path):
+    """weyl evaluates its window or its period a piece at a time: a
+    window of 2 * 10^6 points against one of 2 * 10^5, and a period of
+    999983 against one of 99991, peak less than 8 MB higher."""
+    peaks = []
+    for name, (coeffs, N) in (("small", small), ("large", large)):
+        cfg = tmp_path / f"weyl-{name}.json"
+        cfg.write_text(json.dumps({
+            "kind": "weyl", "generators": {"g1": SQRT2},
+            "poly": {"basis": "monomial", "coeffs": coeffs},
+            "harmonics": [1], "checkpoints": [N]}))
+        peaks.append(_peak_rss_mb(["weyl", "--config", str(cfg), "--out",
+                                   str(tmp_path / f"out-{name}")]))
+    assert peaks[1] < peaks[0] + 8, peaks
 
 
 @pytest.mark.parametrize("exc, code", [

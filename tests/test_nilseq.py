@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -126,6 +127,50 @@ def test_e_phase_is_the_array_kernel():
     xs = _kernel_pin_arguments()
     scalar = np.array([e_phase(x) for x in xs.tolist()], dtype=np.complex128)
     assert np.array_equal(scalar.view(np.uint64), e_array(xs).view(np.uint64))
+
+
+# --------------------------------------------------------- streaming fold
+
+def _tree_fold_reference(values):
+    """tree_fold over a whole array, as one loop of pairing levels."""
+    a = np.asarray(values, dtype=np.complex128)
+    while a.size > 1:
+        tail = a[-1:] if a.size % 2 else a[:0]
+        a = np.concatenate([a[0: a.size - 1: 2] + a[1::2], tail])
+    return complex(a[0]) if a.size else 0j
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=0, max_value=140_000),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=15),
+                          st.integers(min_value=-1, max_value=1)),
+                min_size=1, max_size=6),
+       st.sampled_from(("normal", "signed-zeros", "negative-zeros")))
+def test_streaming_fold_is_tree_fold(length, seed, feeds, values):
+    # feeds of 2^e - 1, 2^e and 2^e + 1 values (e = 0..15, empty feeds
+    # included) and of 1, cycled: the total has tree_fold's bits, zero
+    # signs too
+    rng = np.random.default_rng(seed)
+    sizes = [max((1 << e) + d, 0) for e, d in feeds] + [1]
+    length = min(length, 200 * (max(sizes) + 1))
+    a = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    if values != "normal":
+        a[rng.random(length) < (0.5 if values == "signed-zeros" else 1.0)] = -0.0
+    fold = nilseq._TreeFold()
+    pos = 0
+    for size in itertools.cycle(sizes):
+        if pos >= length:
+            break
+        fold.feed(a[pos: pos + size])
+        pos += size
+    want = _tree_fold_reference(a)
+    assert _bits(fold.total()) == _bits(want)
+    assert _bits(nilseq.tree_fold(a)) == _bits(want)
 
 
 # --------------------------------------------------------------------- tags
@@ -419,6 +464,19 @@ def test_phase_block_fast_pinned_bit_for_bit():
     for p, start, stop in _fast_pin_cases():
         h.update(phase_block_fast(p, start, stop).astype("<f8").tobytes())
     assert h.hexdigest() == FAST_PHASE_DIGEST
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_fast_phases_of_a_part_keep_the_window_bits(data):
+    # a part of a window on the window's anchor grid has the bits of the
+    # whole window's phases at those points
+    p, start, stop = data.draw(st.sampled_from(_fast_pin_cases()))
+    lo = data.draw(st.integers(min_value=start, max_value=stop))
+    hi = data.draw(st.integers(min_value=lo, max_value=stop))
+    whole = phase_block_fast(p, start, stop)[lo - start: hi - start]
+    part = nilseq._fast_phases(p, start, stop, lo, hi)
+    assert np.array_equal(part.view(np.uint64), whole.view(np.uint64))
 
 
 def test_exact_and_fast_blocks_agree():

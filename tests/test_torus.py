@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,10 +12,18 @@ from nilseqlab.exactnum import (
     congruent_mod_1,
     parse_phase,
 )
-from nilseqlab.nilseq import Tag, e_phase
+from nilseqlab.nilseq import (
+    Tag,
+    e_array,
+    e_phase,
+    phase_block_exact,
+    phase_block_fast,
+    tree_fold,
+)
 from nilseqlab.torus import (
     Character,
     TorusPoint,
+    _rational_period,
     character_seq,
     orbit_point,
     weyl_test,
@@ -207,6 +216,94 @@ def test_weyl_period_longer_than_window_takes_block_route():
     h = weyl_test(p, [1], [5003]).harmonics[0]
     assert (h.method, h.period) == ("periodic-fold", 10007)
     assert abs(h.means[0]) < 1e-12
+
+
+def _weyl_whole_window(p, harmonics, checkpoints, precision):
+    """weyl_test's means computed from whole arrays: the phases of the
+    widest window at once, sliced per checkpoint, or the whole period
+    unit with each residue weighted by Python's int * complex product."""
+    phases = {"exact": phase_block_exact, "fast": phase_block_fast}[precision]
+    cks = sorted(checkpoints)
+    n_max = cks[-1]
+    out = []
+    for k in harmonics:
+        q = p.scale(k)
+        T = _rational_period(q) if q.is_rational() else None
+        means = []
+        if T is not None and T <= 2 * n_max + 1:
+            unit = e_array(phase_block_exact(q, 0, T))
+            for N in cks:
+                if (2 * N + 1) % T == 0:
+                    means.append(tree_fold(unit) / T)
+                    continue
+                counts = [(N - rho) // T + (N + rho) // T + 1 for rho in range(T)]
+                s = tree_fold(np.array([c * u for c, u in zip(counts, unit.tolist())],
+                                       dtype=np.complex128))
+                means.append(s / (2 * N + 1))
+        else:
+            vals = e_array(phases(q, -n_max, n_max + 1))
+            for N in cks:
+                means.append(tree_fold(vals[n_max - N: n_max + N + 1]) / (2 * N + 1))
+        out.append([_bits(m) for m in means])
+    return out
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+WEYL_BLOCK_POLYS = {
+    1: ("1/7", "g1"),
+    2: ("g2", "g1", "1/3 + g2"),
+    3: ("0", "1/5", "2/9", "g1 - g2"),
+}
+
+
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_weyl_block_route_keeps_the_whole_window_bits(degree, precision):
+    # windows of 2^15 - 1 and 2^15 + 1 points, one whose left end is a
+    # piece boundary (16383 = 49151 - 2^15) and a widest one of
+    # 3 * 2^15 - 1 points: the pieces cut every window somewhere else
+    p = PhasePolynomial.from_coeffs(
+        tuple(parse_phase(c) for c in WEYL_BLOCK_POLYS[degree]), basis="monomial")
+    cks = [0, 7, 2 ** 14 - 1, 2 ** 14, 3 * 2 ** 14 - 1]
+    rep = weyl_test(p, [1, 2], cks, precision=precision)
+    assert [h.method for h in rep.harmonics] == ["block", "block"]
+    got = [[_bits(m) for m in h.means] for h in rep.harmonics]
+    assert got == _weyl_whole_window(p, [1, 2], cks, precision)
+
+
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+@pytest.mark.parametrize("n_max", [3 * 2 ** 14, 2 ** 17 + 5])
+def test_weyl_block_route_widest_window_sizes(n_max, precision):
+    # 3 * 2^15 + 1 points, and a window of 2^18 + 11 points, on which
+    # the degree-1 fast route has two anchor blocks
+    p = PhasePolynomial.from_coeffs(
+        tuple(parse_phase(c) for c in WEYL_BLOCK_POLYS[1]), basis="monomial")
+    cks = [2 ** 14, n_max]
+    rep = weyl_test(p, [3], cks, precision=precision)
+    got = [[_bits(m) for m in h.means] for h in rep.harmonics]
+    assert got == _weyl_whole_window(p, [3], cks, precision)
+
+
+def test_weyl_periodic_route_keeps_the_whole_period_bits():
+    # T = 40009 > 2^15.  N = 3 and 10000 leave most residues with count
+    # 0, whose units have negative parts; 20004 and 60013 cover 1 and 3
+    # whole periods, and 30000 is partial with counts 1 and 2.  Python's
+    # c * u is (c re - 0 im, c im + 0 re), which differs from the real
+    # products (c re, c im) only in the sign of a zero; e(x) never
+    # returns a -0 component, so no fold of them ends in -0 either way
+    # and the means keep their bits.
+    p = PhasePolynomial.from_coeffs(
+        (PhaseScalar.zero(), PhaseScalar.zero(),
+         PhaseScalar.from_rational(Fraction(1, 40009))), basis="monomial")
+    cks = [3, 10000, 20004, 30000, 60013]
+    rep = weyl_test(p, [1, 2], cks)
+    assert [(h.method, h.period) for h in rep.harmonics] == [
+        ("periodic-fold", 40009), ("periodic-fold", 40009)]
+    got = [[_bits(m) for m in h.means] for h in rep.harmonics]
+    assert got == _weyl_whole_window(p, [1, 2], cks, "exact")
 
 
 def test_weyl_rejects_negative_checkpoints():
