@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the golden outputs for every shipped config.
+"""Regenerate the golden outputs for every shipped and pinned config.
 
 Each config in configs/ runs through the CLI once per precision:
 `--precision fast` into configs/golden/<name>/ and the default
-`--precision exact` into configs/golden_exact/<name>/.  The CSV and
-JSON artifacts there are committed and compared byte-for-byte by the
-test suite.  Timings are deleted because they are run-dependent by
+`--precision exact` into configs/golden_exact/<name>/.  Each config in
+tests/data/configs/ pins a CLI value path that no shipped config
+reaches; it runs once, exact, into tests/data/golden/<name>/.  The CSV
+and JSON artifacts there are committed and compared byte-for-byte by
+the test suite.  Timings are deleted because they are run-dependent by
 design.
 
 The CLI runs from this checkout's src/ and writes into a temporary
@@ -25,9 +27,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 CONFIG_DIR = os.path.join(ROOT, "configs")
+PINNED_DIR = os.path.join(ROOT, "tests", "data")
+# config directory -> {precision: golden tree}
 GOLDEN_DIRS = {
-    "fast": os.path.join(CONFIG_DIR, "golden"),
-    "exact": os.path.join(CONFIG_DIR, "golden_exact"),
+    CONFIG_DIR: {
+        "fast": os.path.join(CONFIG_DIR, "golden"),
+        "exact": os.path.join(CONFIG_DIR, "golden_exact"),
+    },
+    os.path.join(PINNED_DIR, "configs"): {
+        "exact": os.path.join(PINNED_DIR, "golden"),
+    },
 }
 
 SUBCOMMAND = {
@@ -72,23 +81,24 @@ def write_golden(config: str, subcommand: str, precision: str, dest: str) -> int
 
 
 def main() -> int:
-    configs = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
-    if not configs:
-        print("no configs found", file=sys.stderr)
-        return 1
-    for name in configs:
-        path = os.path.join(CONFIG_DIR, name)
-        with open(path) as f:
-            subcommand = SUBCOMMAND[json.load(f)["kind"]]
-        for precision, tree in GOLDEN_DIRS.items():
-            code = write_golden(path, subcommand, precision,
-                                os.path.join(tree, name[:-5]))
-            if code != 0:
-                print(f"FAILED: {name} --precision {precision} (exit {code})",
-                      file=sys.stderr)
-                return code
+    for config_dir, trees in GOLDEN_DIRS.items():
+        configs = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))
+        if not configs:
+            print(f"no configs found in {config_dir}", file=sys.stderr)
+            return 1
+        for name in configs:
+            path = os.path.join(config_dir, name)
+            with open(path) as f:
+                subcommand = SUBCOMMAND[json.load(f)["kind"]]
+            for precision, tree in trees.items():
+                code = write_golden(path, subcommand, precision,
+                                    os.path.join(tree, name[:-5]))
+                if code != 0:
+                    print(f"FAILED: {name} --precision {precision} (exit {code})",
+                          file=sys.stderr)
+                    return code
     print("golden outputs written under "
-          + " and ".join(GOLDEN_DIRS.values()))
+          + ", ".join(t for trees in GOLDEN_DIRS.values() for t in trees.values()))
     return 0
 
 

@@ -30,15 +30,25 @@ SUBCOMMAND = {
 }
 
 
-def run_cli(*args, env_extra=None):
+# Configs that pin the CLI value paths no shipped config reaches, each
+# with an exact-route golden that scripts/make_goldens.py writes
+PINNED = os.path.join(REPO, "tests", "data")
+PINNED_NAMES = sorted(f[:-5] for f in os.listdir(os.path.join(PINNED, "configs"))
+                      if f.endswith(".json"))
+
+
+def _run_python(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("NILSEQ_CACHE_DIR", None)
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nilseqlab.cli", *args],
-        capture_output=True, text=True, env=env, cwd=REPO)
+    proc = subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, cwd=REPO)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, env_extra=None):
+    return _run_python("-m", "nilseqlab.cli", *args, env_extra=env_extra)
 
 
 def write_config(tmp_path, body):
@@ -69,6 +79,43 @@ def _assert_golden_bytes(tmp_path, name, precision, env_extra=None, label=""):
 def test_golden_outputs_reproduced(name, tmp_path):
     for precision in GOLDEN_TREES:
         _assert_golden_bytes(tmp_path, name, precision)
+
+
+# one child runs every pinned config, so each host variant costs one start-up
+_PINNED_CHILD = """
+import sys
+from nilseqlab import cli
+args = sys.argv[1:]
+codes = [cli.run(*args[i:i + 3], 1, "exact") for i in range(0, len(args), 3)]
+sys.exit(max(codes))
+"""
+
+
+def _assert_pinned_golden_bytes(tmp_path, env_extra=None, label=""):
+    args = []
+    for name in PINNED_NAMES:
+        config = os.path.join(PINNED, "configs", f"{name}.json")
+        with open(config) as f:
+            kind = json.load(f)["kind"]
+        args += ["seq" if kind.endswith("-seq") else kind, config,
+                 str(tmp_path / f"pinned-{name}")]
+    code, _, err = _run_python("-c", _PINNED_CHILD, *args, env_extra=env_extra)
+    assert code == 0, err
+    for name in PINNED_NAMES:
+        golden_dir = os.path.join(PINNED, "golden", name)
+        entries = sorted(os.listdir(golden_dir))
+        assert entries
+        for fname in entries:
+            with open(os.path.join(golden_dir, fname), "rb") as f:
+                want = f.read()
+            with open(tmp_path / f"pinned-{name}" / fname, "rb") as f:
+                got = f.read()
+            assert got == want, f"{label}{name}/{fname} drifted from its pinned golden"
+
+
+def test_pinned_path_goldens_reproduced(tmp_path):
+    assert PINNED_NAMES
+    _assert_pinned_golden_bytes(tmp_path)
 
 
 def _numpy_dispatch():
@@ -102,6 +149,8 @@ def test_goldens_independent_of_libm_and_blas_builds(variant, tmp_path):
             _assert_golden_bytes(tmp_path, name, precision,
                                  env_extra=HOST_VARIANTS[variant],
                                  label=f"{variant}: ")
+    _assert_pinned_golden_bytes(tmp_path, env_extra=HOST_VARIANTS[variant],
+                                label=f"{variant}: ")
 
 
 def _close(got, want, tol=1e-9):
