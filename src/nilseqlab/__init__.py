@@ -41,9 +41,9 @@ _NAMES = {
     "nilseq": (
         "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
         "SkewProductState", "Tag", "constant", "e_array", "e_phase",
-        "from_function", "furstenberg_orbit", "heisenberg_seq", "indicator",
-        "interleave", "phase_block_exact", "phase_block_fast", "poly_exp",
-        "quadratic_seq", "theta_kappa", "tree_fold",
+        "from_function", "furstenberg_orbit", "heisenberg_seq", "interleave",
+        "phase_block_exact", "phase_block_fast", "poly_exp", "quadratic_seq",
+        "theta_kappa", "tree_fold",
     ),
     "torus": (
         "Character", "CharacterSequence", "TorusPoint", "WeylReport",

@@ -47,6 +47,9 @@ __all__ = ["ValidationError", "run", "emit_plotdata", "main"]
 
 # rows per piece of CSV text handed to write_atomic
 _CSV_CHUNK = 1 << 16
+# a weyl run sums e(k p(n)) over every window [-N, N] for every harmonic
+# k; the total, not only the widest window, bounds its time
+_WEYL_POINTS = 10 ** 8
 
 KINDS = ("classify", "torus-seq", "nc-seq", "decompose", "correlate", "weyl")
 
@@ -398,6 +401,9 @@ def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
         raise ValidationError("checkpoints: need at least one")
     if 2 * pts[-1] + 1 > 10 ** 7:
         raise ValidationError("checkpoints: window [-N, N] wider than 10^7 samples")
+    if len(harmonics) * sum(2 * N + 1 for N in pts) > _WEYL_POINTS:
+        raise ValidationError("harmonics x checkpoints: more than 10^8 window "
+                              "points to sum")
     rep = torus.weyl_test(poly, harmonics, pts, precision=precision)
     rows = []
     harm_out = []

@@ -437,11 +437,6 @@ def mobius_stream(table: MobiusTable | MobiusCache) -> SequenceStream:
     table or an open cache."""
     limit = table.limit
 
-    def ev(n: int) -> complex:
-        if 1 <= n <= limit:
-            return complex(int(table.block(n, n + 1)[0]))
-        return 0j
-
     def block(start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.complex128)
         lo = max(start, 1)
@@ -451,5 +446,5 @@ def mobius_stream(table: MobiusTable | MobiusCache) -> SequenceStream:
         return out
 
     from .nilseq import Tag
-    return SequenceStream(evaluate=ev, bound=1.0, tag=Tag.unknown(),
-                          provenance=f"mobius(limit={limit})", block=block)
+    return SequenceStream(block, bound=1.0, tag=Tag.unknown(),
+                          provenance=f"mobius(limit={limit})")

@@ -30,7 +30,7 @@ from .exactnum import (
     fit_phase_polynomial,
     unipotent_power_polys,
 )
-from .nilseq import SequenceStream, Tag, e_phase, phase_sum_block
+from .nilseq import SequenceStream, Tag, e_phase, from_function, phase_sum_block
 from .spectral import SparseVector, integer_hits
 
 __all__ = [
@@ -489,8 +489,8 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
                                               theta, wn.phase)
             return total
 
-        return SequenceStream(
-            evaluate=ev_direct, bound=float(sum(abs(c) for _, c in u.terms)),
+        return from_function(
+            ev_direct, bound=float(sum(abs(c) for _, c in u.terms)),
             tag=Tag.unknown(),
             provenance=f"nc-torus state sequence (dim {d}, positive entropy)")
 
@@ -498,17 +498,8 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
                for exps, _ in u.terms}
     m = next(iter(reports.values())).modulus if reports else 1
 
-    def ev(n: int) -> complex:
-        total = 0j
-        for exps, c in u.terms:
-            rep = reports[exps]
-            wn = rep.word_at(n)
-            total += c * _site_pair_value(wn.exponents, w_sites, w_dict,
-                                          theta, wn.phase)
-        return total
-
-    # block path: per residue, constant exponents give a pure phase
-    # modulation; nonconstant ones hit a finite n set found exactly
+    # per residue, constant exponents give a pure phase modulation;
+    # nonconstant ones hit a finite n set found exactly
     max_deg = 1
     mod_terms = []       # (coeff complex, residue, phase_poly)
     hit_values: dict[int, complex] = {}
@@ -536,6 +527,6 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
 
     bound = float(sum(abs(c) for _, c in u.terms))
     return SequenceStream(
-        evaluate=ev, bound=bound, tag=Tag.almost_nil(max_deg),
-        provenance=f"nc-torus state sequence (dim {d}, modulus {m})",
-        block=phase_sum_block(mod_terms, m, hit_values, precision))
+        phase_sum_block(mod_terms, m, hit_values, precision),
+        bound=bound, tag=Tag.almost_nil(max_deg),
+        provenance=f"nc-torus state sequence (dim {d}, modulus {m})")

@@ -1,12 +1,12 @@
 """Bounded sequence streams with provenance-tracked structure tags.
 
-A stream pairs an evaluator n -> complex with a sup bound and a tag
-saying what is actually known about the sequence: Nil(k) for an exact
-k-step nilsequence built by a closed construction, ZeroDensity for a
-sequence whose two-sided Cesaro averages of |a_n| vanish, AlmostNil for
-nilsequence + zero-density, Unknown otherwise.  Tags only propagate
-along operations that provably preserve them; nothing ever upgrades a
-tag heuristically.
+A stream pairs a block evaluator, [start, stop) -> complex values, with
+a sup bound and a tag saying what is actually known about the sequence:
+Nil(k) for an exact k-step nilsequence built by a closed construction,
+ZeroDensity for a sequence whose two-sided Cesaro averages of |a_n|
+vanish, AlmostNil for nilsequence + zero-density, Unknown otherwise.
+Tags only propagate along operations that provably preserve them;
+nothing ever upgrades a tag heuristically.
 
 Constructors: polynomial phase exponentials, the quadratic sequence,
 theta-kernel sequences on the Heisenberg side, iterated skew products
@@ -36,7 +36,6 @@ __all__ = [
     "Tag",
     "SequenceStream",
     "constant",
-    "indicator",
     "from_function",
     "e_phase",
     "e_array",
@@ -261,134 +260,47 @@ def _tag_add(a: Tag, b: Tag) -> Tag:
     return Tag("almost_nil", _join_step(a, b))
 
 
-def _tag_mul(a: Tag, b: Tag, a_bounded: bool, b_bounded: bool) -> Tag:
-    # bounded times zero-density is zero-density, whatever the factor is
-    if a.kind == "zero_density" and b_bounded:
-        return Tag.zero_density()
-    if b.kind == "zero_density" and a_bounded:
-        return Tag.zero_density()
-    kinds = {a.kind, b.kind}
-    if "unknown" in kinds:
-        return Tag.unknown()
-    if kinds == {"nil"}:
-        return Tag("nil", _join_step(a, b))
-    return Tag("almost_nil", _join_step(a, b))
-
-
 @dataclass(frozen=True)
 class SequenceStream:
     """Lazy two-sided sequence with bound, tag, and provenance.
 
-    `block`, when provided, must agree with `evaluate` pointwise and is
-    the vectorized path used by the averaging routines.
+    `evaluate_block(start, stop)` is the one evaluator: the values at
+    n in [start, stop) as a complex128 array.  `stream(n)` is the
+    one-point block, so it is the value every block gives at n.
     """
 
-    evaluate: Callable[[int], complex]
+    evaluate_block: Callable[[int, int], np.ndarray]
     bound: float | None
     tag: Tag
     provenance: str
-    block: Callable[[int, int], np.ndarray] | None = None
 
     def __call__(self, n: int) -> complex:
-        return self.evaluate(n)
-
-    def evaluate_block(self, start: int, stop: int) -> np.ndarray:
-        if self.block is not None:
-            return self.block(start, stop)
-        return np.array([self.evaluate(n) for n in range(start, stop)],
-                        dtype=np.complex128)
-
-    # algebra ------------------------------------------------------------
+        return complex(self.evaluate_block(n, n + 1)[0])
 
     def add(self, other: "SequenceStream") -> "SequenceStream":
         bound = None if self.bound is None or other.bound is None else self.bound + other.bound
-        ev_a, ev_b = self.evaluate, other.evaluate
 
         def block(start: int, stop: int) -> np.ndarray:
             return self.evaluate_block(start, stop) + other.evaluate_block(start, stop)
 
-        return SequenceStream(
-            evaluate=lambda n: ev_a(n) + ev_b(n),
-            bound=bound,
-            tag=_tag_add(self.tag, other.tag),
-            provenance=f"({self.provenance} + {other.provenance})",
-            block=block,
-        )
-
-    def mul(self, other: "SequenceStream") -> "SequenceStream":
-        bound = None if self.bound is None or other.bound is None else self.bound * other.bound
-        ev_a, ev_b = self.evaluate, other.evaluate
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return self.evaluate_block(start, stop) * other.evaluate_block(start, stop)
-
-        return SequenceStream(
-            evaluate=lambda n: ev_a(n) * ev_b(n),
-            bound=bound,
-            tag=_tag_mul(self.tag, other.tag,
-                         self.bound is not None, other.bound is not None),
-            provenance=f"({self.provenance} * {other.provenance})",
-            block=block,
-        )
-
-    def conj(self) -> "SequenceStream":
-        ev = self.evaluate
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return np.conj(self.evaluate_block(start, stop))
-
-        return replace(self, evaluate=lambda n: ev(n).conjugate(),
-                       provenance=f"conj({self.provenance})", block=block)
-
-    def shift(self, s: int) -> "SequenceStream":
-        ev = self.evaluate
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return self.evaluate_block(start + s, stop + s)
-
-        return replace(self, evaluate=lambda n: ev(n + s),
-                       provenance=f"shift({self.provenance}, {s})", block=block)
-
-    def scale(self, c: complex) -> "SequenceStream":
-        ev = self.evaluate
-        bound = None if self.bound is None else self.bound * abs(c)
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return c * self.evaluate_block(start, stop)
-
-        return replace(self, evaluate=lambda n: c * ev(n), bound=bound,
-                       provenance=f"({c!r} * {self.provenance})", block=block)
+        return SequenceStream(block, bound=bound, tag=_tag_add(self.tag, other.tag),
+                              provenance=f"({self.provenance} + {other.provenance})")
 
 
 def constant(c: complex) -> SequenceStream:
     c = complex(c)
     return SequenceStream(
-        evaluate=lambda n: c, bound=abs(c), tag=Tag.nil(1),
-        provenance=f"const({c!r})",
-        block=lambda start, stop: np.full(stop - start, c, dtype=np.complex128),
-    )
-
-
-def indicator(at: int = 0, value: complex = 1.0) -> SequenceStream:
-    """A single spike: zero-density by inspection."""
-    value = complex(value)
-
-    def block(start: int, stop: int) -> np.ndarray:
-        out = np.zeros(stop - start, dtype=np.complex128)
-        if start <= at < stop:
-            out[at - start] = value
-        return out
-
-    return SequenceStream(
-        evaluate=lambda n: value if n == at else 0j,
-        bound=abs(value), tag=Tag.zero_density(),
-        provenance=f"indicator(n={at})", block=block,
-    )
+        lambda start, stop: np.full(stop - start, c, dtype=np.complex128),
+        bound=abs(c), tag=Tag.nil(1), provenance=f"const({c!r})")
 
 
 def from_function(f: Callable[[int], complex], bound: float | None = None,
                   tag: Tag | None = None, provenance: str = "adhoc") -> SequenceStream:
-    return SequenceStream(evaluate=f, bound=bound,
+    """The stream of a per-point formula f(n), evaluated point by point."""
+    def block(start: int, stop: int) -> np.ndarray:
+        return np.array([f(n) for n in range(start, stop)], dtype=np.complex128)
+
+    return SequenceStream(block, bound=bound,
                           tag=tag if tag is not None else Tag.unknown(),
                           provenance=provenance)
 
@@ -668,14 +580,21 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     def block(start: int, stop: int) -> np.ndarray:
         return e_array(phases(p, start, stop))
 
-    step = max(p.degree, 1)
-    return SequenceStream(
-        evaluate=lambda n: e_phase(p(n).float_mod_1()),
-        bound=1.0,
-        tag=Tag.nil(step),
-        provenance=f"poly_exp(deg={p.degree}, {precision})",
-        block=block,
-    )
+    return SequenceStream(block, bound=1.0, tag=Tag.nil(max(p.degree, 1)),
+                          provenance=f"poly_exp(deg={p.degree}, {precision})")
+
+
+def _complex_times(c: complex, z: np.ndarray) -> np.ndarray:
+    """c * z, each real product, difference and sum rounded on its own.
+
+    This is CPython's scalar c * z.  numpy's complex multiply fuses them
+    in its SIMD loops and not in its scalar tail, so its bits would
+    depend on the CPU and on where a block is cut.
+    """
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = c.real * z.real - c.imag * z.imag
+    out.imag = c.real * z.imag + c.imag * z.real
+    return out
 
 
 def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
@@ -700,7 +619,7 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
             t0 = -((start - r) // -m)
             t1 = (stop - 1 - r) // m + 1
             if t1 > t0:
-                out[t0 * m + r - start:: m] += c * e_array(phases(p, t0, t1))
+                out[t0 * m + r - start:: m] += _complex_times(c, e_array(phases(p, t0, t1)))
         for n, val in hits.items():
             if start <= n < stop:
                 out[n - start] += val
@@ -788,10 +707,8 @@ def heisenberg_seq(alpha: float, beta: float, eps: float = 1e-12) -> SequenceStr
         quad = float((Fraction(n * (n - 1), 2) * fab) % 1)
         return theta_kappa(_frac_mod1(n * fa), n * fb, eps) * e_phase(quad)
 
-    return SequenceStream(
-        evaluate=ev, bound=bound, tag=Tag.nil(2),
-        provenance=f"heisenberg(alpha={alpha!r}, beta={beta!r})",
-    )
+    return from_function(ev, bound=bound, tag=Tag.nil(2),
+                         provenance=f"heisenberg(alpha={alpha!r}, beta={beta!r})")
 
 
 def _frac_mod1(x: Fraction) -> float:
@@ -894,10 +811,6 @@ def interleave(components: Sequence[SequenceStream], m: int) -> SequenceStream:
     bounds = [c.bound for c in comps]
     bound = None if any(b is None for b in bounds) else max(bounds)
 
-    def ev(n: int) -> complex:
-        r = n % m
-        return comps[r].evaluate((n - r) // m)
-
     def block(start: int, stop: int) -> np.ndarray:
         out = np.empty(stop - start, dtype=np.complex128)
         for r in range(m):
@@ -910,7 +823,5 @@ def interleave(components: Sequence[SequenceStream], m: int) -> SequenceStream:
         return out
 
     return SequenceStream(
-        evaluate=ev, bound=bound, tag=tag,
-        provenance=f"interleave(m={m}: {', '.join(c.provenance for c in comps)})",
-        block=block,
-    )
+        block, bound=bound, tag=tag,
+        provenance=f"interleave(m={m}: {', '.join(c.provenance for c in comps)})")

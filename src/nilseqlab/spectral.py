@@ -501,13 +501,10 @@ def _nil_stream_from_terms(terms: Sequence[NilTerm]) -> SequenceStream:
     step = max((max(t.phase_poly.degree, 1) for t in terms), default=1)
     bound = sum(abs(t.coeff) for t in terms)
 
-    def ev(n: int) -> complex:
-        return sum((t.value(n) for t in terms), 0j)
-
-    block = phase_sum_block([(t.coeff, 0, t.phase_poly) for t in terms], 1, {})
-    return SequenceStream(evaluate=ev, bound=bound, tag=Tag.nil(step),
-                          provenance=f"nil closed form ({len(terms)} terms)",
-                          block=block)
+    return SequenceStream(
+        phase_sum_block([(t.coeff, 0, t.phase_poly) for t in terms], 1, {}),
+        bound=bound, tag=Tag.nil(step),
+        provenance=f"nil closed form ({len(terms)} terms)")
 
 
 def _difference_generators(g: GPolynomial) -> list[ShiftPhaseOperator]:
@@ -601,10 +598,9 @@ def decompose(g: GPolynomial, u: SparseVector, v: SparseVector) -> Decomposition
 
     hit_map = dict(zip(certificate.hits, certificate.values))
     residual = SequenceStream(
-        evaluate=lambda n: hit_map.get(n, 0j),
+        phase_sum_block((), 1, hit_map),
         bound=max((abs(val) for val in certificate.values), default=0.0),
-        tag=Tag.zero_density(), provenance=provenance,
-        block=phase_sum_block((), 1, hit_map))
+        tag=Tag.zero_density(), provenance=provenance)
     nil_stream = _nil_stream_from_terms(terms)
     total = nil_stream.add(residual)
     return DecompositionResult(nil_terms=tuple(terms), nil_stream=nil_stream,

@@ -36,6 +36,7 @@ from .nilseq import (
     _TreeFold,
     e_array,
     e_phase,
+    from_function,
     interleave,
     phase_block_exact,
     poly_exp,
@@ -109,23 +110,17 @@ class CharacterSequence:
     residue_polys: tuple[PhasePolynomial, ...] | None
 
 
-def _direct_character_eval(A: IntMatrix, x: TorusPoint, v: Character):
-    def ev(n: int) -> complex:
-        return e_phase(v.pair(orbit_point(A, x, n)).float_mod_1())
-    return ev
-
-
 def character_seq(A: IntMatrix, x: TorusPoint, v: Character,
                   precision: str = "exact") -> CharacterSequence:
     if A.dim != x.dim or A.dim != len(v.vector):
         raise ValueError("dimension mismatch between matrix, point, character")
     report = classify_entropy(A)
     if not report.is_zero_entropy:
-        stream = SequenceStream(
-            evaluate=_direct_character_eval(A, x, v), bound=1.0,
-            tag=Tag.unknown(),
-            provenance=f"character(dim={A.dim}, positive entropy)",
-        )
+        def ev(n: int) -> complex:
+            return e_phase(v.pair(orbit_point(A, x, n)).float_mod_1())
+
+        stream = from_function(ev, bound=1.0, tag=Tag.unknown(),
+                               provenance=f"character(dim={A.dim}, positive entropy)")
         return CharacterSequence(stream=stream, entropy=report,
                                  modulus=None, residue_polys=None)
     m = report.unipotence_order

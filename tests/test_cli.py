@@ -604,12 +604,16 @@ def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
         raise AssertionError("weyl_test reached past the budget")
 
     monkeypatch.setattr(torus, "weyl_test", no_compute)
-    cfg = write_config(tmp_path, {
-        "kind": "weyl", "poly": {"coeffs": ["0", "1/1000000007"]},
-        "harmonics": [1], "checkpoints": [10, 5 * 10 ** 6]})
-    out = tmp_path / "out"
-    assert _main("weyl", cfg, out) == 2       # 2N + 1 = 10^7 + 1
-    assert not out.exists()
+    for harmonics, checkpoints in (
+            ([1], [10, 5 * 10 ** 6]),        # 2N + 1 = 10^7 + 1
+            # each window below 10^7, 4 (8 + 9 + 9.8) 10^6 = 1.07 10^8 in all
+            ([1, 2, 3, 4], [4 * 10 ** 6, 45 * 10 ** 5, 49 * 10 ** 5])):
+        cfg = write_config(tmp_path, {
+            "kind": "weyl", "poly": {"coeffs": ["0", "1/1000000007"]},
+            "harmonics": harmonics, "checkpoints": checkpoints})
+        out = tmp_path / "out"
+        assert _main("weyl", cfg, out) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("sequence", [{"type": "mobius"},

@@ -26,7 +26,7 @@ from nilseqlab.mobius import (
     tree_fold,
     write_cache,
 )
-from nilseqlab.nilseq import SequenceStream, constant, from_function
+from nilseqlab.nilseq import constant, from_function
 
 MU_FIRST_TEN = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
@@ -144,9 +144,7 @@ def test_correlate_checkpoint_validation():
 
 
 def test_correlate_requires_bound():
-    unbounded = SequenceStream(
-        evaluate=lambda n: complex(n), bound=None,
-        tag=constant(1.0).tag, provenance="raw")
+    unbounded = from_function(lambda n: complex(n), bound=None, provenance="raw")
     with pytest.raises(UnboundedSequence):
         correlate(unbounded, [10])
 
@@ -180,7 +178,7 @@ def test_correlate_sums_fold_every_segment_in_the_same_tree(monkeypatch):
     table = sieve_mobius(5000)
     xi = from_function(lambda n: complex(math.cos(n), math.sin(n / 3)), bound=2.0)
     cks, seg = [1, 63, 64, 65, 700, 4999, 5000], 64
-    prods = np.array([xi.evaluate(n) for n in range(1, 5001)]) * table.values[1:]
+    prods = np.array([xi(n) for n in range(1, 5001)]) * table.values[1:]
     totals = [tree_fold(prods[lo: lo + seg]) for lo in range(0, 5000, seg)]
     want = []
     for k in cks:
@@ -196,8 +194,12 @@ def test_correlate_sums_fold_every_segment_in_the_same_tree(monkeypatch):
 
 def test_correlate_dyadic_linearity_exact():
     table = sieve_mobius(2000)
-    xi = from_function(lambda n: np.exp(2j * np.pi * 0.37 * n), bound=1.0)
-    half = xi.scale(0.5)
+
+    def f(n):
+        return np.exp(2j * np.pi * 0.37 * n)
+
+    xi = from_function(f, bound=1.0)
+    half = from_function(lambda n: 0.5 * f(n), bound=0.5)
     a = correlate(xi, [2000], table=table)
     b = correlate(half, [2000], table=table)
     assert b.sums[0] == 0.5 * a.sums[0]
@@ -331,10 +333,10 @@ def test_mobius_stream_values_and_tag():
     table = sieve_mobius(30)
     s = mobius_stream(table)
     for n in range(1, 31):
-        assert s.evaluate(n) == complex(table.mu(n))
-    assert s.evaluate(0) == 0j
-    assert s.evaluate(-5) == 0j
-    assert s.evaluate(31) == 0j
+        assert s(n) == complex(table.mu(n))
+    assert s(0) == 0j
+    assert s(-5) == 0j
+    assert s(31) == 0j
     assert s.tag.kind == "unknown"
     assert s.bound == 1.0
     block = s.evaluate_block(-2, 5)

@@ -12,13 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilseqlab import nilseq
-from nilseqlab.exactnum import PhasePolynomial, PhaseScalar, binom_int, parse_phase
+from nilseqlab.exactnum import (
+    IntegralPolynomial,
+    PhasePolynomial,
+    PhaseScalar,
+    binom_int,
+    parse_phase,
+)
 from nilseqlab.nilseq import (
     ArityMismatch,
     DegreeZero,
     E_ABS_ERROR,
     EXP_REL_ERROR,
     PhaseKernel,
+    SequenceStream,
     Tag,
     constant,
     e_array,
@@ -27,7 +34,6 @@ from nilseqlab.nilseq import (
     from_function,
     furstenberg_orbit,
     heisenberg_seq,
-    indicator,
     interleave,
     phase_block_exact,
     phase_block_fast,
@@ -36,6 +42,7 @@ from nilseqlab.nilseq import (
     quadratic_seq,
     theta_kappa,
 )
+from nilseqlab.spectral import GPolynomial, ShiftPhaseOperator, SparseVector, decompose
 
 # 50-digit series oracle values, frozen
 KAPPA_00 = 1.086434811213308
@@ -184,54 +191,34 @@ def test_tag_constructors_and_str():
         Tag.nil(0)
 
 
+def _zero_density_stream():
+    """decompose's residual for a weak-mixing shift: ZeroDensity, one hit
+    (value 1) at n = 0."""
+    g = GPolynomial.make((ShiftPhaseOperator.make((1,)),),
+                         (IntegralPolynomial.from_monomial([0, 1]),))
+    u = SparseVector.basis(1, (0,))
+    return decompose(g, u, u).residual_stream
+
+
 def test_tag_addition_rules():
     a = constant(1.0)                      # Nil(1)
     q = quadratic_seq(parse_phase("g1"))   # Nil(2)
-    z = indicator()                        # ZeroDensity
+    z = _zero_density_stream()             # ZeroDensity
     u = from_function(lambda n: 0j, bound=1.0)  # Unknown
 
+    assert z.tag == Tag.zero_density()
     assert a.add(q).tag == Tag.nil(2)
     assert z.add(z).tag == Tag.zero_density()
     assert a.add(z).tag == Tag.almost_nil(1)
     assert q.add(z).tag == Tag.almost_nil(2)
     assert a.add(u).tag == Tag.unknown()
     assert z.add(u).tag == Tag.unknown()
-
-
-def test_tag_multiplication_rules():
-    a = constant(1.0)
-    q = quadratic_seq(parse_phase("g1"))
-    z = indicator()
-    u = from_function(lambda n: 0j, bound=1.0)
-
-    assert a.mul(q).tag == Tag.nil(2)
-    # zero-density absorbs any bounded factor, even unknown
-    assert z.mul(a).tag == Tag.zero_density()
-    assert z.mul(u).tag == Tag.zero_density()
-    assert a.mul(u).tag == Tag.unknown()
-    assert q.add(z).mul(q).tag == Tag.almost_nil(2)
-
-
-# ------------------------------------------------------------ stream algebra
-
-@given(st.integers(min_value=-30, max_value=30))
-def test_stream_pointwise_ops(n):
-    a = quadratic_seq(parse_phase("g1"))
-    b = constant(0.5 - 0.25j)
-    assert a.add(b).evaluate(n) == a.evaluate(n) + b.evaluate(n)
-    assert a.mul(b).evaluate(n) == a.evaluate(n) * b.evaluate(n)
-    assert a.conj().evaluate(n) == a.evaluate(n).conjugate()
-    assert a.shift(7).evaluate(n) == a.evaluate(n + 7)
-    assert a.scale(2j).evaluate(n) == 2j * a.evaluate(n)
-
-
-def test_stream_bounds_compose():
-    a = constant(2.0)
-    b = constant(-3.0)
-    assert a.add(b).bound == 5.0
-    assert a.mul(b).bound == 6.0
-    assert a.scale(2j).bound == 4.0
-    assert a.conj().bound == 2.0
+    # a sum's values and bound are the pointwise sums
+    assert constant(2.0).add(constant(-3.0)).bound == 5.0
+    got = q.add(z).evaluate_block(-30, 31)
+    want = q.evaluate_block(-30, 31)
+    want[30] += 1
+    assert np.array_equal(got, want)
 
 
 @given(st.integers(min_value=-40, max_value=10),
@@ -242,19 +229,16 @@ def test_block_matches_scalar_path(start, width):
     s = poly_exp(p)
     block = s.evaluate_block(start, start + width)
     assert len(block) == width
-    for i, n in enumerate(range(start, start + width)):
-        assert abs(block[i] - s.evaluate(n)) < 1e-12
+    # the closed form e(p(n) mod 1), from the exact reduction and e_phase
+    want = [e_phase(p(n).float_mod_1()) for n in range(start, start + width)]
+    assert np.array_equal(block, np.array(want, dtype=np.complex128))
 
 
-def test_constant_and_indicator_streams():
+def test_constant_stream():
     c = constant(1.5 + 0.5j)
     assert c.tag == Tag.nil(1)
-    assert c.evaluate(123) == 1.5 + 0.5j
-    ind = indicator(at=3, value=-2.0)
-    assert ind.tag == Tag.zero_density()
-    assert ind.evaluate(3) == -2.0 + 0j
-    assert ind.evaluate(2) == 0j
-    assert list(ind.evaluate_block(2, 5)) == [0j, -2.0 + 0j, 0j]
+    assert c(123) == 1.5 + 0.5j
+    assert list(c.evaluate_block(-2, 1)) == [1.5 + 0.5j] * 3
 
 
 # ------------------------------------------------------------ phase blocks
@@ -263,7 +247,7 @@ def test_constant_and_indicator_streams():
 def test_poly_exp_matches_direct_formula(p, n):
     s = poly_exp(p)
     want = e_phase(p(n).float_mod_1())
-    assert abs(s.evaluate(n) - want) < 1e-12
+    assert abs(s(n) - want) < 1e-12
     assert s.tag == Tag.nil(max(p.degree, 1))
     assert s.bound == 1.0
 
@@ -528,9 +512,29 @@ def test_phase_sum_block_matches_pointwise_sum(case, precision):
                          for c, rc, p in terms if rc == r), 0j)
                     + hits.get(n, 0j))
     assert got.dtype == np.complex128 and got.shape == (stop - start,)
-    # the fast route's phases are within 1e-10, so e(.) within 2 pi 1e-10
-    tol = 1e-13 if precision == "exact" else 1e-9
-    assert np.all(np.abs(got - np.array(want, dtype=np.complex128)) <= tol)
+    want = np.array(want, dtype=np.complex128)
+    # exact: the same phases, e(x) bits and roundings; fast: phases within
+    # 1e-10, so e(.) within 2 pi 1e-10
+    if precision == "exact":
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-9)
+
+
+def test_phase_sum_block_bits_do_not_depend_on_the_cut():
+    # a complex coefficient: a fused multiply-add in the product would
+    # round some points differently in one-point blocks or across a cut
+    c = (0.36 + 0.48j) * (0.3 + 0.7j)
+    p = PhasePolynomial.from_coeffs((parse_phase("1/7"), parse_phase("g1")))
+    stream = SequenceStream(phase_sum_block([(c, 0, p)], 1, {}), bound=abs(c),
+                            tag=Tag.nil(1), provenance="modulated")
+    whole = stream.evaluate_block(0, 1 << 15)
+    cuts = [0, 17, 1000, 1 << 12, 30001, 1 << 15]
+    pieces = np.concatenate([stream.evaluate_block(a, b)
+                             for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64))
+    one_point = np.array([stream(n) for n in range(0, 1 << 15, 7)])
+    assert np.array_equal(one_point.view(np.uint64), whole[::7].copy().view(np.uint64))
 
 
 def test_phase_sum_block_rejects_unknown_precision():
@@ -543,7 +547,7 @@ def test_quadratic_seq_formula(n):
     t = parse_phase("g1")
     s = quadratic_seq(t)
     want = e_phase(t.scale(Fraction(binom_int(n, 2))).float_mod_1())
-    assert abs(s.evaluate(n) - want) < 1e-12
+    assert abs(s(n) - want) < 1e-12
     assert s.tag == Tag.nil(2)
 
 
@@ -632,13 +636,13 @@ def test_exp_nonpos_error_bound_against_mpmath():
 def test_heisenberg_values():
     alpha, beta = math.sqrt(2) - 1, math.sqrt(3) - 1
     w = heisenberg_seq(alpha, beta)
-    assert abs(w.evaluate(0) - KAPPA_00) < 1e-12
+    assert abs(w(0) - KAPPA_00) < 1e-12
     # n = 1 has no quadratic phase yet
-    assert abs(w.evaluate(1) - theta_kappa(alpha % 1.0, beta)) < 1e-12
+    assert abs(w(1) - theta_kappa(alpha % 1.0, beta)) < 1e-12
     assert w.tag == Tag.nil(2)
     assert abs(w.bound - KAPPA_00) < 1e-12
     for n in (2, 3, 17, 400, 10**6 + 7):
-        assert abs(w.evaluate(n)) <= w.bound + 1e-12
+        assert abs(w(n)) <= w.bound + 1e-12
 
 
 def test_heisenberg_quadratic_phase_exact_mod_1():
@@ -648,7 +652,7 @@ def test_heisenberg_quadratic_phase_exact_mod_1():
     n = 10**9 + 3
     quad = (Fraction(n * (n - 1), 2) * Fraction(alpha) * Fraction(beta)) % 1
     want = theta_kappa((n * Fraction(alpha)) % 1, n * beta) * e_phase(float(quad))
-    assert abs(w.evaluate(n) - want) < 1e-12
+    assert abs(w(n) - want) < 1e-12
 
 
 # --------------------------------------------------------------- skew tower
@@ -665,7 +669,7 @@ def test_tower_iterate_matches_closed_form(p, n):
     if n >= 0:
         assert state.iterate_float(n) == tuple(x.float_mod_1() for x in orbit)
     want = e_phase(state.closed_form(n).float_mod_1())
-    assert abs(stream.evaluate(n) - want) < 1e-12
+    assert abs(stream(n) - want) < 1e-12
 
 
 def test_tower_shape():
@@ -712,7 +716,7 @@ def test_interleave_deinterleave_round_trip(m, data):
     block = xi.evaluate_block(-7 * m, 6 * m)       # t = -7..5 in every class
     for r in range(m):
         for t in (-7, -1, 0, 1, 5):
-            assert xi.evaluate(t * m + r) == comps[r].evaluate(t)
+            assert xi(t * m + r) == comps[r](t)
         assert np.array_equal(block[r::m], comps[r].evaluate_block(-7, 6))
 
 
@@ -722,17 +726,19 @@ def test_interleave_residue_indexing(n):
     comps = [constant(complex(r + 1)) for r in range(m)]
     xi = interleave(comps, m)
     # n = t m + r with 0 <= r < m, also for negative n
-    assert xi.evaluate(n) == complex(n % m + 1)
+    assert xi(n) == complex(n % m + 1)
 
 
 def test_interleave_block_matches_scalar():
     m = 4
-    comps = [poly_exp(PhasePolynomial.from_coeffs(
-        (parse_phase(f"{r}/7"), parse_phase("g1")))) for r in range(m)]
-    xi = interleave(comps, m)
+    polys = [PhasePolynomial.from_coeffs((parse_phase(f"{r}/7"), parse_phase("g1")))
+             for r in range(m)]
+    xi = interleave([poly_exp(p) for p in polys], m)
     block = xi.evaluate_block(-13, 13)
-    for i, n in enumerate(range(-13, 13)):
-        assert abs(block[i] - xi.evaluate(n)) < 1e-12
+    # the closed form at n = t m + r: e(p_r(t)) = e(r/7 + g1 t)
+    want = [e_phase(polys[n % m]((n - n % m) // m).float_mod_1())
+            for n in range(-13, 13)]
+    assert np.array_equal(block, np.array(want, dtype=np.complex128))
 
 
 def test_interleave_arity_checked():
@@ -746,8 +752,9 @@ def test_interleave_tag_join():
         (parse_phase("0"), parse_phase("0"), parse_phase("0"), parse_phase("g1"))))
     xi = interleave([nil1, nil3], 2)
     assert xi.tag == Tag.nil(3)
-    mixed = interleave([nil1, indicator()], 2)
+    z = _zero_density_stream()
+    mixed = interleave([nil1, z], 2)
     assert mixed.tag == Tag.almost_nil(1)
-    assert interleave([indicator(), indicator(5)], 2).tag == Tag.zero_density()
-    assert interleave([nil3, indicator(), nil1], 3).tag == Tag.almost_nil(3)
+    assert interleave([z, z], 2).tag == Tag.zero_density()
+    assert interleave([nil3, z, nil1], 3).tag == Tag.almost_nil(3)
     assert interleave([nil3, from_function(lambda n: 0j)], 2).tag == Tag.unknown()

@@ -335,8 +335,8 @@ def test_decompose_diagonal_family():
     pair = g.pairing(u, u)
     for n in range(-40, 41):
         a_n = pair(n)
-        assert abs(res.total_stream.evaluate(n) - a_n) < 1e-12
-        assert abs(res.residual_stream.evaluate(n)) == 0.0
+        assert abs(res.total_stream(n) - a_n) < 1e-12
+        assert abs(res.residual_stream(n)) == 0.0
     assert res.nil_stream.tag.kind == "nil"
 
 
@@ -347,12 +347,12 @@ def test_nil_stream_block_matches_pointwise():
     u = SparseVector.from_sites(
         1, {(0,): 0.6, (2,): 0.64},
         {"a": (0.48, (parse_phase("g2"), parse_phase("0")))})
-    nil = decompose(g, u, u).nil_stream
-    block = nil.evaluate_block(-3000, 3000)
-    pointwise = np.array([nil.evaluate(n) for n in range(-3000, 3000)])
-    # same phases and e(x) bits; only the complex multiply-add may round
-    # differently between numpy and Python
-    assert np.max(np.abs(block - pointwise)) < 1e-15
+    res = decompose(g, u, u)
+    block = res.nil_stream.evaluate_block(-3000, 3000)
+    # the closed form: the terms' c e(f(n)) summed in order; the same
+    # phases, e(x) bits and roundings as the block
+    pointwise = np.array([res.nil_value(n) for n in range(-3000, 3000)])
+    assert np.array_equal(block, pointwise)
 
 
 def test_decompose_cancelling_shifts_stay_compact():
@@ -372,7 +372,7 @@ def test_decompose_cancelling_shifts_stay_compact():
         (Z, -parse_phase("g1"), -parse_phase("g1")))
     for n in range(-15, 16):
         assert congruent_mod_1(term.phase_poly(n), want(n))
-        assert abs(res.total_stream.evaluate(n)
+        assert abs(res.total_stream(n)
                    - g.pairing(u, u)(n)) < 1e-12
 
 
@@ -389,7 +389,7 @@ def test_decompose_weak_mixing_hits():
     assert res.certificate.cesaro_bound(10) == 1.0 / 21
     for n in range(-10, 11):
         want = 1 + 0j if n == 0 else 0j
-        assert res.total_stream.evaluate(n) == want
+        assert res.total_stream(n) == want
     assert res.residual_stream.tag == Tag.zero_density()
 
 
@@ -404,7 +404,7 @@ def test_decompose_offset_hit():
     assert abs(abs(val) - 1.0) < 1e-12
     pair = g.pairing(u, v)
     for n in range(-3, 9):
-        assert abs(res.total_stream.evaluate(n) - pair(n)) < 1e-12
+        assert abs(res.total_stream(n) - pair(n)) < 1e-12
 
 
 def test_decompose_quadratic_exponent_hits():
@@ -427,7 +427,7 @@ def test_decompose_mixed_atoms_and_hits():
     assert atom_term.coeff == pytest.approx(0.64)
     pair = g.pairing(u, u)
     for n in range(-12, 13):
-        assert abs(res.total_stream.evaluate(n) - pair(n)) < 1e-12
+        assert abs(res.total_stream(n) - pair(n)) < 1e-12
     # residual mass is the lattice weight at the single hit
     assert res.certificate.hits == (0,)
     assert abs(res.certificate.values[0] - 0.36) < 1e-12

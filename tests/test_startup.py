@@ -54,9 +54,9 @@ EXPORTED = {
     "nilseq": (
         "ArityMismatch", "DegreeZero", "PhaseKernel", "SequenceStream",
         "SkewProductState", "Tag", "constant", "e_array", "e_phase",
-        "from_function", "furstenberg_orbit", "heisenberg_seq", "indicator",
-        "interleave", "phase_block_exact", "phase_block_fast", "poly_exp",
-        "quadratic_seq", "theta_kappa", "tree_fold"),
+        "from_function", "furstenberg_orbit", "heisenberg_seq", "interleave",
+        "phase_block_exact", "phase_block_fast", "poly_exp", "quadratic_seq",
+        "theta_kappa", "tree_fold"),
     "torus": (
         "Character", "CharacterSequence", "TorusPoint", "WeylReport",
         "character_seq", "orbit_point", "weyl_test"),
@@ -192,7 +192,7 @@ def test_every_exported_name_still_resolves():
     import nilseqlab
 
     names = [n for names in EXPORTED.values() for n in names]
-    assert len(names) == 87
+    assert len(names) == 86
     assert sorted(nilseqlab.__all__) == sorted(names)
     assert set(names) <= set(dir(nilseqlab))
     for owner, owned in EXPORTED.items():

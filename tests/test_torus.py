@@ -67,7 +67,7 @@ def test_shear_character_matches_hand_formula():
     g1 = parse_phase("g1")
     for n in range(-30, 31):
         want = e_phase(g1.scale(n).float_mod_1())
-        assert abs(cs.stream.evaluate(n) - want) < 1e-12
+        assert abs(cs.stream(n) - want) < 1e-12
 
 
 def test_rotation_character_dual_route():
@@ -81,7 +81,7 @@ def test_rotation_character_dual_route():
         assert f.degree <= 0
     for n in range(-50, 51):
         direct = e_phase(v.pair(orbit_point(ROTATION, x, n)).float_mod_1())
-        assert abs(cs.stream.evaluate(n) - direct) < 1e-12
+        assert abs(cs.stream(n) - direct) < 1e-12
 
 
 def test_character_dimension_checked():
@@ -100,7 +100,7 @@ def test_positive_entropy_character_runs_without_structure():
     assert cs.stream.tag == Tag.unknown()
     for n in range(-10, 11):
         direct = e_phase(v.pair(orbit_point(FIB_SQ, x, n)).float_mod_1())
-        assert abs(cs.stream.evaluate(n) - direct) < 1e-12
+        assert abs(cs.stream(n) - direct) < 1e-12
 
 
 def _residue_polys_match_orbit(A, x, v, ns):
