@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import os
 import struct
@@ -57,6 +59,46 @@ def test_sieve_matches_factorization_route():
     sieved = sieve_mobius(limit)
     fact = mobius_by_factorization(limit)  # includes the unused index 0
     assert np.array_equal(sieved.values[1:], fact[1:])
+
+
+# SHA-256 of sieve_mobius(4 * SIEVE_BLOCK + 4099).values: four whole
+# sieve blocks and a partial fifth, index 0 included
+SIEVE_DIGEST = "5420f5102926564a0bf29cf6d11bc0fc945ce8f2119faa1857cac9a8aad3ee92"
+
+
+def test_sieve_bytes_pinned():
+    values = sieve_mobius(4 * 2**19 + 4099).values
+    assert values.dtype == np.int8
+    assert hashlib.sha256(values.tobytes()).hexdigest() == SIEVE_DIGEST
+
+
+def _mu_by_trial_division(lo: int, hi: int) -> np.ndarray:
+    """mu(lo..hi-1) by dividing every prime <= sqrt(hi - 1) out of each
+    value, the primes found by trial division themselves."""
+    primes: list[int] = []
+    for c in range(2, math.isqrt(hi - 1) + 1):
+        if all(c % q for q in itertools.takewhile(lambda q: q * q <= c, primes)):
+            primes.append(c)
+    rest = np.arange(lo, hi, dtype=np.int64)
+    mu = np.ones(hi - lo, dtype=np.int8)
+    for p in primes:
+        hit = rest % p == 0
+        if hit.any():
+            rest[hit] //= p
+            mu[hit] *= -1
+            mu[hit & (rest % p == 0)] = 0
+    mu[rest > 1] *= -1
+    return mu
+
+
+def test_sieve_block_far_from_origin():
+    # windows at the top of the sieve's range, across 2^29, and around
+    # the square of 31607, the largest prime below sqrt(HARD_LIMIT)
+    primes = mobius._sieve_primes(mobius.HARD_LIMIT)
+    top = mobius.HARD_LIMIT + 1
+    for lo in (top - 8192, 2**29 - 4093, 31607**2 - 4096):
+        expected = _mu_by_trial_division(lo, lo + 8192)
+        assert np.array_equal(mobius._sieve_block(lo, lo + 8192, primes), expected), lo
 
 
 def test_segment_size_invisible(monkeypatch):
