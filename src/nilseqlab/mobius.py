@@ -16,6 +16,7 @@ serial result bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -94,10 +95,10 @@ def _sieve_primes(limit: int) -> list[int]:
         raise ValueError("limit must be >= 1")
     if limit > HARD_LIMIT:
         raise LimitTooLarge(f"limit {limit} exceeds configured bound {HARD_LIMIT}")
-    n = max(int(limit ** 0.5), 1)
+    n = math.isqrt(limit)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
     # Python ints, so that int32 arrays stay int32 when multiplied by p
@@ -107,21 +108,21 @@ def _sieve_primes(limit: int) -> list[int]:
 def _sieve_block(lo: int, hi: int, primes: list[int]) -> np.ndarray:
     """mu(lo..hi-1) as int8, for primes = those <= sqrt(hi - 1).
 
-    Multiply in -1 for each prime p dividing n, zero out multiples of
-    p^2, and track the product of the sieved primes; a leftover cofactor
-    > 1 is one more distinct prime factor.  int32 is exact: prod divides
-    n, and n <= HARD_LIMIT < 2^31.
+    One int32 array holds (-1)^k times the product of the k sieved
+    primes dividing n, and 0 once some p^2 divides n.  mu(n) is its sign,
+    flipped where the product is not n: the leftover cofactor is then
+    one more prime.  int32 is exact: |prod| divides n, and n <=
+    HARD_LIMIT < 2^31.
     """
-    n_vals = np.arange(lo, hi, dtype=np.int32)
-    mu = np.ones(hi - lo, dtype=np.int8)
     prod = np.ones(hi - lo, dtype=np.int32)
     for p in primes:
-        start = (-lo) % p
-        mu[start:: p] *= -1
-        prod[start:: p] *= p
+        prod[(-lo) % p:: p] *= -p
         p2 = p * p
-        mu[(-lo) % p2:: p2] = 0
-    mu[prod != n_vals] *= -1
+        prod[(-lo) % p2:: p2] = 0
+    mu = np.sign(prod).astype(np.int8)
+    np.abs(prod, out=prod)
+    flip = (prod != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
+    mu *= 1 - 2 * flip
     return mu
 
 
@@ -147,7 +148,7 @@ def mobius_by_factorization(limit: int) -> np.ndarray:
     remaining[0] = 1
     distinct = np.zeros(limit + 1, dtype=np.int16)
     squarefree = np.ones(limit + 1, dtype=bool)
-    for p in _trial_primes(int(limit ** 0.5)):
+    for p in _trial_primes(math.isqrt(limit)):
         divisible = remaining % p == 0
         if not divisible.any():
             continue

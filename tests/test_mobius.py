@@ -101,6 +101,13 @@ def test_sieve_block_far_from_origin():
         assert np.array_equal(mobius._sieve_block(lo, lo + 8192, primes), expected), lo
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 9973, 31607])
+def test_sieve_primes_reach_a_perfect_square_root(p):
+    # a root one ulp low would drop p, and mu(p^2) would come out -1
+    assert mobius._sieve_primes(p * p)[-1] == p
+    assert p not in mobius._sieve_primes(p * p - 1)
+
+
 def test_segment_size_invisible(monkeypatch):
     whole = sieve_mobius(3000)
     for seg in (7, 64, 1000, 4096):
