@@ -450,6 +450,29 @@ def test_phase_block_fast_pinned_bit_for_bit():
     assert h.hexdigest() == FAST_PHASE_DIGEST
 
 
+def test_floor_reduction_has_the_bits_of_mod():
+    # the fast route reduces with x - floor(x); it must give np.mod(x, 1.0)
+    # bit for bit on every finite double, signed zeros included
+    tiny = np.finfo(np.float64).smallest_subnormal
+    normal = np.finfo(np.float64).smallest_normal
+    base = np.array([0.0, tiny, 3 * tiny, normal - tiny, normal, 1e-300, 1e-17,
+                     0.1, 1 / 3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 1e6, 2.0 ** 31,
+                     2.0 ** 51 + 0.5, 2.0 ** 52 - 0.5, 2.0 ** 52, 2.0 ** 52 + 1,
+                     2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60, 1e300,
+                     np.finfo(np.float64).max])
+    rng = np.random.default_rng(20151022)
+    exps = np.concatenate([np.arange(-1074, 1024), rng.integers(-60, 60, 20000)])
+    scaled = np.ldexp(rng.uniform(1.0, 2.0, exps.size), exps)
+    with np.errstate(over="ignore"):  # the neighbour of max is inf
+        up = np.nextafter(base, np.inf)
+    x = np.concatenate([base, up, np.nextafter(base, -np.inf),
+                        scaled])
+    x = x[np.isfinite(x)]
+    x = np.concatenate([x, -x])
+    assert np.array_equal((x - np.floor(x)).view(np.uint64),
+                          np.mod(x, 1.0).view(np.uint64))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_fast_phases_of_a_part_keep_the_window_bits(data):
