@@ -507,18 +507,18 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _binomial_rows(deg: int, size: int) -> np.ndarray:
-    """Row j holds C(i, j) for i in [0, size), exact in float64 at the
-    fast route's block sizes.  Each entry is computed on its own, so a
-    slice of the rows has the bits of rows built for that range alone.
-    Shared through the memo, so read-only."""
+def _binomial_rows(deg: int, size: int) -> tuple[np.ndarray, ...]:
+    """C(i, j) for i in [0, size), one row for each j = 1..deg, exact in
+    float64 at the fast route's block sizes.  Each entry is computed on
+    its own, so a slice of a row has the bits of a row built for that
+    range alone.  Shared through the memo, so read-only."""
     idx = np.arange(size, dtype=np.float64)
-    rows = np.empty((deg + 1, size), dtype=np.float64)
-    rows[0] = 1.0
-    for j in range(1, deg + 1):
-        rows[j] = rows[j - 1] * (idx - (j - 1)) / j
-    rows.flags.writeable = False
-    return rows
+    rows = [idx]
+    for j in range(2, deg + 1):
+        rows.append(rows[-1] * (idx - (j - 1)) / j)
+    for row in rows:
+        row.flags.writeable = False
+    return tuple(rows)
 
 
 def _fast_phases(p: PhasePolynomial, start: int, stop: int,
@@ -551,10 +551,10 @@ def _fast_phases(p: PhasePolynomial, start: int, stop: int,
         coeffs = [a / D for a in kernel.differences(anchor)]
         # fixed-order elementwise sum, not a BLAS matvec: the kernel a
         # BLAS build picks (and its FMA use) must not reach the bits
-        acc = rows[1, i0:i1] * coeffs[1]
+        acc = rows[0][i0:i1] * coeffs[1]
         acc += coeffs[0]
-        for j in range(2, deg + 1):
-            acc += rows[j, i0:i1] * coeffs[j]
+        for row, c in zip(rows[1:], coeffs[2:]):
+            acc += row[i0:i1] * c
         part = out[pos - lo: anchor + i1 - lo]
         np.floor(acc, out=part)
         np.subtract(acc, part, out=part)
