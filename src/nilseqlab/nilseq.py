@@ -509,9 +509,9 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _binomial_rows(deg: int, size: int) -> tuple[np.ndarray, ...]:
     """C(i, j) for i in [0, size), one row for each j = 1..deg, exact in
-    float64 at the fast route's block sizes.  Each entry is computed on
-    its own, so a slice of a row has the bits of a row built for that
-    range alone.  Shared through the memo, so read-only."""
+    float64 at the fast route's block sizes.  Entry i of a row depends
+    on i alone, so a slice of a row has the bits of a row built for that
+    range.  Shared through the memo, so read-only."""
     idx = np.arange(size, dtype=np.float64)
     rows = [idx]
     for j in range(2, deg + 1):
@@ -539,11 +539,9 @@ def _fast_phases(p: PhasePolynomial, start: int, stop: int,
     deg, D = kernel.degree, kernel.denominator
     if deg == 0:
         return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
-    out = np.empty(count, dtype=np.float64)
-    if not count:
-        return out
     bsize = min(stop - start, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
     rows = _binomial_rows(deg, bsize)
+    out = np.empty(count, dtype=np.float64)
     pos = lo
     while pos < hi:
         anchor = pos - (pos - start) % bsize
