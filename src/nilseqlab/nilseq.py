@@ -506,19 +506,23 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     return _fast_phases(p, start, stop, start, stop)
 
 
+def _binomial_rows(deg: int, i0: int, i1: int) -> np.ndarray:
+    """Row j holds C(i, j) for i in [i0, i1), exact in float64 at the
+    fast route's block sizes; each entry is computed on its own."""
+    idx = np.arange(i0, i1, dtype=np.float64)
+    rows = np.empty((deg + 1, i1 - i0), dtype=np.float64)
+    rows[0] = 1.0
+    for j in range(1, deg + 1):
+        rows[j] = rows[j - 1] * (idx - (j - 1)) / j
+    return rows
+
+
 @functools.lru_cache(maxsize=4)
-def _binomial_rows(deg: int, size: int) -> tuple[np.ndarray, ...]:
-    """C(i, j) for i in [0, size), one row for each j = 1..deg, exact in
-    float64 at the fast route's block sizes.  Entry i of a row depends
-    on i alone, so a slice of a row has the bits of a row built for that
-    range.  Shared through the memo, so read-only."""
-    idx = np.arange(size, dtype=np.float64)
-    rows = [idx]
-    for j in range(2, deg + 1):
-        rows.append(rows[-1] * (idx - (j - 1)) / j)
-    for row in rows:
-        row.flags.writeable = False
-    return tuple(rows)
+def _whole_block_rows(deg: int, bsize: int) -> np.ndarray:
+    """_binomial_rows(deg, 0, bsize), built once; shared, so read-only."""
+    rows = _binomial_rows(deg, 0, bsize)
+    rows.flags.writeable = False
+    return rows
 
 
 def _fast_phases(p: PhasePolynomial, start: int, stop: int,
@@ -529,9 +533,10 @@ def _fast_phases(p: PhasePolynomial, start: int, stop: int,
     The anchor grid is the whole window's, start + j B with B set by
     stop - start.  A point is a fixed-order elementwise sum of its
     block's anchor coefficients times C(i, j), so any part of the window
-    gets the same floats as the whole.  The C(i, j) rows for i in
-    [0, B) are built once per (degree, B) and kept in a small memo; each
-    block reads its own range of i from them.  The sum is at least 0, so
+    gets the same floats as the whole.  When a whole block fits in
+    [lo, hi), the C(i, j) rows for i in [0, B) come from a small memo
+    that builds them once per (degree, B); otherwise they are built for
+    each block's own range of i.  The sum is at least 0, so
     acc - floor(acc) is exact and has the bits of np.mod(acc, 1.0).
     """
     count = max(hi - lo, 0)
@@ -540,19 +545,20 @@ def _fast_phases(p: PhasePolynomial, start: int, stop: int,
     if deg == 0:
         return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
     bsize = min(stop - start, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
-    rows = _binomial_rows(deg, bsize)
+    whole = _whole_block_rows(deg, bsize) if bsize <= count else None
     out = np.empty(count, dtype=np.float64)
     pos = lo
     while pos < hi:
         anchor = pos - (pos - start) % bsize
         i0, i1 = pos - anchor, min(anchor + bsize, hi) - anchor
+        rows = whole[:, i0:i1] if whole is not None else _binomial_rows(deg, i0, i1)
         coeffs = [a / D for a in kernel.differences(anchor)]
         # fixed-order elementwise sum, not a BLAS matvec: the kernel a
         # BLAS build picks (and its FMA use) must not reach the bits
-        acc = rows[0][i0:i1] * coeffs[1]
+        acc = rows[1] * coeffs[1]
         acc += coeffs[0]
-        for row, c in zip(rows[1:], coeffs[2:]):
-            acc += row[i0:i1] * c
+        for j in range(2, deg + 1):
+            acc += rows[j] * coeffs[j]
         part = out[pos - lo: anchor + i1 - lo]
         np.floor(acc, out=part)
         np.subtract(acc, part, out=part)
