@@ -61,7 +61,7 @@ def test_sieve_matches_factorization_route():
     assert np.array_equal(sieved.values[1:], fact[1:])
 
 
-# SHA-256 of sieve_mobius(4 * SIEVE_BLOCK + 4099).values: four whole
+# SHA-256 of sieve_mobius(4 * 2**19 + 4099).values: four whole 2^19-point
 # sieve blocks and a partial fifth, index 0 included
 SIEVE_DIGEST = "5420f5102926564a0bf29cf6d11bc0fc945ce8f2119faa1857cac9a8aad3ee92"
 

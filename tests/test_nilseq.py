@@ -465,8 +465,7 @@ def test_floor_reduction_has_the_bits_of_mod():
     scaled = np.ldexp(rng.uniform(1.0, 2.0, exps.size), exps)
     with np.errstate(over="ignore"):  # the neighbour of max is inf
         up = np.nextafter(base, np.inf)
-    x = np.concatenate([base, up, np.nextafter(base, -np.inf),
-                        scaled])
+    x = np.concatenate([base, up, np.nextafter(base, -np.inf), scaled])
     x = x[np.isfinite(x)]
     x = np.concatenate([x, -x])
     assert np.array_equal((x - np.floor(x)).view(np.uint64),
