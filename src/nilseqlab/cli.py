@@ -8,6 +8,10 @@ separate file so everything else is byte-identical across runs.
 Exit codes: 0 success, 2 config validation failure (nothing written),
 3 any other failure, write errors included (a failure report is still
 written when possible).  Errors also appear as one JSON object on stderr.
+`main(argv)` returns the code, so a caller in the same process keeps
+running; the process entry `entry` (`python -m nilseqlab.cli` and the
+`nilseqlab` script) flushes stdout and stderr and exits with it, skipping
+interpreter teardown.
 
 Only the standard library and `exactnum` load with this module; each
 subcommand's layers (numpy with them) load in the `import` stage of
@@ -23,7 +27,7 @@ import os
 import sys
 import time
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 
 from .exactnum import (
     IntMatrix,
@@ -43,7 +47,7 @@ if TYPE_CHECKING:
     from .nilseq import SequenceStream
     from .spectral import SparseVector
 
-__all__ = ["ValidationError", "run", "emit_plotdata", "main"]
+__all__ = ["ValidationError", "run", "emit_plotdata", "main", "entry"]
 
 # rows per piece of CSV text handed to write_atomic
 _CSV_CHUNK = 1 << 16
@@ -659,6 +663,9 @@ def _write_report(report: dict, out_dir: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse the command line and run it; returns the exit code, so the
+    caller keeps running.  Bad arguments raise SystemExit(2) from argparse.
+    """
     # One OpenBLAS thread: its idle worker spins for about 0.1 s of CPU
     # after numpy loads.  No CLI value path calls BLAS or LAPACK (phase
     # sums are fixed-order elementwise adds), so the pool's size cannot
@@ -670,19 +677,36 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="nilseqlab",
         description="nilsequence construction, decomposition, and "
                     "Mobius-correlation experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "seq", "decompose", "correlate", "weyl", "report"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True,
-                       help="JSON config file (or report.json for 'report')")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--precision", choices=("exact", "fast"),
-                       default="exact")
+    parser.add_argument("command", choices=("classify", "seq", "decompose",
+                                            "correlate", "weyl", "report"))
+    parser.add_argument("--config", required=True,
+                        help="JSON config file (or report.json for 'report')")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--precision", choices=("exact", "fast"),
+                        default="exact")
     args = parser.parse_args(argv)
     return run(args.command, args.config, args.out, args.threads,
                args.precision)
 
 
+def entry() -> NoReturn:
+    """Process entry of `python -m nilseqlab.cli` and the `nilseqlab` script.
+
+    Ends the process with `main`'s code once stdout and stderr are
+    flushed, without interpreter teardown, which no output needs and
+    which costs about 25 ms after numpy loads: write_atomic closes every
+    output file before renaming it into place, the sieve's temporary file
+    is already unlinked and the `--threads` pool is joined by its `with`
+    block.  A SystemExit from argparse and a KeyboardInterrupt take the
+    normal exit path.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:      # None when the descriptor was closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -92,28 +92,48 @@ E_ABS_ERROR = 2.2e-16
 """Documented bound on |component of e(x) - exact value| for any finite x."""
 
 
-def _quarter_cos_sin(r):
-    """(cos(pi r/2), sin(pi r/2)) for |r| <= 1/2.
+# Taylor coefficients of sin(pi r/2), (-1)^k (pi/2)^(2k+1) / (2k+1)!,
+# k = 0..7, and of cos(pi r/2), (-1)^k (pi/2)^(2k) / (2k)!, k = 0..8
+_SIN_COEFFS = (1.5707963267948966, -0.6459640975062463, 0.07969262624616705,
+               -0.004681754135318688, 0.00016044118478735983,
+               -3.598843235212085e-06, 5.692172921967927e-08,
+               -6.688035109811468e-10)
+_COS_COEFFS = (1.0, -1.2337005501361697, 0.25366950790104803,
+               -0.02086348076335296, 0.0009192602748394266,
+               -2.5202042373060607e-05, 4.710874778818172e-07,
+               -6.386603083791852e-09, 6.565963114979473e-11)
 
-    r is a Python float or a float64 array; both run the same sequence
-    of roundings, so the scalar and array entry points agree bit for bit.
-    Coefficients: (-1)^k (pi/2)^(2k+1) / (2k+1)!, k = 0..7, for sin and
-    (-1)^k (pi/2)^(2k) / (2k)!, k = 0..8, for cos, inlined as literals
-    because the scalar path runs once per point in the exact routes.
+
+def _quarter_cos_sin(r: float) -> tuple[float, float]:
+    """(cos(pi r/2), sin(pi r/2)) for one float |r| <= 1/2.
+
+    The coefficients are unpacked into locals and the polynomials written
+    out, because this runs once per point in the exact routes; `e_array`
+    runs the same roundings in the same order, so the two agree bit for
+    bit.
     """
+    s0, s1, s2, s3, s4, s5, s6, s7 = _SIN_COEFFS
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _COS_COEFFS
     r2 = r * r
-    s = r * (1.5707963267948966 + r2 * (-0.6459640975062463 + r2 * (
-        0.07969262624616705 + r2 * (-0.004681754135318688 + r2 * (
-            0.00016044118478735983 + r2 * (-3.598843235212085e-06 + r2 * (
-                5.692172921967927e-08 + r2 * -6.688035109811468e-10)))))))
-    c = 1.0 + r2 * (-1.2337005501361697 + r2 * (0.25366950790104803 + r2 * (
-        -0.02086348076335296 + r2 * (0.0009192602748394266 + r2 * (
-            -2.5202042373060607e-05 + r2 * (4.710874778818172e-07 + r2 * (
-                -6.386603083791852e-09 + r2 * 6.565963114979473e-11)))))))
+    s = r * (s0 + r2 * (s1 + r2 * (s2 + r2 * (s3 + r2 * (s4 + r2 * (
+        s5 + r2 * (s6 + r2 * s7)))))))
+    c = c0 + r2 * (c1 + r2 * (c2 + r2 * (c3 + r2 * (c4 + r2 * (c5 + r2 * (
+        c6 + r2 * (c7 + r2 * c8)))))))
     return c, s
 
 
-_E_CHUNK = 1 << 14  # bounds the kernel's temporaries; no effect on the bits
+def _horner(coeffs: tuple[float, ...], r2: np.ndarray, acc: np.ndarray) -> None:
+    """acc = coeffs[0] + r2 (coeffs[1] + r2 (...)), in place, with the
+    roundings of the expression in _quarter_cos_sin."""
+    np.multiply(r2, coeffs[-1], out=acc)
+    for k in coeffs[-2:0:-1]:
+        np.add(k, acc, out=acc)
+        np.multiply(r2, acc, out=acc)
+    np.add(coeffs[0], acc, out=acc)
+
+
+# points per pass of e_array: its scratch is four float64 arrays this long
+_E_CHUNK = 1 << 14
 
 
 def e_array(x) -> np.ndarray:
@@ -121,14 +141,23 @@ def e_array(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    # the reduction and both polynomials write into scratch made once a
+    # call, not into a new array a step
+    scratch = np.empty((4, min(flat_x.size, _E_CHUNK)))
     for a in range(0, flat_x.size, _E_CHUNK):
         xs = flat_x[a: a + _E_CHUNK]
-        t = (xs - np.rint(xs)) * 4.0
-        j = np.rint(t)
-        c, s = _quarter_cos_sin(t - j)
-        dst = flat_out[a: a + _E_CHUNK]
-        dst.real = c
-        dst.imag = s
+        t, j, r2, acc = scratch[:, :xs.size]
+        dst = flat_out[a: a + xs.size]
+        np.rint(xs, out=t)
+        np.subtract(xs, t, out=t)
+        np.multiply(t, 4.0, out=t)
+        np.rint(t, out=j)
+        np.subtract(t, j, out=t)            # t is now r
+        np.multiply(t, t, out=r2)
+        _horner(_SIN_COEFFS, r2, acc)
+        np.multiply(t, acc, out=dst.imag)
+        _horner(_COS_COEFFS, r2, acc)
+        dst.real = acc
         dst *= _QUARTER_TURNS_ARRAY[j.astype(np.intp) & 3]
     return out
 

@@ -274,15 +274,15 @@ def test_threads_do_not_change_results(tmp_path):
     cfg = os.path.join(CONFIGS, "correlate_nc_shear.json")
     rows = {}
     reports = {}
-    for t in ("1", "4"):
+    for t in ("1", "2", "4"):
         out = str(tmp_path / t)
         code, _, err = run_cli("correlate", "--config", cfg, "--out", out,
                                "--threads", t, "--precision", "fast")
         assert code == 0, err
         rows[t] = open(os.path.join(out, "correlation.csv"), "rb").read()
         reports[t] = json.load(open(os.path.join(out, "report.json")))
-    assert rows["1"] == rows["4"]
-    assert reports["1"]["results"] == reports["4"]["results"]
+    assert rows["1"] == rows["2"] == rows["4"]
+    assert reports["1"]["results"] == reports["2"]["results"] == reports["4"]["results"]
 
 
 def test_report_subcommand_regenerates_plots(tmp_path):
@@ -459,6 +459,88 @@ def test_help_exits_cleanly():
     assert code == 0
     for sub in ("classify", "seq", "decompose", "correlate", "weyl", "report"):
         assert sub in out
+
+
+# ---------------------------------------------------------------------------
+# the process exit: `python -m nilseqlab.cli` ends through cli.entry, which
+# flushes stdout and stderr and skips interpreter teardown; these children
+# run it through pipes, as the benchmark does
+
+
+@pytest.mark.parametrize("args", [
+    ("bogus", "--config", "c.json"),
+    ("classify", "--out", "out"),
+    ("classify", "--config", "c.json", "--precision", "bogus"),
+    ("classify", "--config", "c.json", "--threads", "x"),
+], ids=["unknown-subcommand", "missing-config", "bad-precision", "bad-threads"])
+def test_bad_arguments_exit_2_with_usage(args):
+    code, out, err = run_cli(*args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nilseqlab "), err
+
+
+@pytest.mark.parametrize("sequence, code", [
+    ({"type": "mobius", "bogus": 1}, 2),
+    ({"type": "furstenberg", "poly": {"coeffs": ["1/3"]}}, 3),
+], ids=["validation", "compute"])
+def test_failed_run_prints_one_whole_error_object(sequence, code, tmp_path):
+    cfg = write_config(tmp_path, {"kind": "correlate", "sequence": sequence,
+                                  "checkpoints": [10]})
+    got, out, err = run_cli("correlate", "--config", cfg,
+                            "--out", str(tmp_path / "out"))
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    shown = json.loads(err)["error"]
+    assert shown["stage"] == {2: "validate", 3: "compute"}[code]
+    assert ("traceback" in shown) == (code == 3)
+    if code == 3:
+        assert shown["traceback"].startswith("Traceback (most recent call last)")
+        assert "DegreeZero" in shown["traceback"]
+
+
+# the module run as `python -m` runs it, after a buffered line on stdout and
+# with a handler that teardown would run
+_TEARDOWN_PROBE = """
+import atexit, runpy
+print("started")
+atexit.register(print, "teardown ran")
+runpy.run_module("nilseqlab.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("sequence, code, teardown", [
+    ({"type": "constant"}, 0, False),
+    ({"type": "constant", "bogus": 1}, 2, False),
+    ({"type": "furstenberg", "poly": {"coeffs": ["1/3"]}}, 3, False),
+    (None, 2, True),        # argparse's SystemExit takes the normal exit
+], ids=["ok", "validation", "compute", "bad-arguments"])
+def test_entry_skips_teardown_after_main_returns(sequence, code, teardown,
+                                                 tmp_path):
+    cfg = write_config(tmp_path, {"kind": "correlate", "sequence": sequence,
+                                  "checkpoints": [10]})
+    args = ("correlate", "--config", cfg, "--out", str(tmp_path / "out"))
+    if sequence is None:
+        args += ("--threads", "x")
+    # stdout block-buffered, as it is by default for a pipe
+    got, out, err = _run_python("-c", _TEARDOWN_PROBE, *args,
+                                env_extra={"PYTHONUNBUFFERED": ""})
+    assert got == code, err
+    assert out == "started\n" + ("teardown ran\n" if teardown else "")
+    if code == 0:
+        assert os.path.isfile(tmp_path / "out" / "correlation.csv")
+
+
+def test_script_and_module_run_the_same_entry():
+    # a plain string check: tomllib is not in Python 3.10
+    with open(os.path.join(REPO, "pyproject.toml")) as f:
+        toml = f.read()
+    scripts = toml.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.count("\n") == 1, scripts
+    name = scripts.removeprefix('nilseqlab = "nilseqlab.cli:').removesuffix('"\n')
+    assert name.isidentifier(), scripts
+    with open(os.path.join(REPO, "src", "nilseqlab", "cli.py")) as f:
+        cli_source = f.read()
+    assert cli_source.endswith(f'\nif __name__ == "__main__":\n    {name}()\n')
 
 
 def test_plot_csv_shapes(tmp_path):
