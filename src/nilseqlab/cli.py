@@ -7,7 +7,8 @@ separate file so everything else is byte-identical across runs.
 
 Exit codes: 0 success, 2 config validation failure (nothing written),
 3 any other failure, write errors included (a failure report is still
-written when possible).  Errors also appear as one JSON object on stderr.
+written when possible).  Errors also appear as one JSON object on stderr
+when it is writable; a closed stderr changes no exit code.
 `main(argv)` returns the code, so a caller in the same process keeps
 running; the process entry `entry` (`python -m nilseqlab.cli` and the
 `nilseqlab` script) flushes stdout and stderr and exits with it, skipping
@@ -566,8 +567,10 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
     Exit 2 when the config cannot be read or parsed, or is rejected by a
     ValidationError, even one raised inside a runner: nothing is written
     under out_dir.  Exit 3 for any other failure: a failure report and
-    timings.json are written when the disk allows.  `seq` takes its kind
-    from the config; `report` reruns the config of a stored report.json.
+    timings.json are written when the disk allows.  The error object goes
+    to stderr when it can: a closed or missing stderr loses that line, not
+    the exit code or the failure report.  `seq` takes its kind from the
+    config; `report` reruns the config of a stored report.json.
     """
     stage, report, timings = "load", None, {}
     t = time.perf_counter()
@@ -642,7 +645,10 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
             import traceback
 
             shown["traceback"] = traceback.format_exc()
-        print(json.dumps({"error": shown}, sort_keys=True), file=sys.stderr)
+        try:
+            sys.stderr.write(json.dumps({"error": shown}, sort_keys=True) + "\n")
+        except (AttributeError, OSError, ValueError):
+            pass  # stderr is None or closed: the exit code still reports
         if rejected:
             return 2
         if report is not None:
@@ -703,8 +709,10 @@ def entry() -> NoReturn:
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:      # None when the descriptor was closed
+        try:
             stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass    # None or closed: nothing to flush into
     os._exit(code)
 
 

@@ -1,10 +1,12 @@
 import copy
 import errno
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -15,26 +17,17 @@ from conftest import LARGE_ROOT_COMPANION, SQRT2
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
 GOLDEN = os.path.join(CONFIGS, "golden")
-# one golden tree per precision, both written by scripts/make_goldens.py
-GOLDEN_TREES = {"fast": GOLDEN, "exact": os.path.join(CONFIGS, "golden_exact")}
 
-SUBCOMMAND = {
-    "classify_fibonacci": "classify",
-    "classify_shear": "classify",
-    "correlate_nc_shear": "correlate",
-    "correlate_quadratic": "correlate",
-    "decompose_heisenberg": "decompose",
-    "seq_torus_shear": "seq",
-    "weyl_linear": "weyl",
-    "weyl_rational": "weyl",
-}
-
-
-# Configs that pin the CLI value paths no shipped config reaches, each
-# with an exact-route golden that scripts/make_goldens.py writes
-PINNED = os.path.join(REPO, "tests", "data")
-PINNED_NAMES = sorted(f[:-5] for f in os.listdir(os.path.join(PINNED, "configs"))
-                      if f.endswith(".json"))
+# The golden driver: the code that writes every committed golden is the
+# code these tests check them with
+_spec = importlib.util.spec_from_file_location(
+    "make_goldens", os.path.join(REPO, "scripts", "make_goldens.py"))
+make_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_goldens)
+GOLDENS = make_goldens.cli_goldens()
+SHIPPED_GOLDENS = [g for g in GOLDENS if os.path.dirname(g.config) == CONFIGS]
+PINNED_GOLDENS = [g for g in GOLDENS if g not in SHIPPED_GOLDENS]
+SHIPPED = sorted({g.name for g in SHIPPED_GOLDENS})
 
 
 def _run_python(*args, env_extra=None):
@@ -55,67 +48,6 @@ def write_config(tmp_path, body):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(body))
     return str(path)
-
-
-def _assert_golden_bytes(tmp_path, name, precision, env_extra=None, label=""):
-    out = str(tmp_path / f"{name}-{precision}")
-    code, _, err = run_cli(SUBCOMMAND[name], "--config",
-                           os.path.join(CONFIGS, f"{name}.json"),
-                           "--out", out, "--precision", precision,
-                           env_extra=env_extra)
-    assert code == 0, err
-    golden_dir = os.path.join(GOLDEN_TREES[precision], name)
-    entries = sorted(os.listdir(golden_dir))
-    assert entries
-    for fname in entries:
-        with open(os.path.join(golden_dir, fname), "rb") as f:
-            want = f.read()
-        with open(os.path.join(out, fname), "rb") as f:
-            got = f.read()
-        assert got == want, f"{label}{name}/{fname} drifted from {precision} golden"
-
-
-@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
-def test_golden_outputs_reproduced(name, tmp_path):
-    for precision in GOLDEN_TREES:
-        _assert_golden_bytes(tmp_path, name, precision)
-
-
-# one child runs every pinned config, so each host variant costs one start-up
-_PINNED_CHILD = """
-import sys
-from nilseqlab import cli
-args = sys.argv[1:]
-codes = [cli.run(*args[i:i + 3], 1, "exact") for i in range(0, len(args), 3)]
-sys.exit(max(codes))
-"""
-
-
-def _assert_pinned_golden_bytes(tmp_path, env_extra=None, label=""):
-    args = []
-    for name in PINNED_NAMES:
-        config = os.path.join(PINNED, "configs", f"{name}.json")
-        with open(config) as f:
-            kind = json.load(f)["kind"]
-        args += ["seq" if kind.endswith("-seq") else kind, config,
-                 str(tmp_path / f"pinned-{name}")]
-    code, _, err = _run_python("-c", _PINNED_CHILD, *args, env_extra=env_extra)
-    assert code == 0, err
-    for name in PINNED_NAMES:
-        golden_dir = os.path.join(PINNED, "golden", name)
-        entries = sorted(os.listdir(golden_dir))
-        assert entries
-        for fname in entries:
-            with open(os.path.join(golden_dir, fname), "rb") as f:
-                want = f.read()
-            with open(tmp_path / f"pinned-{name}" / fname, "rb") as f:
-                got = f.read()
-            assert got == want, f"{label}{name}/{fname} drifted from its pinned golden"
-
-
-def test_pinned_path_goldens_reproduced(tmp_path):
-    assert PINNED_NAMES
-    _assert_pinned_golden_bytes(tmp_path)
 
 
 def _numpy_dispatch():
@@ -142,15 +74,75 @@ HOST_VARIANTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """golden_run(variant, reverse) is the root under which the driver's
+    one child wrote every CLI golden, in that host variant ("default": the
+    test environment as it is) and order.  All five runs start, two at a
+    time, when the first test asks for one."""
+    pool = ThreadPoolExecutor(2)
+    runs = {}
+    for key in [("default", False), ("default", True),
+                *((variant, False) for variant in HOST_VARIANTS)]:
+        out = str(tmp_path_factory.mktemp("goldens"))
+        runs[key] = out, pool.submit(make_goldens.run_child, out,
+                                     HOST_VARIANTS.get(key[0]), reverse=key[1])
+
+    def run(variant="default", reverse=False):
+        out, child = runs[variant, reverse]
+        proc = child.result()
+        assert proc.returncode == 0, proc.stderr
+        return out
+    yield run
+    pool.shutdown(cancel_futures=True)
+
+
+def _assert_goldens_reproduced(out, goldens, label=""):
+    """Each golden directory under out holds the committed files, byte
+    for byte, and no other file."""
+    assert goldens
+    for g in goldens:
+        want_dir = os.path.join(REPO, g.dest)
+        entries = sorted(os.listdir(want_dir))
+        assert entries
+        assert sorted(os.listdir(os.path.join(out, g.dest))) == entries, g.dest
+        for fname in entries:
+            with open(os.path.join(want_dir, fname), "rb") as f:
+                want = f.read()
+            with open(os.path.join(out, g.dest, fname), "rb") as f:
+                got = f.read()
+            assert got == want, f"{label}{g.dest}/{fname} drifted from its golden"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_golden_outputs_reproduced(name, golden_run):
+    # both precisions, each against its own tree
+    _assert_goldens_reproduced(golden_run(),
+                               [g for g in SHIPPED_GOLDENS if g.name == name])
+
+
+def test_pinned_path_goldens_reproduced(golden_run):
+    _assert_goldens_reproduced(golden_run(), PINNED_GOLDENS)
+
+
 @pytest.mark.parametrize("variant", sorted(HOST_VARIANTS))
-def test_goldens_independent_of_libm_and_blas_builds(variant, tmp_path):
-    for name in sorted(SUBCOMMAND):
-        for precision in GOLDEN_TREES:
-            _assert_golden_bytes(tmp_path, name, precision,
-                                 env_extra=HOST_VARIANTS[variant],
-                                 label=f"{variant}: ")
-    _assert_pinned_golden_bytes(tmp_path, env_extra=HOST_VARIANTS[variant],
-                                label=f"{variant}: ")
+def test_goldens_independent_of_libm_and_blas_builds(variant, golden_run):
+    _assert_goldens_reproduced(golden_run(variant), GOLDENS,
+                               label=f"{variant}: ")
+
+
+def test_goldens_independent_of_run_order(golden_run):
+    # one process runs every golden in reverse order: no output may
+    # depend on what the process ran before it
+    _assert_goldens_reproduced(golden_run(reverse=True), GOLDENS,
+                               label="reversed: ")
+
+
+def test_driver_table_covers_every_committed_golden():
+    trees = {tree for _, _, tree in make_goldens.TREES}
+    committed = {os.path.join(tree, name) for tree in trees
+                 for name in os.listdir(os.path.join(REPO, tree))}
+    assert committed == {g.dest for g in GOLDENS}
 
 
 def _close(got, want, tol=1e-9):
@@ -190,14 +182,13 @@ def _parsed(path):
     return rows
 
 
-@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
-def test_exact_route_agrees_with_goldens(name, tmp_path):
+@pytest.mark.parametrize("name", SHIPPED)
+def test_exact_route_agrees_with_goldens(name, golden_run):
     # the cross-route check: the default exact route against the fast
     # route's bytes, within 1e-9
-    out = str(tmp_path / name)
-    code, _, err = run_cli(SUBCOMMAND[name], "--config",
-                           os.path.join(CONFIGS, f"{name}.json"), "--out", out)
-    assert code == 0, err
+    exact, = [g for g in SHIPPED_GOLDENS
+              if g.name == name and g.precision == "exact"]
+    out = os.path.join(golden_run(), exact.dest)
     golden_dir = os.path.join(GOLDEN, name)
     for fname in sorted(os.listdir(golden_dir)):
         got = _parsed(os.path.join(out, fname))
@@ -528,6 +519,57 @@ def test_entry_skips_teardown_after_main_returns(sequence, code, teardown,
     assert out == "started\n" + ("teardown ran\n" if teardown else "")
     if code == 0:
         assert os.path.isfile(tmp_path / "out" / "correlation.csv")
+
+
+class _ClosedStderr:
+    """sys.stderr of a process whose descriptor 2 is closed."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    flush = write
+
+
+# run in a CLI child before exec: with descriptor 2 closed the interpreter
+# sets sys.stderr to None; a launcher that leaves a read-only descriptor
+# there (as `2>&-` through a shell-script shim can) makes writes fail
+_SPOILED_STDERR = {
+    "closed": lambda: os.close(2),
+    "read-only": lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2),
+}
+
+
+@pytest.mark.parametrize("sequence, code", [
+    (None, 2),
+    ({"type": "furstenberg", "poly": {"coeffs": ["1/3"]}}, 3),
+], ids=["missing-config", "compute"])
+def test_exit_codes_hold_with_stderr_closed(sequence, code, tmp_path,
+                                            monkeypatch):
+    from nilseqlab import cli
+
+    cfg = str(tmp_path / "missing.json")
+    if sequence is not None:
+        cfg = write_config(tmp_path, {"kind": "correlate", "sequence": sequence,
+                                      "checkpoints": [10]})
+    env = dict(os.environ)
+    env.pop("NILSEQ_CACHE_DIR", None)
+    for where in (*_SPOILED_STDERR, "in-process"):
+        out = tmp_path / where
+        argv = ["correlate", "--config", cfg, "--out", str(out)]
+        if where == "in-process":
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stderr", _ClosedStderr())
+                got = cli.main(argv)
+        else:
+            got = subprocess.run([sys.executable, "-m", "nilseqlab.cli", *argv],
+                                 env=env, cwd=REPO, stdout=subprocess.DEVNULL,
+                                 preexec_fn=_SPOILED_STDERR[where]).returncode
+        assert got == code, where
+        if code == 2:
+            assert not out.exists()
+        else:
+            report = json.loads((out / "report.json").read_text())
+            assert report["failed_stage"] == "compute"
 
 
 def test_script_and_module_run_the_same_entry():
@@ -997,7 +1039,7 @@ def test_report_subcommand_takes_a_directory(tmp_path):
 # each shipped config plus sequence types no shipped config uses; sizes
 # are drawn below, so none of them needs much memory or time
 FUZZ_SEEDS = {name: json.load(open(os.path.join(CONFIGS, f"{name}.json")))
-              for name in SUBCOMMAND}
+              for name in SHIPPED}
 FUZZ_SEEDS.update({
     f"correlate_{t}": {"kind": "correlate", "checkpoints": [100],
                        "generators": {"g1": "1.4142135623730950488"},
@@ -1081,7 +1123,8 @@ def test_exit_code_contract_under_config_mutations(data, tmp_path,
     with open(path, "w") as f:
         json.dump(cfg, f)
     out = os.path.join(work, "out")
-    code = cli.main([SUBCOMMAND.get(name, "correlate"), "--config", path,
+    subcommand = make_goldens.SUBCOMMAND[FUZZ_SEEDS[name]["kind"]]
+    code = cli.main([subcommand, "--config", path,
                      "--out", out, "--precision",
                      data.draw(st.sampled_from(["exact", "fast"]))])
     assert code in (0, 2, 3)
