@@ -285,7 +285,7 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
 # rows iterated once, or to the object itself for a .json file
 
 
-def _run_classify(cfg: dict, precision: str, threads: int) -> dict:
+def _run_classify(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config", ["kind", "matrix"], ["generators"])
     A = _int_matrix(cfg["matrix"], "matrix")
     rep = classify_entropy(A)
@@ -304,7 +304,7 @@ def _run_classify(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
+def _run_seq(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "range"], ["generators"])
     rng = cfg["range"]
     _check_keys(rng, "range", ["start", "stop"])
@@ -335,7 +335,7 @@ def _run_seq(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _mobius_cache(limit: int, threads: int) -> MobiusCache:
+def _mobius_cache(limit: int) -> MobiusCache:
     """The sieve cache for 1..limit, opened: the file in NILSEQ_CACHE_DIR
     on a hit; sieved into it on a miss, or into a temporary file when no
     directory is set."""
@@ -343,7 +343,7 @@ def _mobius_cache(limit: int, threads: int) -> MobiusCache:
 
     cache_dir = os.environ.get("NILSEQ_CACHE_DIR")
     if not cache_dir:
-        return mobius.sieve_cache(limit, threads=threads)
+        return mobius.sieve_cache(limit)
     path = os.path.join(cache_dir, f"mobius_{limit}.bin")
     try:
         cache = mobius.MobiusCache(open(path, "rb"))
@@ -354,10 +354,10 @@ def _mobius_cache(limit: int, threads: int) -> MobiusCache:
             return cache
         cache.close()
     os.makedirs(cache_dir, exist_ok=True)
-    return mobius.sieve_cache(limit, path, threads)
+    return mobius.sieve_cache(limit, path)
 
 
-def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
+def _run_correlate(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "checkpoints"],
                 ["generators"])
     from . import mobius
@@ -373,10 +373,10 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
         _check_keys(spec, "sequence", ["type"])
     else:
         stream = build_sequence(spec, precision)
-    with _mobius_cache(max(pts), threads) as cache:
+    with _mobius_cache(max(pts)) as cache:
         if is_mobius:
             stream = mobius.mobius_stream(cache)
-        rep = mobius.correlate(stream, pts, table=cache, threads=threads)
+        rep = mobius.correlate(stream, pts, table=cache)
     rows = [[N, s.real, s.imag, abs(s)]
             for N, s in zip(rep.checkpoints, rep.sums)]
     return {
@@ -392,7 +392,7 @@ def _run_correlate(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
+def _run_weyl(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config", ["kind", "poly", "harmonics", "checkpoints"],
                 ["generators"])
     from . import torus
@@ -428,7 +428,7 @@ def _run_weyl(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
+def _run_decompose(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config",
                 ["kind", "operators", "polys", "u", "v"],
                 ["generators", "checkpoints"])
@@ -492,7 +492,7 @@ def _run_decompose(cfg: dict, precision: str, threads: int) -> dict:
     }
 
 
-_RUNNERS: dict[str, Callable[[dict, str, int], dict]] = {
+_RUNNERS: dict[str, Callable[[dict, str], dict]] = {
     "classify": _run_classify,
     "torus-seq": _run_seq,
     "nc-seq": _run_seq,
@@ -570,7 +570,8 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
     timings.json are written when the disk allows.  The error object goes
     to stderr when it can: a closed or missing stderr loses that line, not
     the exit code or the failure report.  `seq` takes its kind from the
-    config; `report` reruns the config of a stored report.json.
+    config; `report` reruns the config of a stored report.json.  `threads`
+    must be >= 1; it is recorded in report.json and changes nothing else.
     """
     stage, report, timings = "load", None, {}
     t = time.perf_counter()
@@ -626,7 +627,7 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
         timings["import"] = time.perf_counter() - t
 
         stage, t = "compute", time.perf_counter()
-        report.update(_RUNNERS[kind](cfg, precision, threads))
+        report.update(_RUNNERS[kind](cfg, precision))
         timings["compute"] = time.perf_counter() - t
 
         stage, t = "emit", time.perf_counter()
@@ -688,7 +689,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", required=True,
                         help="JSON config file (or report.json for 'report')")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted, checked (>= 1) and recorded in "
+                             "report.json; every run uses one thread")
     parser.add_argument("--precision", choices=("exact", "fast"),
                         default="exact")
     args = parser.parse_args(argv)
@@ -703,9 +706,9 @@ def entry() -> NoReturn:
     flushed, without interpreter teardown, which no output needs and
     which costs about 25 ms after numpy loads: write_atomic closes every
     output file before renaming it into place, the sieve's temporary file
-    is already unlinked and the `--threads` pool is joined by its `with`
-    block.  A SystemExit from argparse and a KeyboardInterrupt take the
-    normal exit path.
+    is already unlinked and no thread but the main one ever runs.  A
+    SystemExit from argparse and a KeyboardInterrupt take the normal exit
+    path.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -3,15 +3,16 @@
 The sieve works one block of SIEVE_BLOCK points at a time.
 `sieve_mobius` concatenates the blocks into one int8 table, a byte a
 point; `sieve_cache` packs each block into the cache format as it is
-made, so its memory is a few blocks whatever the limit.  A cache file is
+made, so its memory is one block whatever the limit.  A cache file is
 read back by range (`MobiusCache.block`), and `correlate` reads its
 weights one summation segment at a time from a table or a cache, so it
 never fills a table for 1..N itself.  A second, independent routine
 derives mu(n) by dividing out primes from the values themselves
 (different bookkeeping, used as a cross-check and for golden files).
 Correlation sums S(N) = (1/N) sum mu(n) xi(n) are accumulated through a
-fixed binary reduction tree, so a segment-parallel run reproduces the
-serial result bit for bit.
+fixed binary reduction tree over fixed segments, so every bit of a sum
+is fixed by N and the checkpoints alone.  Everything runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import struct
 import tempfile
 import zlib
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -48,9 +48,9 @@ __all__ = [
     "mobius_stream",
 ]
 
-# points per sieve block: its int32 scratch is 2 MB an array, and one
-# block is what each sieving thread holds
-SIEVE_BLOCK = 1 << 19
+# points per sieve block: its int32 scratch is 1 MB an array, and one
+# block is all the sieve holds; the block's size changes no output bit
+SIEVE_BLOCK = 1 << 18
 # points per correlate summation segment; it fixes the tree_fold shapes,
 # hence every output bit of a correlation sum
 SEGMENT = 1 << 15
@@ -204,25 +204,6 @@ class CorrelationReport:
         return tuple(abs(s) for s in self.sums)
 
 
-def _in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
-    """fn over items, results in order; with threads > 1 a pool computes
-    at most 2 * threads of them ahead of the consumer, so memory holds a
-    few results, never all of them."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only with a pool
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def correlate(
     xi: SequenceStream,
     checkpoints: Sequence[int],
@@ -236,11 +217,12 @@ def correlate(
     MobiusCache) one segment of SEGMENT points at a time; with no table,
     mu(1..N) is sieved into a temporary cache file first.  Summation:
     per-segment products are reduced with tree_fold, segment totals
-    again with tree_fold, making the result independent of evaluation
-    order (and hence of `threads`).  A segment keeps only its total and,
-    for each checkpoint k inside it, the tree_fold of its products up to
-    k, so memory holds no product arrays beyond the segments in flight,
-    however many checkpoints there are.
+    again with tree_fold, so the shape of every sum is fixed by the
+    checkpoints.  Segments are evaluated in order in the calling thread;
+    each keeps only its total and, for each checkpoint k inside it, the
+    tree_fold of its products up to k, so memory holds one segment's
+    products, however many checkpoints there are.  `threads` is accepted
+    for compatibility and ignored.
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -251,8 +233,8 @@ def correlate(
         raise UnboundedSequence(f"stream {xi.provenance!r} carries no bound")
     n_max = cks[-1]
     if table is None:
-        with sieve_cache(n_max, threads=threads) as cache:
-            return correlate(xi, cks, cache, threads)
+        with sieve_cache(n_max) as cache:
+            return correlate(xi, cks, cache)
     if table.limit < n_max:
         raise ValueError("mobius table shorter than the last checkpoint")
 
@@ -266,7 +248,7 @@ def correlate(
         inside = cks[bisect_left(cks, lo): bisect_left(cks, hi)]
         return tree_fold(vals), [tree_fold(vals[: k - lo + 1]) for k in inside]
 
-    segments = list(_in_order(segment, range((n_max - 1) // seg + 1), threads))
+    segments = [segment(i) for i in range((n_max - 1) // seg + 1)]
 
     seg_totals = [total for total, _ in segments]
     partials = [s for _, in_segment in segments for s in in_segment]
@@ -307,18 +289,15 @@ def _pack(mu: np.ndarray) -> bytes:
 
 
 def _write_cache_file(f: BinaryIO, limit: int,
-                      block: Callable[[int, int], np.ndarray],
-                      threads: int = 1) -> None:
+                      block: Callable[[int, int], np.ndarray]) -> None:
     """Write mu(1..limit), taken from block(lo, hi) one SIEVE_BLOCK at a
     time, to the binary file f in the cache format.  The payload goes out
     in order behind a blank header, the checksum accumulated as it goes;
     the header is filled in last."""
-    def packed(lo: int) -> bytes:
-        return _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)))
-
     f.write(bytes(_CACHE_HEADER.size))
     crc = zlib.crc32(struct.pack("<Q", limit))
-    for chunk in _in_order(packed, range(1, limit + 1, SIEVE_BLOCK), threads):
+    for lo in range(1, limit + 1, SIEVE_BLOCK):
+        chunk = _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)))
         crc = zlib.crc32(chunk, crc)
         f.write(chunk)
     f.seek(0)
@@ -331,9 +310,8 @@ class MobiusCache:
 
     The header, the payload length and the checksum are checked once, on
     opening; `block` then reads only the bytes it needs with os.pread,
-    which shares no file offset between threads and, unlike a mapping,
-    adds no file pages to the process's memory.  The object owns `fh`
-    and closes it.
+    which moves no file offset and, unlike a mapping, adds no file pages
+    to the process's memory.  The object owns `fh` and closes it.
     """
 
     def __init__(self, fh: BinaryIO):
@@ -393,19 +371,18 @@ class MobiusCache:
         self.close()
 
 
-def sieve_cache(limit: int, path: str | None = None, threads: int = 1) -> MobiusCache:
+def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
     """Sieve mu(1..limit) block by block into a cache file and open it.
 
     The file is written atomically at `path`, or is an unlinked temporary
-    file when path is None.  `threads` threads sieve blocks; each packs
-    its own block, and the blocks are written in order, so memory holds a
-    few blocks, never the table, and the bytes equal write_cache's.
+    file when path is None.  Each block is sieved, packed and written in
+    order before the next, so memory holds one block, never the table,
+    and the bytes equal write_cache's.
     """
     primes = _sieve_primes(limit)
 
     def fill(f: BinaryIO) -> None:
-        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes),
-                          threads)
+        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes))
 
     if path is not None:
         write_atomic(path, fill)

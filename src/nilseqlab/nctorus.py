@@ -14,7 +14,6 @@ All phases are PhaseScalar values reduced mod 1; nothing here rounds.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -314,7 +313,7 @@ class WeylElement:
 
 
 class _WordOrbit:
-    """alpha^n(w0) with cached two-sided iteration; thread-safe."""
+    """alpha^n(w0) with cached two-sided iteration."""
 
     def __init__(self, S: IntMatrix, theta: ThetaMatrix, w0: WeylWord):
         _check_compatible(S, theta)
@@ -322,20 +321,18 @@ class _WordOrbit:
         self._theta = theta
         self._fwd = [w0]          # indices 0, 1, 2, ...
         self._bwd = [w0]          # indices 0, -1, -2, ...
-        self._lock = threading.Lock()
 
     def __call__(self, n: int) -> WeylWord:
         n = int(n)
-        with self._lock:
-            if n >= 0:
-                while len(self._fwd) <= n:
-                    self._fwd.append(
-                        apply_auto(self._S, self._fwd[-1], self._theta))
-                return self._fwd[n]
-            while len(self._bwd) <= -n:
-                self._bwd.append(
-                    apply_auto_inverse(self._S, self._bwd[-1], self._theta))
-            return self._bwd[-n]
+        if n >= 0:
+            while len(self._fwd) <= n:
+                self._fwd.append(
+                    apply_auto(self._S, self._fwd[-1], self._theta))
+            return self._fwd[n]
+        while len(self._bwd) <= -n:
+            self._bwd.append(
+                apply_auto_inverse(self._S, self._bwd[-1], self._theta))
+        return self._bwd[-n]
 
 
 @dataclass(frozen=True)

@@ -816,8 +816,8 @@ def test_bad_cache_file_is_a_miss(spoil, tmp_path, monkeypatch):
     assert os.listdir(cache) == ["mobius_100.bin"]
 
 
-# not a multiple of 4 and four sieve blocks long, with checkpoints on the
-# edges of summation segments (2^15 points) and sieve blocks (2^19)
+# not a multiple of 4 and seven sieve blocks long, with checkpoints on the
+# edges of summation segments (2^15 points) and sieve blocks (2^18)
 STREAM_LIMIT = 3 * 2 ** 19 + 4099
 STREAM_CHECKPOINTS = [1, 2 ** 15, 2 ** 15 + 1, 2 ** 19, 2 ** 19 + 1, 2 ** 20,
                       2 ** 20 + 1, 3 * 2 ** 19, STREAM_LIMIT]
@@ -883,7 +883,7 @@ def _peak_rss_mb(argv, env=None):
     return kib / 1024
 
 
-def _correlate_peak_mb(tmp_path, checkpoints, cache=False):
+def _correlate_peak_mb(tmp_path, checkpoints, cache=False, threads="1"):
     name = f"{len(checkpoints)}-{checkpoints[-1]}"
     cfg = tmp_path / f"correlate-{name}.json"
     cfg.write_text(json.dumps({"kind": "correlate", "checkpoints": checkpoints,
@@ -893,7 +893,7 @@ def _correlate_peak_mb(tmp_path, checkpoints, cache=False):
     if cache:
         env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{name}")
     return _peak_rss_mb(["correlate", "--config", str(cfg), "--out",
-                         str(tmp_path / f"out-{name}"), "--threads", "1"], env)
+                         str(tmp_path / f"out-{name}"), "--threads", threads], env)
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
@@ -903,6 +903,17 @@ def test_correlate_peak_memory_does_not_grow_with_n(cache, tmp_path):
     small, large = (_correlate_peak_mb(tmp_path, [n], cache)
                     for n in (4 * 10 ** 5, 4 * 10 ** 6))
     assert large < small + 8, (small, large)
+
+
+def test_correlate_peak_memory_does_not_grow_with_threads(tmp_path):
+    """--threads is accepted and changes nothing: a cold-cache run with two
+    holds no more sieve blocks or segments than one with one thread."""
+    peaks = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()       # a cache directory of its own
+        peaks.append(_correlate_peak_mb(tmp_path / threads, [4 * 10 ** 6],
+                                        True, threads))
+    assert peaks[1] < peaks[0] + 1, peaks
 
 
 def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path):

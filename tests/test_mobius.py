@@ -61,8 +61,8 @@ def test_sieve_matches_factorization_route():
     assert np.array_equal(sieved.values[1:], fact[1:])
 
 
-# SHA-256 of sieve_mobius(4 * 2**19 + 4099).values: four whole 2^19-point
-# sieve blocks and a partial fifth, index 0 included
+# SHA-256 of sieve_mobius(4 * 2**19 + 4099).values: eight whole 2^18-point
+# sieve blocks and a partial ninth, index 0 included
 SIEVE_DIGEST = "5420f5102926564a0bf29cf6d11bc0fc945ce8f2119faa1857cac9a8aad3ee92"
 
 
@@ -290,18 +290,17 @@ def test_cache_rejects_truncation(tmp_path):
         read_cache(path)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_cache_bytes_equal_write_cache(threads, tmp_path):
-    # not a multiple of 4, so the last byte is padded; four sieve blocks
+def test_streamed_cache_bytes_equal_write_cache(tmp_path):
+    # not a multiple of 4, so the last byte is padded; a partial fourth block
     limit = 3 * SIEVE_BLOCK + 4099
     table = sieve_mobius(limit)
     write_cache(table, str(tmp_path / "table.bin"))
     streamed = tmp_path / f"mobius_{limit}.bin"
-    with sieve_cache(limit, str(streamed), threads=threads) as cache:
+    with sieve_cache(limit, str(streamed)) as cache:
         assert cache.limit == limit
     assert streamed.read_bytes() == (tmp_path / "table.bin").read_bytes()
     assert sorted(os.listdir(tmp_path)) == [streamed.name, "table.bin"]
-    with sieve_cache(limit, threads=threads) as unlinked:
+    with sieve_cache(limit) as unlinked:
         assert np.array_equal(unlinked.block(1, limit + 1), table.values[1:])
 
 
