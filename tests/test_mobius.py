@@ -290,14 +290,17 @@ def test_cache_rejects_truncation(tmp_path):
         read_cache(path)
 
 
-def test_streamed_cache_bytes_equal_write_cache(tmp_path):
-    # not a multiple of 4, so the last byte is padded; a partial fourth block
+@pytest.mark.parametrize("writes", [1, 2])
+def test_streamed_cache_bytes_equal_write_cache(writes, tmp_path):
+    # not a multiple of 4, so the last byte is padded; a partial fourth block.
+    # A second write replaces the first whole and leaves no temporary file.
     limit = 3 * SIEVE_BLOCK + 4099
     table = sieve_mobius(limit)
     write_cache(table, str(tmp_path / "table.bin"))
     streamed = tmp_path / f"mobius_{limit}.bin"
-    with sieve_cache(limit, str(streamed)) as cache:
-        assert cache.limit == limit
+    for _ in range(writes):
+        with sieve_cache(limit, str(streamed)) as cache:
+            assert cache.limit == limit
     assert streamed.read_bytes() == (tmp_path / "table.bin").read_bytes()
     assert sorted(os.listdir(tmp_path)) == [streamed.name, "table.bin"]
     with sieve_cache(limit) as unlinked:
