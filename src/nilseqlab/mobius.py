@@ -48,9 +48,9 @@ __all__ = [
     "mobius_stream",
 ]
 
-# points per sieve block: its int32 scratch is 1 MB an array, and one
+# points per sieve block: its int32 scratch is 2 MB an array, and one
 # block is all the sieve holds; the block's size changes no output bit
-SIEVE_BLOCK = 1 << 18
+SIEVE_BLOCK = 1 << 19
 # points per correlate summation segment; it fixes the tree_fold shapes,
 # hence every output bit of a correlation sum
 SEGMENT = 1 << 15

@@ -61,8 +61,8 @@ def test_sieve_matches_factorization_route():
     assert np.array_equal(sieved.values[1:], fact[1:])
 
 
-# SHA-256 of sieve_mobius(4 * 2**19 + 4099).values: eight whole 2^18-point
-# sieve blocks and a partial ninth, index 0 included
+# SHA-256 of sieve_mobius(4 * 2**19 + 4099).values: four whole 2^19-point
+# sieve blocks and a partial fifth, index 0 included
 SIEVE_DIGEST = "5420f5102926564a0bf29cf6d11bc0fc945ce8f2119faa1857cac9a8aad3ee92"
 
 
@@ -292,7 +292,7 @@ def test_cache_rejects_truncation(tmp_path):
 
 @pytest.mark.parametrize("writes", [1, 2])
 def test_streamed_cache_bytes_equal_write_cache(writes, tmp_path):
-    # not a multiple of 4, so the last byte is padded; a partial fourth block.
+    # not a multiple of 4, so the last byte is padded; four sieve blocks.
     # A second write replaces the first whole and leaves no temporary file.
     limit = 3 * SIEVE_BLOCK + 4099
     table = sieve_mobius(limit)
