@@ -6,7 +6,8 @@ multiples of declared irrational generators, and polynomials with such
 coefficients.  Everything here is immutable and side-effect free except
 for the process-wide generator registry, which `declare_generator` adds
 to and `reset_generators` clears (the CLI clears it at the start of each
-run), and `write_atomic`, the one file writer of the package.
+run), and `write_atomic`, the one file writer of the package.  `Record`
+is the frozen base of every record class in the package.
 
 The binomial basis is the natural one for power iterates of unipotent
 matrices: an integer matrix U with (U - I)^d = 0 satisfies
@@ -25,12 +26,13 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, zip_longest
 from typing import BinaryIO, Callable, Iterable, Sequence
 
 __all__ = [
+    "Record",
+    "replace",
     "NotInGL",
     "NotUnipotent",
     "NonClosedProduct",
@@ -84,11 +86,116 @@ def binom_int(t: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+
+_set = object.__setattr__
+_MISSING = object()                 # a field with no default
+
+
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass derives from Record directly and lists its fields as
+    annotations, in order; a class attribute is that field's default,
+    and fields with a default come last.  It gets what a frozen
+    dataclass would give it, with no code generated at import: an
+    __init__ taking the fields by position or by name, which raises
+    TypeError on a missing, unknown or repeated argument and then calls
+    __post_init__ if the class defines one; attributes that cannot be
+    assigned or deleted; equality with a record of the same class whose
+    fields are equal; the hash of the tuple of field values; and the
+    repr ClassName(field=value, ...).
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # every field in order, holding its default or _MISSING
+        template = {name: vars(cls).get(name, _MISSING) for name in cls.__annotations__}
+        names = tuple(template)
+        required = sum(value is _MISSING for value in template.values())
+        defaults = tuple(template.values())[required:]
+        if any(value is _MISSING for value in defaults):
+            raise TypeError(f"{cls.__qualname__}: a field without a default "
+                            f"follows one with a default")
+        # tails[k]: the defaults of the fields after the first k, for a
+        # call with k positional arguments and no keywords
+        tails = {k: defaults[k - required:] for k in range(required, len(names) + 1)}
+        cls._shape = (names, tails, getattr(cls, "__post_init__", None), template)
+
+    def __init__(self, *args, **kwargs):
+        names, tails, post_init, _ = self._shape
+        tail = tails.get(len(args))
+        if kwargs or tail is None:
+            fields = _bind(self, args, kwargs)
+        else:
+            # the call's own empty keyword dict becomes the instance dict,
+            # filled in field order: equality and hash read it whole, and
+            # attribute reads stay as fast as a dataclass's
+            fields, args, i = kwargs, args + tail, 0
+            for name in names:
+                fields[name] = args[i]
+                i += 1
+        _set(self, "__dict__", fields)
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _bind(record: Record, args: tuple, kwargs: dict) -> dict:
+    """The fields, in order, of a call with keywords or with too few or
+    too many positional arguments; TypeError where a def with the same
+    parameters would raise it."""
+    names, tails, _, template = record._shape
+    fields = template.copy()
+    if args:
+        fields.update(zip(names, args))
+    fields.update(kwargs)
+    if len(args) > len(names):
+        problem = f"takes {len(names)} positional arguments but {len(args)} were given"
+    elif len(fields) > len(names):
+        unknown = next(name for name in kwargs if name not in template)
+        problem = f"got an unexpected keyword argument {unknown!r}"
+    elif args and not kwargs.keys().isdisjoint(names[:len(args)]):
+        repeated = next(name for name in names if name in kwargs)
+        problem = f"got multiple values for argument {repeated!r}"
+    else:
+        missing = [name for name in names[:min(tails)] if fields[name] is _MISSING]
+        if not missing:
+            return fields
+        problem = f"missing required arguments: {', '.join(map(repr, missing))}"
+    raise TypeError(f"{record.__class__.__qualname__}() {problem}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of record with the named fields changed.  It is built
+    through __init__, so __post_init__ checks the new values."""
+    return record.__class__(**{**record.__dict__, **changes})
+
+
+# ---------------------------------------------------------------------------
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
+    """Square integer matrix, held as a tuple of integer rows."""
+
     rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -201,8 +308,7 @@ def _rebase(coeffs: Sequence, table: Callable[[int], tuple], mul: Callable, zero
     return out
 
 
-@dataclass(frozen=True)
-class IntegralPolynomial:
+class IntegralPolynomial(Record):
     """Polynomial taking integer values on integers.
 
     Stored in the binomial basis: p(t) = sum_j coeffs[j] * C(t, j) with
@@ -371,8 +477,7 @@ def cyclotomic_candidates(d: int) -> list[int]:
     return [k for k in range(1, 2 * d * d + 2) if euler_phi(k) <= d]
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(Record):
     """Classification of the automorphism induced by an integer matrix.
 
     verdict is "zero" or "positive".  For "zero", unipotence_order m is
@@ -469,8 +574,7 @@ def classify_entropy(S: IntMatrix) -> EntropyReport:
 # polynomial power formulas for quasi-unipotent matrices
 
 
-@dataclass(frozen=True)
-class PowerPolys:
+class PowerPolys(Record):
     """Matrices of integral polynomials P_r with P_r(t) = S^(t*m + r).
 
     Valid for every integer t, negative included: with D = S^m - I
@@ -565,8 +669,7 @@ def reset_generators() -> None:
     _GENERATOR_VALUES.clear()
 
 
-@dataclass(frozen=True)
-class PhaseScalar:
+class PhaseScalar(Record):
     """rational + sum of rational multiples of declared generators.
 
     Addition, negation, and scaling by rationals are closed.  A product
@@ -719,8 +822,7 @@ def format_phase(p: PhaseScalar) -> str:
 # polynomials with phase-scalar coefficients
 
 
-@dataclass(frozen=True)
-class PhasePolynomial:
+class PhasePolynomial(Record):
     """Polynomial with PhaseScalar coefficients, evaluated at integers.
 
     Stored in the binomial basis, as IntegralPolynomial is:

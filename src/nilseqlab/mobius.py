@@ -23,12 +23,11 @@ import struct
 import tempfile
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .exactnum import write_atomic
+from .exactnum import Record, write_atomic
 from .nilseq import SequenceStream, tree_fold  # tree_fold: re-exported
 
 __all__ = [
@@ -67,8 +66,7 @@ class UnboundedSequence(ValueError):
     """Correlation against a stream with no finite sup bound."""
 
 
-@dataclass(frozen=True)
-class MobiusTable:
+class MobiusTable(Record):
     """mu(1..limit) as an int8 array; index 0 is unused."""
 
     limit: int
@@ -191,8 +189,7 @@ def mertens(table: MobiusTable, checkpoints: Sequence[int]) -> list[int]:
     return [int(csum[k]) for k in cks]
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(Record):
     """Partial averages S(N) = (1/N) sum_{n=1..N} mu(n) xi(n)."""
 
     checkpoints: tuple[int, ...]

@@ -14,7 +14,6 @@ All phases are PhaseScalar values reduced mod 1; nothing here rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -24,6 +23,7 @@ from .exactnum import (
     NotUnipotent,
     PhasePolynomial,
     PhaseScalar,
+    Record,
     binom_int,
     classify_entropy,
     fit_phase_polynomial,
@@ -72,8 +72,7 @@ class NotUnitVector(ValueError):
 # commutation data
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
+class ThetaMatrix(Record):
     """Skew-symmetric d x d matrix of PhaseScalar commutation phases."""
 
     entries: tuple[tuple[PhaseScalar, ...], ...]
@@ -143,8 +142,7 @@ _COMPAT_CACHE: set = set()
 # words
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(Record):
     """e(phase) u_1^{x_1} ... u_d^{x_d}, phase kept reduced mod 1."""
 
     phase: PhaseScalar
@@ -234,8 +232,7 @@ def apply_auto_inverse(S: IntMatrix, w: WeylWord, theta: ThetaMatrix) -> WeylWor
 # finite combinations
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """Finitely supported sum of words; no zero coefficients stored."""
 
     dim: int
@@ -335,8 +332,7 @@ class _WordOrbit:
         return self._bwd[-n]
 
 
-@dataclass(frozen=True)
-class ResiduePhase:
+class ResiduePhase(Record):
     """alpha^{tm+r}(u^rho) = e(phase_poly(t)) u^{exponent_polys(t)}."""
 
     residue: int
@@ -344,8 +340,9 @@ class ResiduePhase:
     exponent_polys: tuple[IntegralPolynomial, ...]
 
 
-@dataclass(frozen=True)
-class PhasePolyReport:
+class PhasePolyReport(Record):
+    """alpha^n(u^rho) in closed form: one ResiduePhase per residue mod m."""
+
     modulus: int
     dim: int
     base_exponents: tuple[int, ...]

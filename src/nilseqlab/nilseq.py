@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -27,7 +26,9 @@ import numpy as np
 from .exactnum import (
     PhasePolynomial,
     PhaseScalar,
+    Record,
     binom_int,
+    replace,
 )
 
 __all__ = [
@@ -242,8 +243,9 @@ def tree_fold(values: np.ndarray) -> complex:
     return fold.total()
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(Record):
+    """What is known of a sequence: its kind, and the step of a nilsequence."""
+
     kind: str  # "nil" | "zero_density" | "almost_nil" | "unknown"
     step: int | None = None
 
@@ -289,8 +291,7 @@ def _tag_add(a: Tag, b: Tag) -> Tag:
     return Tag("almost_nil", _join_step(a, b))
 
 
-@dataclass(frozen=True)
-class SequenceStream:
+class SequenceStream(Record):
     """Lazy two-sided sequence with bound, tag, and provenance.
 
     `evaluate_block(start, stop)` is the one evaluator: the values at
@@ -673,7 +674,7 @@ def quadratic_seq(t: PhaseScalar, precision: str = "exact") -> SequenceStream:
     """e(n(n-1)/2 * t) = e(C(n,2) t), a 2-step sequence."""
     p = PhasePolynomial.from_coeffs([PhaseScalar.zero(), PhaseScalar.zero(), t])
     stream = poly_exp(p, precision)
-    return replace(stream, provenance=f"quadratic(t)", tag=Tag.nil(2))
+    return replace(stream, provenance="quadratic(t)", tag=Tag.nil(2))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +761,7 @@ def _frac_mod1(x: Fraction) -> float:
 # skew products over the circle rotation
 
 
-@dataclass(frozen=True)
-class SkewProductState:
+class SkewProductState(Record):
     """Tower map (y_1, ..., y_k) -> (y_1 + alpha, y_2 + y_1, ...).
 
     Iterating from the solved initial point makes the last coordinate

@@ -17,7 +17,6 @@ polynomial system), which is the zero-density certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -25,6 +24,7 @@ from .exactnum import (
     IntegralPolynomial,
     PhasePolynomial,
     PhaseScalar,
+    Record,
     fit_phase_polynomial,
     format_phase,
 )
@@ -55,8 +55,7 @@ class NotDiagonal(ValueError):
 # operators
 
 
-@dataclass(frozen=True)
-class ShiftPhaseOperator:
+class ShiftPhaseOperator(Record):
     """delta_k -> e(phase + form(k)) * delta_{k + shift}."""
 
     shift: tuple[int, ...]
@@ -138,8 +137,7 @@ def _canon_sites(dim: int, mapping: Mapping[Sequence[int], complex]):
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """Finitely supported vector: lattice sites plus labeled atoms.
 
     Each atom carries one eigenphase per generator of whatever operator
@@ -246,8 +244,9 @@ class SparseVector:
 # polynomial words g(n) = U_1^{p_1(n)} ... U_k^{p_k(n)}
 
 
-@dataclass(frozen=True)
-class GPolynomial:
+class GPolynomial(Record):
+    """Polynomial word g(n) = U_1^{p_1(n)} ... U_k^{p_k(n)}."""
+
     generators: tuple[ShiftPhaseOperator, ...]
     polys: tuple[IntegralPolynomial, ...]
 
@@ -319,8 +318,7 @@ class GPolynomial:
 # compact / weak-mixing sectors
 
 
-@dataclass(frozen=True)
-class SectorReport:
+class SectorReport(Record):
     """Where the two sectors of the sparse+atomic space land.
 
     atoms_compact is always True in this model; lattice_compact holds
@@ -432,8 +430,9 @@ def integer_hits(polys: Sequence[IntegralPolynomial],
 # decomposition
 
 
-@dataclass(frozen=True)
-class NilTerm:
+class NilTerm(Record):
+    """Term coeff * e(phase_poly(n)) and the atom or site it came from."""
+
     coeff: complex
     phase_poly: PhasePolynomial
     origin: str                      # "atom:<id>" or "site:<k>"
@@ -442,8 +441,7 @@ class NilTerm:
         return self.coeff * e_phase(self.phase_poly(n).float_mod_1())
 
 
-@dataclass(frozen=True)
-class ZeroDensityCertificate:
+class ZeroDensityCertificate(Record):
     """Proof object for the residual.
 
     kind "empty": residual identically zero.  kind "finite-hits": the
@@ -462,8 +460,9 @@ class ZeroDensityCertificate:
         return mass / (2 * N + 1)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
+    """a_n = <g(n)u, v> as nilsequence terms plus a certified residual."""
+
     nil_terms: tuple[NilTerm, ...]
     nil_stream: SequenceStream
     residual_stream: SequenceStream

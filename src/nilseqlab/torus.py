@@ -15,7 +15,6 @@ computed from blockwise-anchored phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .exactnum import (
     IntMatrix,
     PhasePolynomial,
     PhaseScalar,
+    Record,
     classify_entropy,
     unipotent_power_polys,
 )
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record):
     """Point of the d-torus with exact coordinates in [0, 1)."""
 
     coords: tuple[PhaseScalar, ...]
@@ -69,8 +68,7 @@ class TorusPoint:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Integer frequency vector v, pairing x -> e(<v, x>)."""
 
     vector: tuple[int, ...]
@@ -94,8 +92,7 @@ def orbit_point(A: IntMatrix, x: TorusPoint, n: int) -> TorusPoint:
     return TorusPoint(tuple(coords))
 
 
-@dataclass(frozen=True)
-class CharacterSequence:
+class CharacterSequence(Record):
     """a_n = e(<v, A^n x>) together with what is known about it.
 
     For zero entropy, residue_polys[r] is the phase polynomial f_r with
@@ -145,8 +142,9 @@ def character_seq(A: IntMatrix, x: TorusPoint, v: Character,
 # Weyl equidistribution averages
 
 
-@dataclass(frozen=True)
-class WeylHarmonic:
+class WeylHarmonic(Record):
+    """Two-sided Weyl means of one harmonic k at each checkpoint."""
+
     harmonic: int
     expect_zero: bool
     method: str                       # "periodic-fold" | "block"
@@ -154,8 +152,9 @@ class WeylHarmonic:
     means: tuple[complex, ...]        # two-sided means per checkpoint
 
 
-@dataclass(frozen=True)
-class WeylReport:
+class WeylReport(Record):
+    """The Weyl means of every tested harmonic at the same checkpoints."""
+
     checkpoints: tuple[int, ...]
     harmonics: tuple[WeylHarmonic, ...]
 

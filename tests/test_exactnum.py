@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import LARGE_ROOT_COMPANION
 from nilseqlab.exactnum import (
     DegreeBoundExceeded,
+    EntropyReport,
     IntegralPolynomial,
     IntMatrix,
     NonClosedProduct,
@@ -18,6 +19,7 @@ from nilseqlab.exactnum import (
     NotUnipotent,
     PhasePolynomial,
     PhaseScalar,
+    Record,
     binom_int,
     char_poly,
     classify_entropy,
@@ -29,6 +31,7 @@ from nilseqlab.exactnum import (
     fit_phase_polynomial,
     format_phase,
     parse_phase,
+    replace,
     unipotent_power_polys,
 )
 
@@ -567,3 +570,87 @@ def test_fit_detects_degree_overflow():
 
     with pytest.raises(DegreeBoundExceeded):
         fit_phase_polynomial(cubic, degree_bound=2)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class _Checked(Record):
+    """A record with a default and a __post_init__ check."""
+
+    low: int
+    high: int = 10
+
+    def __post_init__(self):
+        if self.low > self.high:
+            raise ValueError("low above high")
+
+
+RECORDS = {
+    "PhaseScalar": (PhaseScalar, (Fraction(1, 3), (("g1", Fraction(2)),))),
+    "IntMatrix": (IntMatrix, (((1, 1), (0, 1)),)),
+    "EntropyReport": (EntropyReport, ("zero", 2, 1, (1, 1), None, None)),
+    "checked": (_Checked, (3, 7)),
+}
+
+
+@pytest.mark.parametrize("cls, values", RECORDS.values(), ids=RECORDS)
+def test_record_contract(cls, values):
+    """What the package relied on from frozen dataclasses."""
+    names = tuple(cls.__annotations__)
+    r = cls(*values)
+    # positional, keyword and default binding
+    assert tuple(getattr(r, name) for name in names) == values
+    by_name = cls(**dict(reversed(list(zip(names, values)))))
+    assert by_name == r and repr(by_name) == repr(r) and hash(by_name) == hash(values)
+    defaults = [getattr(cls, name) for name in names if name in vars(cls)]
+    required = values[:len(names) - len(defaults)]
+    assert cls(*required) == cls(*required, *defaults)
+    assert cls(*required[:-1], **{names[len(required) - 1]: required[-1]}) == cls(*required)
+    # a missing, unknown or repeated argument, or one too many
+    with pytest.raises(TypeError, match=f"missing required arguments: {names[0]!r}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+        cls(*values, nope=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument {names[0]!r}"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="positional arguments"):
+        cls(*values, None)
+    # nothing can be assigned or deleted
+    for name in (names[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert tuple(getattr(r, name) for name in names) == values
+    # equal only to a record of the same class with equal fields
+    twin = type("Twin", (Record,), {"__annotations__": dict(cls.__annotations__)})
+    assert r == cls(*values) and not r != cls(*values)
+    assert r != twin(*values) and twin(*values) != r
+    assert r != values and r.__eq__(values) is NotImplemented
+    # the hash of the field tuple, so set and dict orders do not move
+    assert hash(r) == hash(values)
+    assert repr(r) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    # replace builds a new record through __init__
+    assert replace(r) == r and replace(r) is not r
+    assert replace(r, **{names[-1]: values[-1]}) == r
+
+
+def test_record_post_init_runs_on_construction_and_replace():
+    r = _Checked(3)
+    assert (r.low, r.high) == (3, 10)
+    assert repr(r) == "_Checked(low=3, high=10)"
+    assert repr(PhaseScalar(Fraction(1, 3))) == "PhaseScalar(rational=Fraction(1, 3), irr=())"
+    with pytest.raises(ValueError, match="low above high"):
+        _Checked(11)
+    with pytest.raises(ValueError, match="low above high"):
+        replace(r, low=11)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'mid'"):
+        replace(r, mid=5)
+    assert replace(r, high=4) == _Checked(3, 4)
+
+
+def test_record_defaults_must_come_last():
+    with pytest.raises(TypeError, match="without a default follows one with a default"):
+        type("Bad", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})

@@ -18,12 +18,14 @@ import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
-WATCHED = ("numpy", "mpmath", "concurrent.futures", "logging", "traceback")
+WATCHED = ("numpy", "mpmath", "concurrent.futures", "logging", "traceback",
+           "dataclasses")
 TASKS = "/proc/self/task"            # one entry per thread (Linux)
 
 # the CLI (or only its import, with no arguments), then at exit the
-# watched modules that are loaded, the thread count and the OpenBLAS
-# thread setting
+# watched modules that are loaded, whether `inspect` is (numpy loads it
+# itself, so only a run without numpy can keep it out), the thread count
+# and the OpenBLAS thread setting
 _PROBE = f"""
 import json, os, sys
 from nilseqlab import cli
@@ -32,6 +34,7 @@ print(json.dumps({{
     "code": code,
     "loaded": [m for m in {WATCHED!r} if m in sys.modules],
     "layers": sorted(m for m in sys.modules if m.startswith("nilseqlab.")),
+    "inspect": "inspect" in sys.modules,
     "threads": len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else None,
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}}))
 """
@@ -107,7 +110,19 @@ def _run(tmp_path, sub, config, *extra):
 def test_cli_import_loads_no_numerics():
     probe = _probe()
     assert set(probe["loaded"]) == set()
+    assert not probe["inspect"]
     assert probe["openblas"] is None    # only main sets it
+
+
+def test_layers_load_no_dataclasses():
+    # every record derives from exactnum.Record, which generates no code
+    layers = ", ".join(f"nilseqlab.{owner}" for owner in EXPORTED)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys, {layers}\n"
+         f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))"],
+        capture_output=True, text=True, cwd=REPO, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["numpy"]
 
 
 NUMPY_RUNS = {"weyl_linear": "weyl", "correlate_quadratic": "correlate",
@@ -162,8 +177,10 @@ def test_package_calls_no_blas():
     ([[2, 1], [1, 1]], {"mpmath"}),          # positive: roots at 60 digits
 ])
 def test_classify_loads_no_numpy(matrix, loads, tmp_path):
-    assert _run(tmp_path, "classify",
-                {"kind": "classify", "matrix": matrix}) == loads
+    probe = _probe(*_cli_argv(tmp_path, "classify",
+                              {"kind": "classify", "matrix": matrix}))
+    assert set(probe["loaded"]) == loads
+    assert not probe["inspect"]
 
 
 def test_weyl_loads_no_mpmath(tmp_path):
