@@ -137,8 +137,10 @@ def _integral_poly(obj: Any, where: str) -> IntegralPolynomial:
 
 
 def _finite(x: Any) -> bool:
-    # abs(x) <= max is False for NaN, the infinities and huge integers
-    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+    # abs(x) <= max is False for NaN, the infinities and huge integers;
+    # a JSON true or false is not a number, as in _int
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _complex(obj: dict, where: str) -> complex:
@@ -314,14 +316,15 @@ def _run_seq(cfg: dict, precision: str) -> dict:
     if stop - start > 10 ** 7:
         raise ValidationError("range: wider than 10^7 samples")
     stream = build_sequence(cfg["sequence"], precision)
-    values = stream.evaluate_block(start, stop)
 
     def rows() -> Iterable[tuple[int, float, float]]:
-        # floats are made one CSV chunk at a time, as _write_csv takes them
-        for lo in range(0, len(values), _CSV_CHUNK):
-            part = values[lo:lo + _CSV_CHUNK]
-            yield from zip(range(start + lo, start + lo + len(part)),
-                           part.real.tolist(), part.imag.tolist())
+        # evaluated one CSV chunk at a time, as _write_csv takes them, so
+        # one chunk's values are alive at once: a block's bits do not
+        # depend on where the range is cut
+        for lo in range(start, stop, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, stop)
+            part = stream.evaluate_block(lo, hi)
+            yield from zip(range(lo, hi), part.real.tolist(), part.imag.tolist())
 
     return {
         "results": {
@@ -532,12 +535,12 @@ def _write_csv(path: str, header: str, rows: Iterable[Iterable]) -> None:
     # str of a float (Python or numpy) is its shortest round-trip repr;
     # rows are joined and written _CSV_CHUNK at a time, so the text of one
     # chunk is alive at once, not of the whole file
-    lines = (",".join(map(str, row)) for row in rows)
+    lines = (",".join(map(str, row)) + "\n" for row in rows)
 
     def chunks() -> Iterable[str]:
         yield header + "\n"
-        while chunk := list(islice(lines, _CSV_CHUNK)):
-            yield "\n".join(chunk) + "\n"
+        while chunk := "".join(islice(lines, _CSV_CHUNK)):
+            yield chunk
 
     write_atomic(path, chunks())
 

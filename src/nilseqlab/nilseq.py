@@ -296,7 +296,9 @@ class SequenceStream(Record):
 
     `evaluate_block(start, stop)` is the one evaluator: the values at
     n in [start, stop) as a complex128 array.  `stream(n)` is the
-    one-point block, so it is the value every block gives at n.
+    one-point block, so it is the value every block gives at n: in
+    either precision a phase depends on (p, n) alone, never on where a
+    range is cut.
     """
 
     evaluate_block: Callable[[int, int], np.ndarray]
@@ -525,75 +527,60 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 
     Per-step recurrences in doubles compound error like n^degree, so
     instead each block of B values is anchored exactly: the forward
-    differences of p at the block start come from the exact kernel,
+    differences of p at the block's anchor come from the exact kernel,
     reduced mod 1, then the block is the float combination
     sum_j frac(diff_j) C(i, j) for i = 0..B-1.  Dropping integer parts
-    of the differences only shifts values by integers at integer i.  B
-    is chosen so C(B, degree) stays below 2^18, which caps the absolute
-    phase error near 1e-10 uniformly; nothing accumulates across blocks.
-    B is also capped at count, and the anchors are start + j B.
-    """
-    return _fast_phases(p, start, stop, start, stop)
+    of the differences only shifts values by integers at integer i.
+    B = 2^min(15, max(2, 18 // degree)) keeps C(B, degree) below 2^18,
+    which caps the absolute phase error near 1e-10 uniformly; nothing
+    accumulates across blocks.
 
-
-def _binomial_rows(deg: int, i0: int, i1: int) -> np.ndarray:
-    """Row j holds C(i, j) for i in [i0, i1), exact in float64 at the
-    fast route's block sizes; each entry is computed on its own."""
-    idx = np.arange(i0, i1, dtype=np.float64)
-    rows = np.empty((deg + 1, i1 - i0), dtype=np.float64)
-    rows[0] = 1.0
-    for j in range(1, deg + 1):
-        rows[j] = rows[j - 1] * (idx - (j - 1)) / j
-    return rows
-
-
-@functools.lru_cache(maxsize=4)
-def _whole_block_rows(deg: int, bsize: int) -> np.ndarray:
-    """_binomial_rows(deg, 0, bsize), built once; shared, so read-only."""
-    rows = _binomial_rows(deg, 0, bsize)
-    rows.flags.writeable = False
-    return rows
-
-
-def _fast_phases(p: PhasePolynomial, start: int, stop: int,
-                 lo: int, hi: int) -> np.ndarray:
-    """phase_block_fast(p, start, stop)[lo - start: hi - start], with
-    only those points computed, for start <= lo <= hi <= stop.
-
-    The anchor grid is the whole window's, start + j B with B set by
-    stop - start.  A point is a fixed-order elementwise sum of its
-    block's anchor coefficients times C(i, j), so any part of the window
-    gets the same floats as the whole.  When a whole block fits in
-    [lo, hi), the C(i, j) rows for i in [0, B) come from a small memo
-    that builds them once per (degree, B); otherwise they are built for
-    each block's own range of i.  The sum is at least 0, so
+    The anchors are the n = 1 mod B, whatever the range, so a phase is
+    a function of (p, n) alone: any cut of a range, and each one-point
+    block, gives the same bits.  The offset 1 is correlate's: its
+    segments start at 1 + i 2^15, and B divides 2^15.  A point is a
+    fixed-order elementwise sum of its anchor's coefficients times
+    C(i, j) from one memo per degree.  The sum is at least 0, so
     acc - floor(acc) is exact and has the bits of np.mod(acc, 1.0).
     """
-    count = max(hi - lo, 0)
+    count = max(stop - start, 0)
     kernel = PhaseKernel(p)
     deg, D = kernel.degree, kernel.denominator
     if deg == 0:
         return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
-    bsize = min(stop - start, max(4, min(1 << 18, int(2.0 ** (18.0 / deg)))))
-    whole = _whole_block_rows(deg, bsize) if bsize <= count else None
+    rows = _binomial_rows(deg)
+    bsize = rows.shape[1]
     out = np.empty(count, dtype=np.float64)
-    pos = lo
-    while pos < hi:
-        anchor = pos - (pos - start) % bsize
-        i0, i1 = pos - anchor, min(anchor + bsize, hi) - anchor
-        rows = whole[:, i0:i1] if whole is not None else _binomial_rows(deg, i0, i1)
+    pos = start
+    while pos < stop:
+        anchor = pos - (pos - 1) % bsize
+        i0, i1 = pos - anchor, min(anchor + bsize, stop) - anchor
         coeffs = [a / D for a in kernel.differences(anchor)]
         # fixed-order elementwise sum, not a BLAS matvec: the kernel a
         # BLAS build picks (and its FMA use) must not reach the bits
-        acc = rows[1] * coeffs[1]
+        acc = rows[0, i0:i1] * coeffs[1]
         acc += coeffs[0]
         for j in range(2, deg + 1):
-            acc += rows[j] * coeffs[j]
-        part = out[pos - lo: anchor + i1 - lo]
+            acc += rows[j - 1, i0:i1] * coeffs[j]
+        part = out[pos - start: anchor + i1 - start]
         np.floor(acc, out=part)
         np.subtract(acc, part, out=part)
         pos = anchor + i1
     return out
+
+
+@functools.cache
+def _binomial_rows(deg: int) -> np.ndarray:
+    """Row j - 1 holds C(i, j) for i in [0, B) and j = 1..deg, exact in
+    float64; B = 2^min(15, max(2, 18 // deg)).  Built once a degree and
+    shared, so read-only."""
+    idx = np.arange(1 << min(15, max(2, 18 // deg)), dtype=np.float64)
+    rows = np.empty((deg, idx.size), dtype=np.float64)
+    rows[0] = idx
+    for j in range(2, deg + 1):
+        rows[j - 1] = rows[j - 2] * (idx - (j - 1)) / j
+    rows.flags.writeable = False
+    return rows
 
 
 def _phase_route(precision: str) -> Callable[[PhasePolynomial, int, int], np.ndarray]:

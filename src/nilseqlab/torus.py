@@ -31,7 +31,6 @@ from .exactnum import (
 from .nilseq import (
     SequenceStream,
     Tag,
-    _fast_phases,
     _phase_route,
     _TreeFold,
     e_array,
@@ -183,15 +182,15 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     count of points in the window.  A period longer than the widest
     window goes the block route, so no harmonic evaluates more than
     2 max(checkpoints) + 1 points.  precision picks the block route's
-    phase path as in nilseq.poly_exp, on the anchor grid of the widest
-    window.
+    phase path as in nilseq.poly_exp; both give each point the same
+    bits however the window is cut.
 
     Both routes evaluate _PIECE points at a time, once for all
     checkpoints, and every sum is a tree_fold fed piece by piece
     (nilseq._TreeFold), which gives the bits of tree_fold over the whole
     array: memory is a few pieces, whatever N or T.
     """
-    _phase_route(precision)  # ValueError for an unknown precision
+    phases = _phase_route(precision)  # ValueError for an unknown precision
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
@@ -228,8 +227,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
             folds = [_TreeFold() for _ in cks]
             for lo in range(-n_max, n_max + 1, _PIECE):
                 hi = min(lo + _PIECE, n_max + 1)
-                vals = e_array(_fast_phases(q, -n_max, n_max + 1, lo, hi)
-                               if precision == "fast" else phase_block_exact(q, lo, hi))
+                vals = e_array(phases(q, lo, hi))
                 for N, fold in zip(cks, folds):
                     # the overlap of [lo, hi) with the window [-N, N]
                     a, b = max(lo, -N), min(hi, N + 1)

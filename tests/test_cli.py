@@ -683,6 +683,7 @@ def _failure_report(out):
     {"type": "heisenberg", "alpha": 0.3, "beta": float("-inf")},
     {"type": "heisenberg", "alpha": 0.3, "beta": 10 ** 400},
     {"type": "heisenberg", "alpha": 0.3, "beta": 0.2, "eps": "1e-12"},
+    {"type": "heisenberg", "alpha": True, "beta": 0.2},
 ])
 def test_heisenberg_bad_numbers_fail_validation(seq, tmp_path):
     cfg = write_config(tmp_path, {"kind": "correlate", "sequence": seq,
@@ -710,8 +711,8 @@ def _with_coefficient(site, part, value):
 
 @pytest.mark.parametrize("part,value", [
     ("re", float("nan")), ("im", float("nan")), ("re", float("inf")),
-    ("im", float("-inf")), ("re", 10 ** 400)],
-    ids=["re-nan", "im-nan", "re-inf", "im-minus-inf", "re-1e400"])
+    ("im", float("-inf")), ("re", 10 ** 400), ("re", True)],
+    ids=["re-nan", "im-nan", "re-inf", "im-minus-inf", "re-1e400", "re-true"])
 @pytest.mark.parametrize("site", ["constant", "nc-element", "state-vector",
                                   "decompose-atom"])
 def test_nonfinite_coefficients_fail_validation(site, part, value, tmp_path):
@@ -959,6 +960,18 @@ def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path):
             "harmonics": [1], "checkpoints": [N]}))
         peaks.append(_peak_rss_mb(["weyl", "--config", str(cfg), "--out",
                                    str(tmp_path / f"out-{name}")]))
+    assert peaks[1] < peaks[0] + 8, peaks
+
+
+def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path):
+    """seq evaluates and writes one CSV chunk at a time, never the whole
+    range: ten times the points peak less than 8 MB higher."""
+    peaks = []
+    for n in (10 ** 5, 10 ** 6):
+        cfg = json.load(open(os.path.join(CONFIGS, "seq_torus_shear.json")))
+        cfg["range"] = {"start": -n // 2, "stop": n // 2}
+        peaks.append(_peak_rss_mb(["seq", "--config", write_config(tmp_path, cfg),
+                                   "--out", str(tmp_path / f"out-{n}")]))
     assert peaks[1] < peaks[0] + 8, peaks
 
 

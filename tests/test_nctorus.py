@@ -355,6 +355,18 @@ def test_state_seq_block_matches_scalar():
             assert abs(block[i] - want(n)) < 1e-12
 
 
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+def test_state_seq_point_is_the_block_value(precision):
+    # seq_nc_shear's data: stream(n) is the one-point block, so it has the
+    # bits of the whole range's block
+    u = WeylElement.from_terms(2, {(0, 1): 1.0})
+    vec = SparseVector.from_sites(2, {(0, 0): 0.6, (0, 1): 0.8})
+    stream = state_seq(SHEAR, THETA_IRR, u, vec, precision=precision)
+    whole = stream.evaluate_block(-20, 21)
+    points = np.array([stream(n) for n in range(-20, 21)])
+    assert np.array_equal(points.view(np.uint64), whole.view(np.uint64))
+
+
 def test_state_seq_rational_theta_dual_route():
     u = WeylElement.from_terms(2, {(1, 1): 1.0, (0, 0): 0.25})
     vec = unit_vec()

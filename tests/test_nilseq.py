@@ -437,17 +437,39 @@ def _fast_pin_cases():
     return cases
 
 
-# SHA-256 of phase_block_fast over _fast_pin_cases() as little-endian
-# float64, recorded with block anchors from PhaseScalar evaluation: the
-# kernel's anchors must give the same bits
-FAST_PHASE_DIGEST = "b90c65085240ace68bb780e715ecc3527a9507d35d765feb880a3a4365cde10f"
+def _fast_oracle(p, start, stop):
+    """phase_block_fast(p, start, stop) from its definition, in Python
+    floats: anchors at n = 1 mod B from exact forward differences of
+    p(n) in Fractions, C(i, j) from math.comb, the same adds in the same
+    order, and the same reduction x - floor(x)."""
+    deg = p.degree
+    if deg <= 0:
+        return [float(p(start).exact_value() % 1)] * (stop - start)
+    bsize = 1 << min(15, max(2, 18 // deg))
+    out, anchor, coeffs = [], None, None
+    for n in range(start, stop):
+        if anchor != (a := n - (n - 1) % bsize):
+            anchor = a
+            vals = [p(anchor + k).exact_value() for k in range(deg + 1)]
+            coeffs = []
+            while vals:
+                coeffs.append(float(vals[0] % 1))
+                vals = [b - a for a, b in zip(vals, vals[1:])]
+        i = n - anchor
+        acc = math.comb(i, 1) * coeffs[1]
+        acc += coeffs[0]
+        for j in range(2, deg + 1):
+            acc += math.comb(i, j) * coeffs[j]
+        out.append(acc - math.floor(acc))
+    return out
 
 
 def test_phase_block_fast_pinned_bit_for_bit():
-    h = hashlib.sha256()
     for p, start, stop in _fast_pin_cases():
-        h.update(phase_block_fast(p, start, stop).astype("<f8").tobytes())
-    assert h.hexdigest() == FAST_PHASE_DIGEST
+        got = phase_block_fast(p, start, stop)
+        want = np.array(_fast_oracle(p, start, stop), dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            (p.degree, start)
 
 
 def test_floor_reduction_has_the_bits_of_mod():
@@ -474,15 +496,32 @@ def test_floor_reduction_has_the_bits_of_mod():
 
 @settings(max_examples=40)
 @given(st.data())
-def test_fast_phases_of_a_part_keep_the_window_bits(data):
-    # a part of a window on the window's anchor grid has the bits of the
-    # whole window's phases at those points
+def test_fast_phase_bits_do_not_depend_on_the_cut(data):
+    # any cut of a window, and one-point blocks, have the whole window's
+    # bits: the anchors are the n = 1 mod B, whatever the range
     p, start, stop = data.draw(st.sampled_from(_fast_pin_cases()))
-    lo = data.draw(st.integers(min_value=start, max_value=stop))
-    hi = data.draw(st.integers(min_value=lo, max_value=stop))
-    whole = phase_block_fast(p, start, stop)[lo - start: hi - start]
-    part = nilseq._fast_phases(p, start, stop, lo, hi)
-    assert np.array_equal(part.view(np.uint64), whole.view(np.uint64))
+    whole = phase_block_fast(p, start, stop)
+    cuts = sorted(data.draw(st.lists(st.integers(start, stop), max_size=6)))
+    bounds = [start, *cuts, stop]
+    pieces = np.concatenate([phase_block_fast(p, a, b)
+                             for a, b in zip(bounds, bounds[1:])])
+    assert np.array_equal(pieces.view(np.uint64), whole.view(np.uint64))
+    for n in data.draw(st.lists(st.integers(start, stop - 1), max_size=5)):
+        one = phase_block_fast(p, n, n + 1)
+        assert one.view(np.uint64)[0] == whole.view(np.uint64)[n - start]
+
+
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+def test_poly_exp_point_is_the_block_value(precision):
+    # stream(n) is the one-point block, so it has the bits of any block
+    p = PhasePolynomial.from_coeffs(
+        (parse_phase("1/7"), parse_phase("g1"), parse_phase("g2")))
+    stream = poly_exp(p, precision)
+    whole = stream.evaluate_block(-2500, 2500)
+    ns = range(-2500, 2500, 76)
+    points = np.array([stream(n) for n in ns])
+    assert np.array_equal(points.view(np.uint64),
+                          whole[::76].copy().view(np.uint64))
 
 
 def test_exact_and_fast_blocks_agree():
@@ -543,12 +582,14 @@ def test_phase_sum_block_matches_pointwise_sum(case, precision):
         assert np.all(np.abs(got - want) <= 1e-9)
 
 
-def test_phase_sum_block_bits_do_not_depend_on_the_cut():
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+def test_phase_sum_block_bits_do_not_depend_on_the_cut(precision):
     # a complex coefficient: a fused multiply-add in the product would
     # round some points differently in one-point blocks or across a cut
     c = (0.36 + 0.48j) * (0.3 + 0.7j)
     p = PhasePolynomial.from_coeffs((parse_phase("1/7"), parse_phase("g1")))
-    stream = SequenceStream(phase_sum_block([(c, 0, p)], 1, {}), bound=abs(c),
+    stream = SequenceStream(phase_sum_block([(c, 0, p)], 1, {}, precision),
+                            bound=abs(c),
                             tag=Tag.nil(1), provenance="modulated")
     whole = stream.evaluate_block(0, 1 << 15)
     cuts = [0, 17, 1000, 1 << 12, 30001, 1 << 15]

@@ -84,6 +84,17 @@ def test_rotation_character_dual_route():
         assert abs(cs.stream(n) - direct) < 1e-12
 
 
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+def test_character_point_is_the_block_value(precision):
+    # seq_torus_shear's data: stream(n) is the one-point block, so it has
+    # the bits of the whole range's block
+    seq = character_seq(SHEAR, point("0", "g1"), Character((1, 0)),
+                        precision=precision)
+    whole = seq.stream.evaluate_block(-16, 17)
+    points = np.array([seq.stream(n) for n in range(-16, 17)])
+    assert np.array_equal(points.view(np.uint64), whole.view(np.uint64))
+
+
 def test_character_dimension_checked():
     with pytest.raises(ValueError):
         character_seq(SHEAR, point("0"), Character((1, 0)))
@@ -277,8 +288,8 @@ def test_weyl_block_route_keeps_the_whole_window_bits(degree, precision):
 @pytest.mark.parametrize("precision", ["exact", "fast"])
 @pytest.mark.parametrize("n_max", [3 * 2 ** 14, 2 ** 17 + 5])
 def test_weyl_block_route_widest_window_sizes(n_max, precision):
-    # 3 * 2^15 + 1 points, and a window of 2^18 + 11 points, on which
-    # the degree-1 fast route has two anchor blocks
+    # 3 * 2^15 + 1 points, and a window of 2^18 + 11 points that meets
+    # ten degree-1 fast anchor blocks (anchored at the n = 1 mod 2^15)
     p = PhasePolynomial.from_coeffs(
         tuple(parse_phase(c) for c in WEYL_BLOCK_POLYS[1]), basis="monomial")
     cks = [2 ** 14, n_max]
