@@ -28,7 +28,7 @@ from typing import BinaryIO, Callable, Sequence
 import numpy as np
 
 from .exactnum import Record, write_atomic
-from .nilseq import SequenceStream, tree_fold  # tree_fold: re-exported
+from .nilseq import SequenceStream, _TreeFold, tree_fold  # tree_fold: re-exported
 
 __all__ = [
     "LimitTooLarge",
@@ -213,13 +213,14 @@ def correlate(
     range.  The weights come from `table` (a MobiusTable or an open
     MobiusCache) one segment of SEGMENT points at a time; with no table,
     mu(1..N) is sieved into a temporary cache file first.  Summation:
-    per-segment products are reduced with tree_fold, segment totals
-    again with tree_fold, so the shape of every sum is fixed by the
-    checkpoints.  Segments are evaluated in order in the calling thread;
-    each keeps only its total and, for each checkpoint k inside it, the
-    tree_fold of its products up to k, so memory holds one segment's
-    products, however many checkpoints there are.  `threads` is accepted
-    for compatibility and ignored.
+    per-segment products are reduced with tree_fold, and segment totals
+    with one streaming tree_fold (nilseq._TreeFold), so the shape of
+    every sum is fixed by the checkpoints.  Segments are evaluated in
+    order in the calling thread.  S(k) is the fold of the totals of the
+    segments before k plus the tree_fold of k's own segment up to k;
+    the fold gives tree_fold's bits for any prefix of the totals.  So
+    memory holds one segment's products, however many checkpoints there
+    are.  `threads` is accepted for compatibility and ignored.
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -235,27 +236,16 @@ def correlate(
     if table.limit < n_max:
         raise ValueError("mobius table shorter than the last checkpoint")
 
-    seg = SEGMENT
-
-    def segment(i: int) -> tuple[complex, list[complex]]:
-        """The segment's total, and the sum up to each checkpoint in it."""
-        lo = 1 + i * seg
-        hi = min(lo + seg, n_max + 1)
-        vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
-        inside = cks[bisect_left(cks, lo): bisect_left(cks, hi)]
-        return tree_fold(vals), [tree_fold(vals[: k - lo + 1]) for k in inside]
-
-    segments = [segment(i) for i in range((n_max - 1) // seg + 1)]
-
-    seg_totals = [total for total, _ in segments]
-    partials = [s for _, in_segment in segments for s in in_segment]
+    below = _TreeFold()  # the totals of the segments before this one
     sums: list[complex] = []
-    for k, partial in zip(cks, partials):
-        # whole segments below k, then the part of the segment k is in
-        full = (k - 1) // seg  # count of complete segments before k
-        total = tree_fold(np.array(seg_totals[:full], dtype=np.complex128))
-        total += partial
-        sums.append(total / k)
+    for lo in range(1, n_max + 1, SEGMENT):
+        hi = min(lo + SEGMENT, n_max + 1)
+        vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
+        for k in cks[bisect_left(cks, lo): bisect_left(cks, hi)]:
+            # whole segments below k, then the part of the segment k is in
+            sums.append((below.total() + tree_fold(vals[: k - lo + 1])) / k)
+        below.feed((tree_fold(vals),))
+        del vals  # one segment's products alive at a time
     return CorrelationReport(
         checkpoints=tuple(cks), sums=tuple(sums), sequence_bound=float(xi.bound),
     )

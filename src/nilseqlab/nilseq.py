@@ -338,7 +338,8 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# polynomial phase evaluation: one exact kernel, plus a float route
+# polynomial phase evaluation: one exact kernel, plus a float route at
+# degrees 1 and 2
 
 
 # Blocks shorter than this are walked point by point: below it, setting
@@ -487,6 +488,9 @@ class PhaseKernel:
     def block(self, start: int, stop: int) -> np.ndarray:
         """p(n) mod 1 for n in [start, stop)."""
         count = max(stop - start, 0)
+        if self.degree == 0:
+            return np.full(count, self.numerators[0] % self.denominator
+                           / self.denominator, dtype=np.float64)
         if count < _LANE_MIN_POINTS:
             return np.fromiter(self._walk(start, count), np.float64, count)
         D, width = self.denominator, min(count, _LANE_WIDTH)
@@ -523,7 +527,8 @@ def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 
 
 def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
-    """Blockwise float evaluation of p(n) mod 1, exactly re-anchored.
+    """Blockwise float evaluation of p(n) mod 1 at degrees 1 and 2;
+    every other degree is PhaseKernel(p).block, with exact bits.
 
     Per-step recurrences in doubles compound error like n^degree, so
     instead each block of B values is anchored exactly: the forward
@@ -531,9 +536,11 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     reduced mod 1, then the block is the float combination
     sum_j frac(diff_j) C(i, j) for i = 0..B-1.  Dropping integer parts
     of the differences only shifts values by integers at integer i.
-    B = 2^min(15, max(2, 18 // degree)) keeps C(B, degree) below 2^18,
-    which caps the absolute phase error near 1e-10 uniformly; nothing
-    accumulates across blocks.
+    B (_FAST_BLOCK) is 2^15 at degree 1 and 2^9 at degree 2, so C(B, 2)
+    stays below 2^18, which caps the absolute phase error near 1e-10
+    uniformly; nothing accumulates across blocks.  From degree 3 on the
+    blocks this bound allows are so short that re-anchoring costs more
+    than the exact kernel, which is why those degrees take it.
 
     The anchors are the n = 1 mod B, whatever the range, so a phase is
     a function of (p, n) alone: any cut of a range, and each one-point
@@ -543,14 +550,13 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     C(i, j) from one memo per degree.  The sum is at least 0, so
     acc - floor(acc) is exact and has the bits of np.mod(acc, 1.0).
     """
-    count = max(stop - start, 0)
     kernel = PhaseKernel(p)
     deg, D = kernel.degree, kernel.denominator
-    if deg == 0:
-        return np.full(count, kernel.differences(start)[0] / D, dtype=np.float64)
+    if deg not in _FAST_BLOCK:
+        return kernel.block(start, stop)
     rows = _binomial_rows(deg)
     bsize = rows.shape[1]
-    out = np.empty(count, dtype=np.float64)
+    out = np.empty(max(stop - start, 0), dtype=np.float64)
     pos = start
     while pos < stop:
         anchor = pos - (pos - 1) % bsize
@@ -560,8 +566,8 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
         # BLAS build picks (and its FMA use) must not reach the bits
         acc = rows[0, i0:i1] * coeffs[1]
         acc += coeffs[0]
-        for j in range(2, deg + 1):
-            acc += rows[j - 1, i0:i1] * coeffs[j]
+        if deg == 2:
+            acc += rows[1, i0:i1] * coeffs[2]
         part = out[pos - start: anchor + i1 - start]
         np.floor(acc, out=part)
         np.subtract(acc, part, out=part)
@@ -569,16 +575,17 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     return out
 
 
+# points per fast block, by the degrees the fast route keeps
+_FAST_BLOCK = {1: 1 << 15, 2: 1 << 9}
+
+
 @functools.cache
 def _binomial_rows(deg: int) -> np.ndarray:
-    """Row j - 1 holds C(i, j) for i in [0, B) and j = 1..deg, exact in
-    float64; B = 2^min(15, max(2, 18 // deg)).  Built once a degree and
-    shared, so read-only."""
-    idx = np.arange(1 << min(15, max(2, 18 // deg)), dtype=np.float64)
-    rows = np.empty((deg, idx.size), dtype=np.float64)
-    rows[0] = idx
-    for j in range(2, deg + 1):
-        rows[j - 1] = rows[j - 2] * (idx - (j - 1)) / j
+    """Row j - 1 holds C(i, j) for i in [0, _FAST_BLOCK[deg]) and
+    j = 1..deg, exact in float64.  Built once a degree and shared, so
+    read-only."""
+    idx = np.arange(_FAST_BLOCK[deg], dtype=np.float64)
+    rows = idx[None, :] if deg == 1 else np.stack((idx, idx * (idx - 1) / 2))
     rows.flags.writeable = False
     return rows
 
@@ -601,8 +608,9 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
 
     A phase polynomial of degree k is realized on a k-step manifold, so
     the tag is Nil(max(degree, 1)).  precision picks the block path:
-    "exact" reduces each phase as a rational plus generator combination,
-    "fast" runs the compensated difference table.
+    "exact" reduces each phase exactly (PhaseKernel), "fast" runs the
+    anchored float blocks of phase_block_fast at degrees 1 and 2 and the
+    exact kernel at every other degree.
     """
     phases = _phase_route(precision)
 

@@ -386,10 +386,9 @@ def _root_brackets(ints: Sequence[int], bound: int) -> list[int]:
 def integer_solutions(p: IntegralPolynomial, target: int) -> tuple[int, ...] | None:
     """All integer n with p(n) = target; None means identically true.
 
-    Exact at any size: with the denominators cleared, degree 1 is one
-    division and degree 2 takes math.isqrt of the discriminant; higher
-    degrees bracket every real root inside the Cauchy bound by
-    `_root_brackets`.  Every candidate is then checked as p(n) == target.
+    Exact at any size: with the denominators cleared, `_root_brackets`
+    brackets every real root inside the Cauchy bound, at every degree.
+    Every candidate is then checked as p(n) == target.
     """
     mono = [Fraction(c) for c in p.monomial_coefficients()] or [Fraction(0)]
     mono[0] -= target
@@ -399,16 +398,8 @@ def integer_solutions(p: IntegralPolynomial, target: int) -> tuple[int, ...] | N
         return None if mono[0] == 0 else ()
     den = math.lcm(*[c.denominator for c in mono])
     ints = [int(c * den) for c in mono]
-    a0, a1, lead = ints[0], ints[1], ints[-1]
-    if len(ints) == 2:
-        cands = [-a0 // a1]
-    elif len(ints) == 3:
-        s = math.isqrt(max(a1 * a1 - 4 * lead * a0, 0))
-        cands = [(-a1 - s) // (2 * lead), (-a1 + s) // (2 * lead)]
-    else:
-        cauchy = 1 + -(-max(abs(c) for c in ints[:-1]) // abs(lead))
-        cands = _root_brackets(ints, cauchy)
-    return tuple(sorted({n for n in cands if p(n) == target}))
+    cauchy = 1 + -(-max(abs(c) for c in ints[:-1]) // abs(ints[-1]))
+    return tuple(n for n in _root_brackets(ints, cauchy) if p(n) == target)
 
 
 def integer_hits(polys: Sequence[IntegralPolynomial],

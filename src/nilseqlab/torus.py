@@ -31,13 +31,10 @@ from .exactnum import (
 from .nilseq import (
     SequenceStream,
     Tag,
-    _phase_route,
     _TreeFold,
-    e_array,
     e_phase,
     from_function,
     interleave,
-    phase_block_exact,
     poly_exp,
 )
 
@@ -181,16 +178,17 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     rho of the period has weight (N - rho)//T + (N + rho)//T + 1, its
     count of points in the window.  A period longer than the widest
     window goes the block route, so no harmonic evaluates more than
-    2 max(checkpoints) + 1 points.  precision picks the block route's
-    phase path as in nilseq.poly_exp; both give each point the same
-    bits however the window is cut.
+    2 max(checkpoints) + 1 points.  Each route takes its values from
+    nilseq.poly_exp(k p), exact for the fold and in `precision` for the
+    block route; both give each point the same bits however the window
+    is cut.
 
     Both routes evaluate _PIECE points at a time, once for all
     checkpoints, and every sum is a tree_fold fed piece by piece
     (nilseq._TreeFold), which gives the bits of tree_fold over the whole
     array: memory is a few pieces, whatever N or T.
     """
-    phases = _phase_route(precision)  # ValueError for an unknown precision
+    poly_exp(p, precision)  # ValueError for an unknown precision
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
@@ -201,11 +199,12 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
         expect = q.has_irrational_nonconstant()
         T = _rational_period(q) if q.is_rational() else None
         if T is not None and T <= 2 * n_max + 1:
+            values = poly_exp(q).evaluate_block
             period = _TreeFold()
             partial = {N: _TreeFold() for N in cks if (2 * N + 1) % T}
             for lo in range(0, T, _PIECE):
                 hi = min(lo + _PIECE, T)
-                unit = e_array(phase_block_exact(q, lo, hi))
+                unit = values(lo, hi)
                 period.feed(unit)
                 rho = np.arange(lo, hi, dtype=np.int64)
                 weighted = np.empty_like(unit)
@@ -224,10 +223,11 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                                     method="periodic-fold", period=T,
                                     means=tuple(means)))
         else:
+            values = poly_exp(q, precision).evaluate_block
             folds = [_TreeFold() for _ in cks]
             for lo in range(-n_max, n_max + 1, _PIECE):
                 hi = min(lo + _PIECE, n_max + 1)
-                vals = e_array(phases(q, lo, hi))
+                vals = values(lo, hi)
                 for N, fold in zip(cks, folds):
                     # the overlap of [lo, hi) with the window [-N, N]
                     a, b = max(lo, -N), min(hi, N + 1)
