@@ -1,19 +1,21 @@
 """Weyl-word algebra of the noncommutative torus and its automorphisms.
 
-Words e(phase) u_1^{x_1}...u_d^{x_d} multiply with an exact phase
-correction from the commutation data, an integer matrix S compatible
-with that data induces an automorphism sending u_j to the word of its
-j-th column, and iterating the automorphism on a word produces, along
-each residue class of the unipotence order, integral exponent
-polynomials and a phase polynomial of degree at most 2d-1.  Vector
-states on the trace GNS space then give computable sequences
-rho(alpha^n u).
+A word e(phase) u_1^{x_1}...u_d^{x_d} acts on the trace GNS space
+l2(Z^d) as a spectral.ShiftPhaseOperator, so words multiply, power and
+commute by that module's one 2-step nilpotent group law.  An integer
+matrix S induces an automorphism sending u_j to the word of its j-th
+column exactly when those column images keep the commutation relations
+mod 1.  Iterating the automorphism on a word produces, along each
+residue class of the unipotence order, integral exponent polynomials
+and a phase polynomial of degree at most 2d-1.  Vector states on the
+GNS space then give computable sequences rho(alpha^n u).
 
 All phases are PhaseScalar values reduced mod 1; nothing here rounds.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 from .exactnum import (
@@ -24,13 +26,14 @@ from .exactnum import (
     PhasePolynomial,
     PhaseScalar,
     Record,
-    binom_int,
     classify_entropy,
+    congruent_mod_1,
     fit_phase_polynomial,
     unipotent_power_polys,
 )
 from .nilseq import SequenceStream, Tag, e_phase, from_function, phase_sum_block
-from .spectral import SparseVector, integer_hits
+from .spectral import (ShiftPhaseOperator, SparseVector, _canon_sites,
+                       integer_hits, op_pow)
 
 __all__ = [
     "NotCompatible",
@@ -109,35 +112,6 @@ class ThetaMatrix(Record):
         return self.entries[j][k]
 
 
-def _check_compatible(S: IntMatrix, theta: ThetaMatrix) -> None:
-    d = theta.dim
-    if S.dim != d:
-        raise DimensionMismatch("matrix and theta dimensions differ")
-    key = (S.rows, theta.entries)
-    if key in _COMPAT_CACHE:
-        return
-    # (S' Theta S)_{jk} - theta_{jk} must be an integer for all j,k
-    for j in range(d):
-        for k in range(d):
-            acc = -theta.entries[j][k]
-            for a in range(d):
-                saj = S.rows[a][j]
-                if saj == 0:
-                    continue
-                for b in range(d):
-                    sbk = S.rows[b][k]
-                    if sbk == 0:
-                        continue
-                    acc = acc + theta.entries[a][b].scale(saj * sbk)
-            if not acc.is_integer():
-                raise NotCompatible(
-                    f"S'(Theta)S - Theta not integral at ({j},{k})")
-    _COMPAT_CACHE.add(key)
-
-
-_COMPAT_CACHE: set = set()
-
-
 # ---------------------------------------------------------------------------
 # words
 
@@ -164,66 +138,84 @@ def word_identity(d: int) -> WeylWord:
     return WeylWord.make([0] * d)
 
 
-def _reorder_phase(x: Sequence[int], y: Sequence[int],
-                   theta: ThetaMatrix) -> PhaseScalar:
-    """Phase from moving u^y past u^x into normal order: sum_{k<j} x_j y_k theta_jk."""
-    acc = PhaseScalar.zero()
-    for k in range(theta.dim):
-        yk = y[k]
-        if yk == 0:
-            continue
-        for j in range(k + 1, theta.dim):
-            if x[j] == 0:
-                continue
-            acc = acc + theta.entries[j][k].scale(x[j] * yk)
-    return acc
+def _word_op(x: Sequence[int], phase: PhaseScalar,
+             theta: ThetaMatrix) -> ShiftPhaseOperator:
+    """e(phase) u^x on the GNS space: delta_k -> e(phase + L_x(k)) delta_{x+k}.
+
+    L_x[k] = sum_{j>k} x_j theta_jk is the phase of moving u^k past u^x
+    into normal order, so operator products are word products.
+    """
+    d = theta.dim
+    form = [sum((theta.entries[j][k].scale(x[j])
+                 for j in range(k + 1, d) if x[j]), PhaseScalar.zero())
+            for k in range(d)]
+    return ShiftPhaseOperator.make(x, phase, form)
+
+
+def _as_word(op: ShiftPhaseOperator) -> WeylWord:
+    return WeylWord(op.phase.reduce_mod_1(), op.shift)
 
 
 def word_mul(a: WeylWord, b: WeylWord, theta: ThetaMatrix) -> WeylWord:
     if a.dim != b.dim or a.dim != theta.dim:
         raise DimensionMismatch("word/theta dimensions differ")
-    phase = a.phase + b.phase + _reorder_phase(a.exponents, b.exponents, theta)
-    exps = tuple(xa + xb for xa, xb in zip(a.exponents, b.exponents))
-    return WeylWord(phase.reduce_mod_1(), exps)
+    return _as_word(_word_op(a.exponents, a.phase, theta).compose(
+        _word_op(b.exponents, b.phase, theta)))
 
 
 def word_pow(w: WeylWord, q: int, theta: ThetaMatrix) -> WeylWord:
     """w^q in closed form, valid for every integer q."""
     if w.dim != theta.dim:
         raise DimensionMismatch("word/theta dimensions differ")
-    q = int(q)
-    c = _reorder_phase(w.exponents, w.exponents, theta)
-    phase = w.phase.scale(q) + c.scale(binom_int(q, 2))
-    return WeylWord(phase.reduce_mod_1(), tuple(q * x for x in w.exponents))
+    return _as_word(op_pow(_word_op(w.exponents, w.phase, theta), q))
 
 
 def commutator_phase(x: Sequence[int], y: Sequence[int],
                      theta: ThetaMatrix) -> PhaseScalar:
     """c with u^x u^y = e(c) u^y u^x."""
-    return (_reorder_phase(x, y, theta) - _reorder_phase(y, x, theta)).reduce_mod_1()
+    zero = PhaseScalar.zero()
+    return _word_op(x, zero, theta).commutator_phase(
+        _word_op(y, zero, theta)).reduce_mod_1()
+
+
+@functools.lru_cache(maxsize=64)
+def _check_compatible(S: IntMatrix, theta: ThetaMatrix):
+    """The column images u^{S e_j} and a call giving S^-1, once alpha_S is
+    known to exist: when the images keep u_j u_k = e(theta_jk) u_k u_j
+    mod 1.  Their commutator phase is (S' Theta S)_jk, so this tests that
+    S' Theta S - Theta is integral.  S^-1 waits for the first backward
+    step, since a compatible S need not be invertible to map forward."""
+    d = theta.dim
+    if S.dim != d:
+        raise DimensionMismatch("matrix and theta dimensions differ")
+    zero = PhaseScalar.zero()
+    images = tuple(_word_op([S.rows[i][j] for i in range(d)], zero, theta)
+                   for j in range(d))
+    for j in range(d):
+        for k in range(j + 1, d):
+            c = images[j].commutator_phase(images[k])
+            if not congruent_mod_1(c, theta.entries[j][k]):
+                raise NotCompatible(
+                    f"S'(Theta)S - Theta not integral at ({j},{k})")
+    return images, functools.cache(S.inverse)
 
 
 def apply_auto(S: IntMatrix, w: WeylWord, theta: ThetaMatrix) -> WeylWord:
-    """Automorphism sending u_j to the word with exponents = column j of S."""
-    _check_compatible(S, theta)
+    """Automorphism sending u_j to the word with exponents = column j of S:
+    the product of the column images' powers, times e(w.phase)."""
+    images, _ = _check_compatible(S, theta)
     if w.dim != S.dim:
         raise DimensionMismatch("word/matrix dimensions differ")
-    d = S.dim
-    out = WeylWord.make([0] * d, w.phase)
-    for j in range(d):
-        xj = w.exponents[j]
-        if xj == 0:
-            continue
-        col = WeylWord.make([S.rows[i][j] for i in range(d)])
-        out = word_mul(out, word_pow(col, xj, theta), theta)
-    return out
+    powers = [op_pow(image, xj) for image, xj in zip(images, w.exponents) if xj]
+    op = (functools.reduce(ShiftPhaseOperator.compose, powers) if powers
+          else ShiftPhaseOperator.identity(S.dim))
+    return WeylWord((op.phase + w.phase).reduce_mod_1(), op.shift)
 
 
 def apply_auto_inverse(S: IntMatrix, w: WeylWord, theta: ThetaMatrix) -> WeylWord:
     """The inverse automorphism: exponents map by S^-1, phase balances."""
-    _check_compatible(S, theta)
-    Sinv = S.inverse()
-    y = Sinv.apply(w.exponents)
+    _, inverse = _check_compatible(S, theta)
+    y = inverse().apply(w.exponents)
     forward = apply_auto(S, WeylWord.make(y), theta)
     return WeylWord((w.phase - forward.phase).reduce_mod_1(), tuple(y))
 
@@ -241,16 +233,7 @@ class WeylElement(Record):
     @staticmethod
     def from_terms(dim: int,
                    mapping: Mapping[Sequence[int], complex]) -> "WeylElement":
-        items = []
-        for exps, c in mapping.items():
-            exps = tuple(int(x) for x in exps)
-            if len(exps) != dim:
-                raise DimensionMismatch(f"exponent vector {exps} has wrong length")
-            c = complex(c)
-            if c != 0:
-                items.append((exps, c))
-        items.sort(key=lambda kv: kv[0])
-        return WeylElement(dim, tuple(items))
+        return WeylElement(dim, _canon_sites(dim, mapping, DimensionMismatch))
 
     @staticmethod
     def from_word(w: WeylWord) -> "WeylElement":
@@ -426,24 +409,22 @@ def gns_apply(w: WeylWord, psi: SparseVector, theta: ThetaMatrix) -> SparseVecto
         raise DimensionMismatch("word/vector/theta dimensions differ")
     if psi.atoms:
         raise DimensionMismatch("GNS vectors are lattice-only")
-    out: dict[tuple[int, ...], complex] = {}
-    for site, c in psi.sites:
-        ph = w.phase + _reorder_phase(w.exponents, site, theta)
-        nk = tuple(a + b for a, b in zip(w.exponents, site))
-        out[nk] = out.get(nk, 0) + c * e_phase(ph.float_mod_1())
-    return SparseVector.from_sites(psi.dim, out)
+    return psi.apply_operator(_word_op(w.exponents, w.phase, theta))
 
 
-def _site_pair_value(x: tuple[int, ...], w_sites, w_dict, theta: ThetaMatrix,
+def _site_pair_value(x: tuple[int, ...], w: SparseVector, theta: ThetaMatrix,
                      extra_phase: PhaseScalar) -> complex:
-    """<e(extra) u^x psi, psi> over the lattice, exact phases."""
+    """<e(extra) u^x w, w> over the lattice, exact phases."""
+    w_dict = w.site_dict()
+    lands = [(site, c, w_dict[nk]) for site, c in w.sites
+             if (nk := tuple(a + b for a, b in zip(x, site))) in w_dict]
+    if not lands:
+        return 0j
+    op = _word_op(x, extra_phase, theta)
     total = 0j
-    for site, c in w_sites:
-        nk = tuple(a + b for a, b in zip(x, site))
-        if nk not in w_dict:
-            continue
-        ph = extra_phase + _reorder_phase(x, site, theta)
-        total += c * e_phase(ph.float_mod_1()) * w_dict[nk].conjugate()
+    for site, c, v in lands:
+        ph = op.phase + op.form_at(site)
+        total += c * e_phase(ph.float_mod_1()) * v.conjugate()
     return total
 
 
@@ -467,8 +448,6 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
     if abs(w.norm() - 1.0) > NORM_TOL:
         raise NotUnitVector(f"norm {w.norm()!r} not within {NORM_TOL} of 1")
 
-    w_sites = w.sites
-    w_dict = w.site_dict()
     entropy = classify_entropy(S)
 
     if not entropy.is_zero_entropy:
@@ -479,8 +458,8 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
             total = 0j
             for exps, c in u.terms:
                 wn = orbits[exps](n)
-                total += c * _site_pair_value(wn.exponents, w_sites, w_dict,
-                                              theta, wn.phase)
+                total += c * _site_pair_value(wn.exponents, w, theta,
+                                              wn.phase)
             return total
 
         return from_function(
@@ -503,19 +482,17 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
             max_deg = max(max_deg, rp.phase_poly.degree)
             if all(p.is_constant() for p in rp.exponent_polys):
                 xbar = tuple(p(0) for p in rp.exponent_polys)
-                base = _site_pair_value(xbar, w_sites, w_dict, theta,
-                                        PhaseScalar.zero())
+                base = _site_pair_value(xbar, w, theta, PhaseScalar.zero())
                 if base != 0:
                     mod_terms.append((c * base, rp.residue, rp.phase_poly))
                 continue
-            t_hits = {t for ku, _ in w_sites for kv, _ in w_sites
+            t_hits = {t for ku, _ in w.sites for kv, _ in w.sites
                       for t in integer_hits(rp.exponent_polys,
                                             [b - a for a, b in zip(ku, kv)])}
             for t in t_hits:
                 n = t * m + rp.residue
                 wn = rep.word_at(n)
-                val = c * _site_pair_value(wn.exponents, w_sites, w_dict,
-                                           theta, wn.phase)
+                val = c * _site_pair_value(wn.exponents, w, theta, wn.phase)
                 if val != 0:
                     hit_values[n] = hit_values.get(n, 0) + val
 

@@ -87,7 +87,8 @@ class ShiftPhaseOperator(Record):
     def form_at(self, k: Sequence[int]) -> PhaseScalar:
         acc = PhaseScalar.zero()
         for c, ki in zip(self.form, k):
-            acc = acc + c.scale(int(ki))
+            if c and ki:
+                acc = acc + c.scale(int(ki))
         return acc
 
     def is_diagonal(self) -> bool:
@@ -124,12 +125,15 @@ def op_pow(W: ShiftPhaseOperator, n: int) -> ShiftPhaseOperator:
 # vectors
 
 
-def _canon_sites(dim: int, mapping: Mapping[Sequence[int], complex]):
+def _canon_sites(dim: int, mapping: Mapping[Sequence[int], complex],
+                 error: type[ValueError] = ValueError):
+    """Sorted (site, coefficient) pairs with the zero coefficients dropped;
+    a site of the wrong length raises `error`."""
     items = []
     for site, coeff in mapping.items():
         site = tuple(int(s) for s in site)
         if len(site) != dim:
-            raise ValueError(f"site {site} has wrong dimension")
+            raise error(f"site {site} has wrong dimension")
         c = complex(coeff)
         if c != 0:
             items.append((site, c))
@@ -185,7 +189,7 @@ class SparseVector(Record):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         od = other.site_dict()
-        total = sum(c * od[k].conjugate() for k, c in self.sites if k in od)
+        total = sum((c * od[k].conjugate() for k, c in self.sites if k in od), 0j)
         oa = other.atom_dict()
         for aid, c, ph in self.atoms:
             if aid in oa:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from nilseqlab.exactnum import (
     IntMatrix,
+    NotInGL,
     NotUnipotent,
     PhaseScalar,
+    binom_int,
     classify_entropy,
     congruent_mod_1,
     parse_phase,
@@ -99,6 +101,19 @@ def test_compatibility_is_mod_one():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply_auto(IntMatrix.from_rows([[1]]), WeylWord.make((1, 0)), THETA_IRR)
+    with pytest.raises(DimensionMismatch):
+        WeylElement.from_terms(2, {(1, 0): 1.0, (0, 1, 0): 0.5})
+
+
+def test_compatible_matrix_outside_gl_maps_forward_only():
+    # S' Theta S - Theta = 1 at (0,1), so alpha_S is an endomorphism, but
+    # det S = 4 leaves it no inverse
+    S = IntMatrix.from_rows([[4, 0], [0, 1]])
+    theta = theta2("1/3")
+    assert apply_auto(S, WeylWord.make((1, 1)), theta).exponents == (4, 1)
+    with pytest.raises(NotInGL):
+        apply_auto_inverse(S, WeylWord.make((1, 1)), theta)
+    assert apply_auto(S, WeylWord.make((0, 2)), theta).exponents == (0, 2)
 
 
 # ----------------------------------------------------------------- words
@@ -164,6 +179,121 @@ def test_commutator_from_words(x, y):
                             word_pow(wy, -1, THETA_IRR), THETA_IRR), THETA_IRR)
     assert lhs.exponents == (0, 0)
     assert congruent_mod_1(lhs.phase, commutator_phase(x, y, THETA_IRR))
+
+
+# ------------------------------------------- group law at d = 2, 3 and 4
+# Oracles: the normal-ordering phase written out by hand, and the
+# compatibility test as "S' Theta S - Theta is integral" entry by entry.
+
+
+def oracle_reorder(x, y, theta):
+    """Phase from moving u^y past u^x into normal order: sum_{k<j} x_j y_k theta_jk."""
+    acc = PhaseScalar.zero()
+    for k in range(theta.dim):
+        for j in range(k + 1, theta.dim):
+            if x[j] and y[k]:
+                acc = acc + theta.entry(j, k).scale(x[j] * y[k])
+    return acc
+
+
+def oracle_compatible(S, theta):
+    d = theta.dim
+    for j in range(d):
+        for k in range(d):
+            acc = -theta.entry(j, k)
+            for a in range(d):
+                for b in range(d):
+                    acc = acc + theta.entry(a, b).scale(S.rows[a][j] * S.rows[b][k])
+            if not acc.is_integer():
+                return False
+    return True
+
+
+def oracle_mul(a, b, theta):
+    phase = a.phase + b.phase + oracle_reorder(a.exponents, b.exponents, theta)
+    return WeylWord.make([p + q for p, q in zip(a.exponents, b.exponents)], phase)
+
+
+def oracle_pow(w, q, theta):
+    phase = (w.phase.scale(q)
+             + oracle_reorder(w.exponents, w.exponents, theta).scale(binom_int(q, 2)))
+    return WeylWord.make([q * x for x in w.exponents], phase)
+
+
+def oracle_auto(S, w, theta):
+    out = WeylWord.make([0] * S.dim, w.phase)
+    for j, xj in enumerate(w.exponents):
+        col = WeylWord.make([row[j] for row in S.rows])
+        out = oracle_mul(out, oracle_pow(col, xj, theta), theta)
+    return out
+
+
+def oracle_gns(w, psi, theta):
+    out = {}
+    for site, c in psi.sites:
+        ph = w.phase + oracle_reorder(w.exponents, site, theta)
+        nk = tuple(a + b for a, b in zip(w.exponents, site))
+        out[nk] = out.get(nk, 0) + c * e_phase(ph.float_mod_1())
+    return SparseVector.from_sites(psi.dim, out)
+
+
+def float_bits(vec):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in vec.sites]
+
+
+@st.composite
+def group_law_cases(draw):
+    d = draw(st.integers(min_value=2, max_value=4))
+    rational = draw(st.booleans())
+
+    def phase():
+        out = PhaseScalar.from_rational(Fraction(draw(st.integers(-6, 6)),
+                                                 draw(st.integers(1, 4))))
+        if not rational:
+            for g in ("g1", "g2"):
+                out = out + parse_phase(g).scale(
+                    Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        return out
+
+    theta = ThetaMatrix.from_upper(
+        d, {(j, k): phase() for j in range(d) for k in range(j + 1, d)})
+    # S in GL(d, Z), entries in [-2, 2]: a signed permutation, then row
+    # additions that keep every entry in range
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    rows = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, d - 1),
+                                           st.integers(0, d - 1),
+                                           st.sampled_from((-1, 1))),
+                                 max_size=6)):
+        new = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if i != j and max(map(abs, new)) <= 2:
+            rows[i] = new
+    vec = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    a = WeylWord.make(draw(vec), phase())
+    b = WeylWord.make(draw(vec), phase())
+    psi = SparseVector.from_sites(d, {tuple(draw(vec)): complex(draw(st.integers(-3, 3)), 1)
+                                      for _ in range(3)})
+    return theta, IntMatrix.from_rows(rows), a, b, draw(st.integers(-9, 9)), psi
+
+
+@given(group_law_cases())
+def test_group_law_matches_normal_ordering_oracle(case):
+    theta, S, a, b, q, psi = case
+    assert word_mul(a, b, theta) == oracle_mul(a, b, theta)
+    assert word_pow(a, q, theta) == oracle_pow(a, q, theta)
+    want = (oracle_reorder(a.exponents, b.exponents, theta)
+            - oracle_reorder(b.exponents, a.exponents, theta)).reduce_mod_1()
+    assert commutator_phase(a.exponents, b.exponents, theta) == want
+    got = gns_apply(a, psi, theta)
+    assert got == oracle_gns(a, psi, theta)
+    assert float_bits(got) == float_bits(oracle_gns(a, psi, theta))
+    if not oracle_compatible(S, theta):
+        with pytest.raises(NotCompatible):
+            apply_auto(S, a, theta)
+        return
+    assert apply_auto(S, a, theta) == oracle_auto(S, a, theta)
+    assert apply_auto(S, apply_auto_inverse(S, a, theta), theta) == a
 
 
 # ------------------------------------------------------------ automorphisms
@@ -324,8 +454,7 @@ def closed_form_state(S, theta, u, vec):
         total = 0j
         for exps, c in u.terms:
             wn = reports[exps].word_at(n)
-            total += c * _site_pair_value(wn.exponents, vec.sites,
-                                          vec.site_dict(), theta, wn.phase)
+            total += c * _site_pair_value(wn.exponents, vec, theta, wn.phase)
         return total
 
     return value

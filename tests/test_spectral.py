@@ -162,6 +162,12 @@ def test_inner_conflicting_eigenphases_rejected():
         a.inner(b)
 
 
+def test_inner_of_disjoint_supports_is_complex():
+    got = SparseVector.basis(2, (0, 0)).inner(SparseVector.basis(2, (1, 0)))
+    assert isinstance(got, complex)
+    assert got == 0
+
+
 def test_apply_operator_hand_case():
     w = op((1, 1), phase="1/8", form=("g1", "0"))
     v = SparseVector.from_sites(2, {(2, 0): 1.0})
