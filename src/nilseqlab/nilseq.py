@@ -339,27 +339,25 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
 
 # ---------------------------------------------------------------------------
 # polynomial phase evaluation: one exact kernel, plus a float route at
-# degrees 1 and 2
+# degree 1
 
 
 # Blocks shorter than this are walked point by point: below it, setting
 # up the lanes costs more than it saves (measured crossover, see README).
 _LANE_MIN_POINTS = 256
 # Points per lane pass: bounds the lane temporaries, not the bits.  At
-# 2^13 the four-limb temporaries of a pass (about 1 MB) stay in cache
+# 2^13 the two-word temporaries of a pass (about 0.7 MB) stay in cache
 # and below the heap size glibc trims back after each pass (measured
 # against 2^12, 2^14 and 2^15; see README).
 _LANE_CHUNK = 1 << 13
 # Points per lane: a prefix sum over it of values below 2^53 (one mod D
-# row) or 2^32 (one 32-bit limb) must stay below 2^64.
+# row) must stay below 2^64.
 _LANE_WIDTH = 1 << 10
 # Cap on a fixed-point lane's anchor error, in units of 2^-128: it must
 # stay below 2^64 for _round_fixed, and the share of points it flags
 # grows with it.  Only degrees above 5 need lanes shorter than 1024.
 _LANE_SPREAD_CAP = 1 << 48
 _U64_MAX = np.uint64(2 ** 64 - 1)
-_LIMB = np.uint64(32)
-_LIMB_MASK = np.uint64(2 ** 32 - 1)
 
 
 def _round_fixed(hi: np.ndarray, lo: np.ndarray, spread: int):
@@ -452,38 +450,40 @@ class PhaseKernel:
         D < 2^53: the rows are reduced mod D, and a_0 / D is a quotient
         of two exact doubles, correctly rounded like int / int.  Larger
         D: row j is anchored at Y_j = floor(2^128 a_j / D) and runs mod
-        2^128 in four 32-bit limbs, carried after each row.  After i
-        steps the true 2^128 a_0 / D lies in [Y_0, Y_0 + sum_j C(i, j)),
-        which _round_fixed rounds or flags.
+        2^128 in two 64-bit words, low word first.  The low word's
+        prefix sum wraps once per carry, exactly where it decreases, and
+        an add carries where the new low word is below the addend's.
+        After i steps the true 2^128 a_0 / D lies in
+        [Y_0, Y_0 + sum_j C(i, j)), which _round_fixed rounds or flags.
         """
         D, lanes = self.denominator, len(anchors)
-        if D < 1 << 53:
-            # rows x limbs (one, mod D) x lanes
-            table = np.array(anchors, dtype=np.uint64).T[:, None, :]
-        else:
-            fixed = b"".join(((a << 128) // D).to_bytes(16, "little")
+        fixed = D >= 1 << 53
+        if fixed:
+            words = b"".join(((a << 128) // D).to_bytes(16, "little")
                              for row in anchors for a in row)
-            table = (np.frombuffer(fixed, dtype="<u4").astype(np.uint64)
-                     .reshape(lanes, self.degree + 1, 4).transpose(1, 2, 0))
+            table = (np.frombuffer(words, dtype="<u8").astype(np.uint64)
+                     .reshape(lanes, self.degree + 1, 2).transpose(1, 2, 0))
+        else:
+            # rows x words (one, mod D) x lanes
+            table = np.array(anchors, dtype=np.uint64).T[:, None, :]
         row = np.broadcast_to(table[-1][:, :, None], table.shape[1:] + (width,))
         for anchor in table[-2::-1]:
             nxt = np.empty(row.shape, dtype=np.uint64)
             nxt[:, :, 0] = 0
             np.cumsum(row[:, :, :-1], axis=2, out=nxt[:, :, 1:])
-            nxt += anchor[:, :, None]
-            if D < 1 << 53:
-                nxt %= np.uint64(D)
+            if fixed:
+                lo = nxt[0]
+                nxt[1, :, 1:] += np.cumsum(lo[:, 1:] < lo[:, :-1], axis=1, dtype=np.uint64)
+                nxt += anchor[:, :, None]
+                nxt[1] += lo < anchor[0][:, None]
             else:
-                for k in range(3):
-                    nxt[k + 1] += nxt[k] >> _LIMB
-                    nxt[k] &= _LIMB_MASK
-                nxt[3] &= _LIMB_MASK
+                nxt += anchor[:, :, None]
+                nxt %= np.uint64(D)
             row = nxt
         row = row.reshape(row.shape[0], -1)
-        if D < 1 << 53:
-            return row[0].astype(np.float64) / float(D), None
-        return _round_fixed((row[3] << _LIMB) | row[2], (row[1] << _LIMB) | row[0],
-                            self._spread(width))
+        if fixed:
+            return _round_fixed(row[1], row[0], self._spread(width))
+        return row[0].astype(np.float64) / float(D), None
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """p(n) mod 1 for n in [start, stop)."""
@@ -527,47 +527,40 @@ def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
 
 
 def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
-    """Blockwise float evaluation of p(n) mod 1 at degrees 1 and 2;
-    every other degree is PhaseKernel(p).block, with exact bits.
+    """Blockwise float evaluation of p(n) mod 1 at degree 1; every other
+    degree is PhaseKernel(p).block, with exact bits.
 
-    Per-step recurrences in doubles compound error like n^degree, so
-    instead each block of B values is anchored exactly: the forward
+    A per-step recurrence in doubles compounds error with n, so instead
+    each block of B = 2^15 values is anchored exactly: the forward
     differences of p at the block's anchor come from the exact kernel,
-    reduced mod 1, then the block is the float combination
-    sum_j frac(diff_j) C(i, j) for i = 0..B-1.  Dropping integer parts
-    of the differences only shifts values by integers at integer i.
-    B (_FAST_BLOCK) is 2^15 at degree 1 and 2^9 at degree 2, so C(B, 2)
-    stays below 2^18, which caps the absolute phase error near 1e-10
-    uniformly; nothing accumulates across blocks.  From degree 3 on the
-    blocks this bound allows are so short that re-anchoring costs more
-    than the exact kernel, which is why those degrees take it.
+    reduced mod 1, then the block is frac(diff_0) + frac(diff_1) i for
+    i = 0..B-1.  Dropping integer parts of the differences only shifts
+    values by integers at integer i.  The error stays below 1e-11
+    uniformly; nothing accumulates across blocks.  From degree 2 on the
+    same bound needs far shorter blocks, and they saved too little of a
+    whole run to keep a second route, so those degrees take the exact
+    kernel.
 
     The anchors are the n = 1 mod B, whatever the range, so a phase is
     a function of (p, n) alone: any cut of a range, and each one-point
     block, gives the same bits.  The offset 1 is correlate's: its
-    segments start at 1 + i 2^15, and B divides 2^15.  A point is a
-    fixed-order elementwise sum of its anchor's coefficients times
-    C(i, j) from one memo per degree.  The sum is at least 0, so
+    segments start at 1 + i 2^15.  A point is its anchor's diff_1 times
+    i, plus diff_0, in float64.  The sum is at least 0, so
     acc - floor(acc) is exact and has the bits of np.mod(acc, 1.0).
     """
     kernel = PhaseKernel(p)
-    deg, D = kernel.degree, kernel.denominator
-    if deg not in _FAST_BLOCK:
+    if kernel.degree != 1:
         return kernel.block(start, stop)
-    rows = _binomial_rows(deg)
-    bsize = rows.shape[1]
+    D = kernel.denominator
     out = np.empty(max(stop - start, 0), dtype=np.float64)
     pos = start
     while pos < stop:
-        anchor = pos - (pos - 1) % bsize
-        i0, i1 = pos - anchor, min(anchor + bsize, stop) - anchor
-        coeffs = [a / D for a in kernel.differences(anchor)]
-        # fixed-order elementwise sum, not a BLAS matvec: the kernel a
-        # BLAS build picks (and its FMA use) must not reach the bits
-        acc = rows[0, i0:i1] * coeffs[1]
-        acc += coeffs[0]
-        if deg == 2:
-            acc += rows[1, i0:i1] * coeffs[2]
+        anchor = pos - (pos - 1) % _FAST_BLOCK
+        i0, i1 = pos - anchor, min(anchor + _FAST_BLOCK, stop) - anchor
+        c0, c1 = (a / D for a in kernel.differences(anchor))
+        acc = np.arange(i0, i1, dtype=np.float64)
+        acc *= c1
+        acc += c0
         part = out[pos - start: anchor + i1 - start]
         np.floor(acc, out=part)
         np.subtract(acc, part, out=part)
@@ -575,19 +568,8 @@ def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     return out
 
 
-# points per fast block, by the degrees the fast route keeps
-_FAST_BLOCK = {1: 1 << 15, 2: 1 << 9}
-
-
-@functools.cache
-def _binomial_rows(deg: int) -> np.ndarray:
-    """Row j - 1 holds C(i, j) for i in [0, _FAST_BLOCK[deg]) and
-    j = 1..deg, exact in float64.  Built once a degree and shared, so
-    read-only."""
-    idx = np.arange(_FAST_BLOCK[deg], dtype=np.float64)
-    rows = idx[None, :] if deg == 1 else np.stack((idx, idx * (idx - 1) / 2))
-    rows.flags.writeable = False
-    return rows
+# points per fast block
+_FAST_BLOCK = 1 << 15
 
 
 def _phase_route(precision: str) -> Callable[[PhasePolynomial, int, int], np.ndarray]:
@@ -609,8 +591,8 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     A phase polynomial of degree k is realized on a k-step manifold, so
     the tag is Nil(max(degree, 1)).  precision picks the block path:
     "exact" reduces each phase exactly (PhaseKernel), "fast" runs the
-    anchored float blocks of phase_block_fast at degrees 1 and 2 and the
-    exact kernel at every other degree.
+    anchored float blocks of phase_block_fast at degree 1 and the exact
+    kernel at every other degree.
     """
     phases = _phase_route(precision)
 
@@ -644,7 +626,8 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
     shape rho(alpha^n u) takes for a zero-entropy automorphism, and the
     shape of a decomposition.  The terms are added into zeros in order,
     then the hits; the residue bounds are integer arithmetic, so they
-    hold at any n.  precision picks the phase route as in poly_exp.
+    hold at any n.  precision picks the phase route as in poly_exp, so
+    it changes only the terms whose p has degree 1.
     """
     phases = _phase_route(precision)
     terms, m, hits = tuple(terms), int(modulus), dict(hits)
@@ -665,10 +648,10 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
     return block
 
 
-def quadratic_seq(t: PhaseScalar, precision: str = "exact") -> SequenceStream:
+def quadratic_seq(t: PhaseScalar) -> SequenceStream:
     """e(n(n-1)/2 * t) = e(C(n,2) t), a 2-step sequence."""
     p = PhasePolynomial.from_coeffs([PhaseScalar.zero(), PhaseScalar.zero(), t])
-    stream = poly_exp(p, precision)
+    stream = poly_exp(p)
     return replace(stream, provenance="quadratic(t)", tag=Tag.nil(2))
 
 

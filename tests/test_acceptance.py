@@ -319,7 +319,7 @@ def test_criterion_4_decomposition_identity_and_certificate():
     assert dc.certificate.kind == "empty"
     assert not np.any(dc.residual_stream.evaluate_block(-1000, 1001))
     neg = parse_phase("-1*g1")
-    refc = (quadratic_seq(neg, precision="exact").evaluate_block(-1000, 1001)
+    refc = (quadratic_seq(neg).evaluate_block(-1000, 1001)
             * poly_exp(PhasePolynomial.from_coeffs((zero, neg), basis="monomial"),
                        precision="exact").evaluate_block(-1000, 1001))
     dev_c = max(abs(dc.nil_value(n) - refc[n + 1000]) for n in range(-1000, 1001))

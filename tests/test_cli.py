@@ -196,6 +196,30 @@ def test_exact_route_agrees_with_goldens(name, golden_run):
         assert _close(got, want), f"{name}/{fname} disagrees with golden"
 
 
+# The fast route differs from the exact one only on degree-1 phases, and
+# these configs' fast runs evaluate none: correlate_quadratic's phase has
+# degree 2, weyl_rational's rational phase is folded over its period on
+# the exact route, decompose always takes the exact route, and
+# correlate_nc_shear's sequence is nonzero at finitely many n.
+NO_FAST_DEGREE_1 = ["correlate_nc_shear", "correlate_quadratic",
+                    "decompose_heisenberg", "weyl_rational"]
+
+
+@pytest.mark.parametrize("name", NO_FAST_DEGREE_1)
+def test_goldens_without_degree_1_phases_are_the_exact_bytes(name):
+    # report.json names the precision, so it differs
+    fast_dir = os.path.join(GOLDEN, name)
+    exact_dir = os.path.join(CONFIGS, "golden_exact", name)
+    fnames = sorted(os.listdir(fast_dir))
+    assert fnames == sorted(os.listdir(exact_dir))
+    for fname in fnames:
+        if fname == "report.json":
+            continue
+        with open(os.path.join(fast_dir, fname), "rb") as fast, \
+                open(os.path.join(exact_dir, fname), "rb") as exact:
+            assert fast.read() == exact.read(), f"{name}/{fname}"
+
+
 def test_timings_cover_every_stage(tmp_path):
     out = str(tmp_path / "out")
     code, _, err = run_cli("weyl", "--config",

@@ -439,15 +439,15 @@ def _fast_pin_cases():
 
 def _fast_oracle(p, start, stop):
     """phase_block_fast(p, start, stop) from its definition, in Python
-    floats.  At degrees 1 and 2: anchors at n = 1 mod B (2^15 and 2^9)
-    from exact forward differences of p(n) in Fractions, C(i, j) from
-    math.comb, the same adds in the same order, and the same reduction
+    floats.  At degree 1: anchors at n = 1 mod B = 2^15 from exact
+    forward differences of p(n) in Fractions, C(i, j) from math.comb,
+    the same adds in the same order, and the same reduction
     x - floor(x).  At every other degree the exact phase, the correctly
     rounded float(p(n) mod 1)."""
     deg = p.degree
-    if deg not in (1, 2):
+    if deg != 1:
         return [float(p(n).exact_value() % 1) for n in range(start, stop)]
-    bsize = 1 << 15 if deg == 1 else 1 << 9
+    bsize = 1 << 15
     out, anchor, coeffs = [], None, None
     for n in range(start, stop):
         if anchor != (a := n - (n - 1) % bsize):
@@ -527,9 +527,9 @@ def test_poly_exp_point_is_the_block_value(precision):
 
 
 def test_exact_and_fast_blocks_agree():
-    # each window crosses anchor blocks at degrees 1 and 2 (2^15 and 2^9
-    # points); every other degree, the zero polynomial (degree -1)
-    # included, takes the exact kernel, bit for bit
+    # each degree-1 window crosses 2^15-point anchor blocks; every other
+    # degree, the zero polynomial (degree -1) included, takes the exact
+    # kernel, bit for bit
     coeffs = ("1/7", "g1", "g2", "g1 - 2/3", "1/3 - g2", "1/8 + 2*g1")
     for degree, start in itertools.product(
             range(-1, 6), (-3000, 10 ** 12 - 700, -(10 ** 12) - 700)):
@@ -538,7 +538,7 @@ def test_exact_and_fast_blocks_agree():
         stop = start + (40000 if degree == 1 else 6000)
         exact = phase_block_exact(p, start, stop)
         fast = phase_block_fast(p, start, stop)
-        if degree in (1, 2):
+        if degree == 1:
             assert np.max(np.abs(exact - fast)) < 1e-10, (degree, start)
         else:
             assert np.array_equal(fast.view(np.uint64), exact.view(np.uint64)), \
