@@ -1,12 +1,15 @@
 """Mobius function tables and averaged correlation sums.
 
-The sieve works one block of SIEVE_BLOCK points at a time.
-`sieve_mobius` concatenates the blocks into one int8 table, a byte a
-point; `sieve_cache` packs each block into the cache format as it is
-made, so its memory is one block whatever the limit.  A cache file is
-read back by range (`MobiusCache.block`), and `correlate` reads its
-weights one summation segment at a time from a table or a cache, so it
-never fills a table for 1..N itself.  A second, independent routine
+The sieve works one block of SIEVE_BLOCK points at a time, every
+block of a run in the same buffers (`_SieveWork`), each block started
+from a pre-sieved wheel for 2, 3 and 5.  `sieve_mobius` concatenates
+the blocks into one int8 table, a byte a point; `sieve_cache` packs
+each block into the cache format as it is made, in packing buffers
+also made once, so its memory is one block whatever the limit, and
+the page faults of a run do not grow with it.  A cache file is read
+back by range (`MobiusCache.block`), and `correlate` reads its weights
+one summation segment at a time from a table or a cache, decoding each
+segment once, so it never fills a table for 1..N itself.  A second, independent routine
 derives mu(n) by dividing out primes from the values themselves
 (different bookkeeping, used as a cross-check and for golden files).
 Correlation sums S(N) = (1/N) sum mu(n) xi(n) are accumulated through a
@@ -22,7 +25,7 @@ import os
 import struct
 import tempfile
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -47,9 +50,17 @@ __all__ = [
     "mobius_stream",
 ]
 
-# points per sieve block: its int32 scratch is 2 MB an array, and one
-# block is all the sieve holds; the block's size changes no output bit
+# points per sieve block: one block is all the sieve holds, in buffers
+# made once a run (_SieveWork, 2 MB of int32 product); the block's size
+# changes no output bit
 SIEVE_BLOCK = 1 << 19
+# points per step of a block's last pass: the chunk's int32 product and
+# int8 values stay in cache from the sign to the flip
+_SIEVE_CHUNK = 1 << 15
+# primes sieved for a whole block at once, from a pre-sieved wheel, and
+# the wheel's period: the product of their squares
+_WHEEL_PRIMES = (2, 3, 5)
+_WHEEL_PERIOD = 900
 # points per correlate summation segment; it fixes the tree_fold shapes,
 # hence every output bit of a correlation sum
 SEGMENT = 1 << 15
@@ -103,34 +114,80 @@ def _sieve_primes(limit: int) -> list[int]:
     return np.nonzero(sieve)[0].tolist()
 
 
-def _sieve_block(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+class _SieveWork:
+    """The buffers of one sieve block, made once a run and reused by
+    every block of it: the int32 product, the int8 values, a chunk's
+    offsets 0, 1, 2, ... and flip scratch, and the pre-sieved wheel."""
+
+    def __init__(self, size: int):
+        self.prod = np.empty(size, dtype=np.int32)
+        self.mu = np.empty(size, dtype=np.int8)
+        self.step = np.arange(_SIEVE_CHUNK, dtype=np.int32)
+        self.flip = np.empty(_SIEVE_CHUNK, dtype=bool)
+        # the product over the wheel's primes at n = j mod the period,
+        # for j < twice the period, so any residue starts a whole period
+        self.wheel = np.ones(2 * _WHEEL_PERIOD, dtype=np.int32)
+        for p in _WHEEL_PRIMES:
+            self.wheel[::p] *= -p
+            self.wheel[:: p * p] = 0
+
+
+def _sieve_block(lo: int, hi: int, primes: list[int],
+                 work: _SieveWork | None = None) -> np.ndarray:
     """mu(lo..hi-1) as int8, for primes = those <= sqrt(hi - 1).
 
     One int32 array holds (-1)^k times the product of the k sieved
     primes dividing n, and 0 once some p^2 divides n.  mu(n) is its sign,
     flipped where the product is not n: the leftover cofactor is then
     one more prime.  int32 is exact: |prod| divides n, and n <=
-    HARD_LIMIT < 2^31.
+    HARD_LIMIT < 2^31.  The primes of the wheel come first, for every n
+    at once: one period of the wheel is copied in at lo's residue and
+    doubled in place to the block's length.  Dividing by a wheel prime
+    above sqrt(hi - 1) as well changes nothing: the cofactor is still 1
+    or a prime.  The other primes are sieved one at a time, and the
+    last pass runs _SIEVE_CHUNK points at a time.
+
+    The block is made in `work`, a _SieveWork of at least hi - lo
+    points, and the result is a view of it that the next block
+    overwrites; with no `work`, in buffers of its own.
     """
-    prod = np.ones(hi - lo, dtype=np.int32)
-    for p in primes:
+    m = hi - lo
+    if work is None:
+        work = _SieveWork(m)
+    prod, mu = work.prod[:m], work.mu[:m]
+    k = min(m, _WHEEL_PERIOD)
+    start = lo % _WHEEL_PERIOD
+    prod[:k] = work.wheel[start: start + k]
+    while k < m:
+        c = min(k, m - k)
+        prod[k: k + c] = prod[:c]
+        k += c
+    for p in primes[bisect_right(primes, _WHEEL_PRIMES[-1]):]:
         prod[(-lo) % p:: p] *= -p
         p2 = p * p
         prod[(-lo) % p2:: p2] = 0
-    mu = np.sign(prod).astype(np.int8)
-    np.abs(prod, out=prod)
-    flip = (prod != np.arange(lo, hi, dtype=np.int32)).view(np.int8)
-    mu *= 1 - 2 * flip
+    for a in range(0, m, _SIEVE_CHUNK):
+        b = min(a + _SIEVE_CHUNK, m)
+        part, out, flip = prod[a:b], mu[a:b], work.flip[: b - a]
+        np.sign(part, out=out, casting="unsafe")
+        np.abs(part, out=part)
+        part -= lo + a          # now 0, 1, 2, ... exactly where |prod| == n
+        np.not_equal(part, work.step[: b - a], out=flip)
+        sign = flip.view(np.int8)           # 1 - 2 * flip, in place
+        sign *= -2
+        sign += 1
+        out *= sign
     return mu
 
 
 def sieve_mobius(limit: int) -> MobiusTable:
     """mu(1..limit) as one table: the sieve blocks, concatenated."""
     primes = _sieve_primes(limit)
+    work = _SieveWork(min(SIEVE_BLOCK, limit))
     out = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, limit + 1)
-        out[lo:hi] = _sieve_block(lo, hi, primes)
+        out[lo:hi] = _sieve_block(lo, hi, primes, work)
     return MobiusTable(limit=limit, values=out)
 
 
@@ -240,7 +297,8 @@ def correlate(
     sums: list[complex] = []
     for lo in range(1, n_max + 1, SEGMENT):
         hi = min(lo + SEGMENT, n_max + 1)
-        vals = xi.evaluate_block(lo, hi) * table.block(lo, hi)
+        vals = xi.evaluate_block(lo, hi)  # a new array: multiplied in place
+        vals *= table.block(lo, hi)
         for k in cks[bisect_left(cks, lo): bisect_left(cks, hi)]:
             # whole segments below k, then the part of the segment k is in
             sums.append((below.total() + tree_fold(vals[: k - lo + 1])) / k)
@@ -264,15 +322,24 @@ _DECODE = (((np.arange(256)[:, None] >> np.arange(0, 8, 2)) % 4 - 1)
            .astype(np.int8).view("<u4").ravel())
 
 
-def _pack(mu: np.ndarray) -> bytes:
-    """Payload bytes of mu values; a block not the last has 4k values."""
-    enc = (mu + 1).astype(np.uint8)
-    pad = (-len(enc)) % 4
-    if pad:
-        enc = np.concatenate([enc, np.full(pad, 3, dtype=np.uint8)])
-    quads = enc.reshape(-1, 4)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return packed.tobytes()
+def _pack(mu: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Payload bytes of mu values, a view of `out`; a block not the last
+    has 4k values.  The codes are made in `buf`, uint8 with room for
+    len(mu) rounded up to 4, and `out` is uint8 with room for a quarter
+    of that: both are reused from block to block."""
+    m = len(mu)
+    enc = buf[: -(-m // 4) * 4]
+    np.add(mu.view(np.uint8), 1, out=enc[:m])    # -1 wraps to code 0
+    enc[m:] = 3
+    # code j of a little-endian word sits at bit 8j; one multiply moves
+    # it to bit 24 + 2j, with no carry between the terms, so the top byte
+    # is the packed byte
+    words = enc.view("<u4")
+    words *= 0x01041040
+    words >>= 24
+    packed = out[: len(words)]
+    np.copyto(packed, words, casting="unsafe")
+    return packed
 
 
 def _write_cache_file(f: BinaryIO, limit: int,
@@ -283,8 +350,10 @@ def _write_cache_file(f: BinaryIO, limit: int,
     the header is filled in last."""
     f.write(bytes(_CACHE_HEADER.size))
     crc = zlib.crc32(struct.pack("<Q", limit))
+    buf = np.empty(-(-min(SIEVE_BLOCK, limit) // 4) * 4, dtype=np.uint8)
+    out = np.empty(len(buf) // 4, dtype=np.uint8)
     for lo in range(1, limit + 1, SIEVE_BLOCK):
-        chunk = _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)))
+        chunk = _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)), buf, out)
         crc = zlib.crc32(chunk, crc)
         f.write(chunk)
     f.seek(0)
@@ -303,6 +372,7 @@ class MobiusCache:
 
     def __init__(self, fh: BinaryIO):
         self._fh = fh
+        self._last: tuple[int, int, np.ndarray] | None = None
         try:
             self.limit = self._check()
         except BaseException:
@@ -336,8 +406,12 @@ class MobiusCache:
         return data
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """mu(lo..hi-1) as int8, for 1 <= lo <= hi <= limit + 1;
-        ValueError for a payload code 3."""
+        """mu(lo..hi-1) as read-only int8, for 1 <= lo <= hi <= limit + 1;
+        ValueError for a payload code 3.  The last range is kept, so
+        reading it again (a mobius stream's values, then its weights)
+        decodes once."""
+        if self._last is not None and self._last[:2] == (lo, hi):
+            return self._last[2]
         if not 1 <= lo <= hi <= self.limit + 1:
             raise IndexError(f"block [{lo}, {hi}) outside 1..{self.limit}")
         packed = np.frombuffer(self._read((lo - 1) // 4, (hi + 2) // 4), dtype=np.uint8)
@@ -346,9 +420,12 @@ class MobiusCache:
         if mu.max(initial=-1) > 1:  # code 3 only pads the last byte
             raise ValueError(f"{self._fh.name}: payload code 3 at n = "
                              f"{lo + int(np.argmax(mu > 1))}")
+        mu.flags.writeable = False
+        self._last = (lo, hi, mu)
         return mu
 
     def close(self) -> None:
+        self._last = None
         self._fh.close()
 
     def __enter__(self) -> MobiusCache:
@@ -367,9 +444,10 @@ def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
     and the bytes equal write_cache's.
     """
     primes = _sieve_primes(limit)
+    work = _SieveWork(min(SIEVE_BLOCK, limit))
 
     def fill(f: BinaryIO) -> None:
-        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes))
+        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes, work))
 
     if path is not None:
         write_atomic(path, fill)
@@ -403,6 +481,8 @@ def mobius_stream(table: MobiusTable | MobiusCache) -> SequenceStream:
     limit = table.limit
 
     def block(start: int, stop: int) -> np.ndarray:
+        if 1 <= start <= stop <= limit + 1:
+            return table.block(start, stop).astype(np.complex128)
         out = np.zeros(stop - start, dtype=np.complex128)
         lo = max(start, 1)
         hi = min(stop, limit + 1)

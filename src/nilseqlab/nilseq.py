@@ -295,7 +295,8 @@ class SequenceStream(Record):
     """Lazy two-sided sequence with bound, tag, and provenance.
 
     `evaluate_block(start, stop)` is the one evaluator: the values at
-    n in [start, stop) as a complex128 array.  `stream(n)` is the
+    n in [start, stop) as a new complex128 array, which the caller may
+    overwrite (`correlate` multiplies it in place).  `stream(n)` is the
     one-point block, so it is the value every block gives at n: in
     either precision a phase depends on (p, n) alone, never on where a
     range is cut.

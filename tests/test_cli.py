@@ -883,32 +883,28 @@ def test_correlate_sums_do_not_depend_on_the_weight_source(sequence, tmp_path,
         assert [(s.real, s.imag) for s in rep.sums] == want
 
 
-# Runs argv and prints its exit code and peak RSS in KiB, from os.wait4.
-# A small interpreter of its own launches the child: the kernel counts in
-# a child's peak the memory of the process it was spawned from (at exec),
-# which here would be the whole test process.
-_PEAK_RSS = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-proc.returncode = os.waitstatus_to_exitcode(status)
-print(proc.returncode, usage.ru_maxrss)
-"""
+def _child_usage(argv, env=None):
+    """What `python -m nilseqlab.cli *argv` used, which must exit 0: the
+    JSON line of scripts/child_rusage.py, which reads the child's own
+    rusage from os.wait4."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "child_rusage.py"),
+         sys.executable, "-m", "nilseqlab.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
+    usage = json.loads(proc.stdout)
+    assert usage["exit"] == 0, proc.stderr
+    return usage
 
 
 def _peak_rss_mb(argv, env=None):
     """Peak RSS in MB of `python -m nilseqlab.cli *argv`, which must
     exit 0."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "nilseqlab.cli",
-         *argv],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
-    code, kib = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
-    return kib / 1024
+    return _child_usage(argv, env)["max_rss_kib"] / 1024
 
 
-def _correlate_peak_mb(tmp_path, checkpoints, cache=False, threads="1"):
+def _correlate_usage(tmp_path, checkpoints, cache=False, threads="1"):
+    """The usage of a constant-sequence correlate child, with a cold
+    NILSEQ_CACHE_DIR of its own or with none."""
     name = f"{len(checkpoints)}-{checkpoints[-1]}"
     cfg = tmp_path / f"correlate-{name}.json"
     cfg.write_text(json.dumps({"kind": "correlate", "checkpoints": checkpoints,
@@ -917,8 +913,24 @@ def _correlate_peak_mb(tmp_path, checkpoints, cache=False, threads="1"):
     env.pop("NILSEQ_CACHE_DIR", None)
     if cache:
         env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{name}")
-    return _peak_rss_mb(["correlate", "--config", str(cfg), "--out",
+    return _child_usage(["correlate", "--config", str(cfg), "--out",
                          str(tmp_path / f"out-{name}"), "--threads", threads], env)
+
+
+def _correlate_peak_mb(tmp_path, checkpoints, cache=False, threads="1"):
+    return _correlate_usage(tmp_path, checkpoints, cache, threads)["max_rss_kib"] / 1024
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
+def test_cold_correlate_faults_do_not_grow_with_n(cache, tmp_path):
+    """The sieve makes every block in one set of buffers, so a cold
+    correlate's minor page faults do not grow with N: ten times the
+    points fault at most 1500 more pages.  Temporaries made afresh for
+    each 2^19-point block, and trimmed back after it, fault about 6600
+    more."""
+    small, large = (_correlate_usage(tmp_path, [n], cache)["minflt"]
+                    for n in (4 * 10 ** 5, 4 * 10 ** 6))
+    assert large <= small + 1500, (small, large)
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])

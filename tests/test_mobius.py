@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -72,16 +73,24 @@ def test_sieve_bytes_pinned():
     assert hashlib.sha256(values.tobytes()).hexdigest() == SIEVE_DIGEST
 
 
+@functools.lru_cache(maxsize=None)
+def _primes_by_trial_division(n: int) -> tuple[int, ...]:
+    """The primes <= n, each found by trial division."""
+    primes: list[int] = []
+    for c in range(2, n + 1):
+        if all(c % q for q in itertools.takewhile(lambda q: q * q <= c, primes)):
+            primes.append(c)
+    return tuple(primes)
+
+
 def _mu_by_trial_division(lo: int, hi: int) -> np.ndarray:
     """mu(lo..hi-1) by dividing every prime <= sqrt(hi - 1) out of each
     value, the primes found by trial division themselves."""
-    primes: list[int] = []
-    for c in range(2, math.isqrt(hi - 1) + 1):
-        if all(c % q for q in itertools.takewhile(lambda q: q * q <= c, primes)):
-            primes.append(c)
+    root = math.isqrt(hi - 1)
+    primes = _primes_by_trial_division(math.isqrt(mobius.HARD_LIMIT))
     rest = np.arange(lo, hi, dtype=np.int64)
     mu = np.ones(hi - lo, dtype=np.int8)
-    for p in primes:
+    for p in itertools.takewhile(lambda p: p <= root, primes):
         hit = rest % p == 0
         if hit.any():
             rest[hit] //= p
@@ -99,6 +108,36 @@ def test_sieve_block_far_from_origin():
     for lo in (top - 8192, 2**29 - 4093, 31607**2 - 4096):
         expected = _mu_by_trial_division(lo, lo + 8192)
         assert np.array_equal(mobius._sieve_block(lo, lo + 8192, primes), expected), lo
+
+
+# one workspace for every draw below, whatever its length, so that a
+# value left in a buffer by an earlier block shows
+_SIEVE_WORK = mobius._SieveWork(5000)
+
+
+@st.composite
+def _sieve_windows(draw):
+    """[lo, hi) of 1 to 5000 points: from lo <= 300, where some wheel
+    primes exceed sqrt(hi - 1); across a multiple of the wheel's period
+    or of 4, 9, 25 or 49; or ending at HARD_LIMIT."""
+    length = draw(st.integers(1, 5000))
+    where = draw(st.sampled_from(["origin", "multiple", "top"]))
+    if where == "origin":
+        lo = draw(st.integers(1, 300))
+    elif where == "multiple":
+        step = draw(st.sampled_from([4, 9, 25, 49, mobius._WHEEL_PERIOD]))
+        k = draw(st.integers(1, mobius.HARD_LIMIT // step))
+        lo = max(1, k * step - draw(st.integers(0, length - 1)))
+    else:
+        lo = mobius.HARD_LIMIT + 1 - length
+    return lo, min(lo + length, mobius.HARD_LIMIT + 1)
+
+
+@given(_sieve_windows())
+def test_sieve_block_matches_trial_division(window):
+    lo, hi = window
+    got = mobius._sieve_block(lo, hi, mobius._sieve_primes(hi - 1), _SIEVE_WORK)
+    assert np.array_equal(got, _mu_by_trial_division(lo, hi)), window
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 9973, 31607])
