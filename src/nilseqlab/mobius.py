@@ -133,7 +133,7 @@ class _SieveWork:
 
 
 def _sieve_block(lo: int, hi: int, primes: list[int],
-                 work: _SieveWork | None = None) -> np.ndarray:
+                 work: _SieveWork) -> np.ndarray:
     """mu(lo..hi-1) as int8, for primes = those <= sqrt(hi - 1).
 
     One int32 array holds (-1)^k times the product of the k sieved
@@ -149,11 +149,9 @@ def _sieve_block(lo: int, hi: int, primes: list[int],
 
     The block is made in `work`, a _SieveWork of at least hi - lo
     points, and the result is a view of it that the next block
-    overwrites; with no `work`, in buffers of its own.
+    overwrites.
     """
     m = hi - lo
-    if work is None:
-        work = _SieveWork(m)
     prod, mu = work.prod[:m], work.mu[:m]
     k = min(m, _WHEEL_PERIOD)
     start = lo % _WHEEL_PERIOD

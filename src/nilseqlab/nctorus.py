@@ -31,7 +31,7 @@ from .exactnum import (
     fit_phase_polynomial,
     unipotent_power_polys,
 )
-from .nilseq import SequenceStream, Tag, e_phase, from_function, phase_sum_block
+from .nilseq import SequenceStream, Tag, _Orbit, e_phase, from_function, phase_sum_block
 from .spectral import (ShiftPhaseOperator, SparseVector, _canon_sites,
                        integer_hits, op_pow)
 
@@ -292,29 +292,6 @@ class WeylElement(Record):
 # iterated automorphism phases
 
 
-class _WordOrbit:
-    """alpha^n(w0) with cached two-sided iteration."""
-
-    def __init__(self, S: IntMatrix, theta: ThetaMatrix, w0: WeylWord):
-        _check_compatible(S, theta)
-        self._S = S
-        self._theta = theta
-        self._fwd = [w0]          # indices 0, 1, 2, ...
-        self._bwd = [w0]          # indices 0, -1, -2, ...
-
-    def __call__(self, n: int) -> WeylWord:
-        n = int(n)
-        if n >= 0:
-            while len(self._fwd) <= n:
-                self._fwd.append(
-                    apply_auto(self._S, self._fwd[-1], self._theta))
-            return self._fwd[n]
-        while len(self._bwd) <= -n:
-            self._bwd.append(
-                apply_auto_inverse(self._S, self._bwd[-1], self._theta))
-        return self._bwd[-n]
-
-
 class ResiduePhase(Record):
     """alpha^{tm+r}(u^rho) = e(phase_poly(t)) u^{exponent_polys(t)}."""
 
@@ -370,8 +347,11 @@ def iterate_phase_polys(S: IntMatrix, theta: ThetaMatrix,
             raise NotUnipotent("matrix has positive entropy; no closed form")
         m = report.unipotence_order
     pp = unipotent_power_polys(S, m)
-    orbit = _WordOrbit(S, theta, WeylWord.make(rho))
     bound = 2 * d - 1
+    # alpha^n(u^rho) for every n the fits and cross-checks read
+    words = [WeylWord.make(rho)]
+    while len(words) < m * (bound + 1 + HELD_OUT):
+        words.append(apply_auto(S, words[-1], theta))
     residues = []
     for r in range(m):
         exps = []
@@ -383,12 +363,12 @@ def iterate_phase_polys(S: IntMatrix, theta: ThetaMatrix,
             exps.append(acc)
 
         def phase_eval(t: int, _r=r) -> PhaseScalar:
-            return orbit(t * m + _r).phase
+            return words[t * m + _r].phase
 
         poly = fit_phase_polynomial(phase_eval, bound)
         # exponent cross-check on the same sample range the fit used
         for t in range(bound + 1 + HELD_OUT):
-            w = orbit(t * m + r)
+            w = words[t * m + r]
             got = tuple(p(t) for p in exps)
             if w.exponents != got:
                 raise AssertionError(
@@ -451,7 +431,9 @@ def state_seq(S: IntMatrix, theta: ThetaMatrix, u: WeylElement,
     entropy = classify_entropy(S)
 
     if not entropy.is_zero_entropy:
-        orbits = {exps: _WordOrbit(S, theta, WeylWord.make(exps))
+        step = functools.partial(apply_auto, S, theta=theta)
+        step_back = functools.partial(apply_auto_inverse, S, theta=theta)
+        orbits = {exps: _Orbit(WeylWord.make(exps), step, step_back)
                   for exps, _ in u.terms}
 
         def ev_direct(n: int) -> complex:

@@ -338,6 +338,26 @@ def from_function(f: Callable[[int], complex], bound: float | None = None,
                           provenance=provenance)
 
 
+class _Orbit:
+    """x_n = forward^n(x0), or backward^-n(x0) for n < 0, read at any n by
+    stepping from the last n read.  Only (n, x_n) is held, so memory is
+    one point whatever n, and reading n in order costs a step a point."""
+
+    def __init__(self, x0, forward: Callable, backward: Callable):
+        self._forward = forward
+        self._backward = backward
+        self._at = (0, x0)
+
+    def __call__(self, n: int):
+        k, x = self._at
+        for _ in range(k, n):
+            x = self._forward(x)
+        for _ in range(n, k):
+            x = self._backward(x)
+        self._at = (n, x)
+        return x
+
+
 # ---------------------------------------------------------------------------
 # polynomial phase evaluation: one exact kernel, plus a float route at
 # degree 1
@@ -690,6 +710,7 @@ def exp_nonpos(x: float) -> float:
     return math.ldexp(acc, k)
 
 
+@functools.lru_cache(maxsize=16)
 def _theta_truncation(eps: float) -> int:
     if not eps > 0:  # the tail underflows to 0 and never drops below eps
         raise ValueError(f"eps must be > 0, got {eps!r}")
@@ -726,14 +747,10 @@ def heisenberg_seq(alpha: float, beta: float, eps: float = 1e-12) -> SequenceStr
 
     def ev(n: int) -> complex:
         quad = float((Fraction(n * (n - 1), 2) * fab) % 1)
-        return theta_kappa(_frac_mod1(n * fa), n * fb, eps) * e_phase(quad)
+        return theta_kappa(float(n * fa % 1), n * fb, eps) * e_phase(quad)
 
     return from_function(ev, bound=bound, tag=Tag.nil(2),
                          provenance=f"heisenberg(alpha={alpha!r}, beta={beta!r})")
-
-
-def _frac_mod1(x: Fraction) -> float:
-    return float(x % 1)
 
 
 # ---------------------------------------------------------------------------
@@ -764,20 +781,17 @@ class SkewProductState(Record):
 
     def iterate(self, n: int) -> tuple[PhaseScalar, ...]:
         """n-fold iteration (n may be negative), coordinates mod 1."""
-        y = [p.reduce_mod_1() for p in self.points]
-        if n >= 0:
-            for _ in range(n):
-                new = [(y[0] + self.alpha).reduce_mod_1()]
-                for j in range(1, len(y)):
-                    new.append((y[j] + y[j - 1]).reduce_mod_1())
-                y = new
-        else:
-            for _ in range(-n):
-                prev = [(y[0] - self.alpha).reduce_mod_1()]
-                for j in range(1, len(y)):
-                    prev.append((y[j] - prev[j - 1]).reduce_mod_1())
-                y = prev
-        return tuple(y)
+        y0 = tuple(p.reduce_mod_1() for p in self.points)
+        return _Orbit(y0, self._step, self._step_back)(n)
+
+    def _step(self, y: tuple[PhaseScalar, ...]) -> tuple[PhaseScalar, ...]:
+        return tuple((yj + prev).reduce_mod_1() for yj, prev in zip(y, (self.alpha, *y)))
+
+    def _step_back(self, y: tuple[PhaseScalar, ...]) -> tuple[PhaseScalar, ...]:
+        prev = [self.alpha]
+        for yj in y:
+            prev.append((yj - prev[-1]).reduce_mod_1())
+        return tuple(prev[1:])
 
     def iterate_float(self, n: int) -> tuple[float, ...]:
         """Coordinates of iterate(n) as floats, each correctly rounded.

@@ -14,6 +14,7 @@ computed from blockwise-anchored phases.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .exactnum import (
 from .nilseq import (
     SequenceStream,
     Tag,
+    _Orbit,
     _TreeFold,
     e_phase,
     from_function,
@@ -78,14 +80,12 @@ class Character(Record):
 
 def orbit_point(A: IntMatrix, x: TorusPoint, n: int) -> TorusPoint:
     """A^n x mod 1, exact; negative n uses the exact integer inverse."""
-    M = A ** n
-    coords = []
-    for row in M.rows:
-        acc = PhaseScalar.zero()
-        for a, xi in zip(row, x.coords):
-            acc = acc + xi.scale(a)
-        coords.append(acc.reduce_mod_1())
-    return TorusPoint(tuple(coords))
+    return _apply(A ** n, x)
+
+
+def _apply(M: IntMatrix, x: TorusPoint) -> TorusPoint:
+    """M x mod 1, exact: coordinate i pairs row i of M with x."""
+    return TorusPoint(tuple(Character(row).pair(x) for row in M.rows))
 
 
 class CharacterSequence(Record):
@@ -94,7 +94,7 @@ class CharacterSequence(Record):
     For zero entropy, residue_polys[r] is the phase polynomial f_r with
     a_{t m + r} = e(f_r(t)) and the stream is their interleaving (hence
     exactly a nilsequence); otherwise residue_polys is None and the
-    stream evaluates through matrix powers with an Unknown tag.
+    stream steps the orbit point by point with an Unknown tag.
     """
 
     stream: SequenceStream
@@ -109,8 +109,12 @@ def character_seq(A: IntMatrix, x: TorusPoint, v: Character,
         raise ValueError("dimension mismatch between matrix, point, character")
     report = classify_entropy(A)
     if not report.is_zero_entropy:
+        # classify_entropy has checked det A = +-1, so A^-1 exists
+        orbit = _Orbit(TorusPoint.make(x.coords), functools.partial(_apply, A),
+                       functools.partial(_apply, A.inverse()))
+
         def ev(n: int) -> complex:
-            return e_phase(v.pair(orbit_point(A, x, n)).float_mod_1())
+            return e_phase(v.pair(orbit(n)).float_mod_1())
 
         stream = from_function(ev, bound=1.0, tag=Tag.unknown(),
                                provenance=f"character(dim={A.dim}, positive entropy)")

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -17,6 +20,30 @@ LARGE_ROOT_COMPANION = [
     for i, c in enumerate([1, -13750, 6806229, -393018444, 86562122370,
                            -32003637640, -384847859, 985362])
 ]
+
+
+def read_shuffled(stream, ranges, pieces, seed):
+    """stream's values on each [start, stop) of ranges, concatenated, as
+    read in a shuffled order: each range is cut at random into `pieces`
+    spans, and every other span is read as one block, the rest a point
+    at a time in shuffled order."""
+    rng = random.Random(seed)
+    spans = []
+    for start, stop in ranges:
+        cuts = sorted(rng.sample(range(start + 1, stop), pieces - 1))
+        spans += zip([start, *cuts], [*cuts, stop])
+    rng.shuffle(spans)
+    got = {}
+    for i, (a, b) in enumerate(spans):
+        if i % 2:
+            ns = list(range(a, b))
+            rng.shuffle(ns)
+            got.update((n, stream(n)) for n in ns)
+        else:
+            got.update(zip(range(a, b), stream.evaluate_block(a, b)))
+    return np.array([got[n] for start, stop in ranges for n in range(start, stop)],
+                    dtype=np.complex128)
+
 
 settings.register_profile(
     "suite",

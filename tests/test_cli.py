@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -226,7 +227,7 @@ def test_timings_cover_every_stage(tmp_path):
                            os.path.join(CONFIGS, "weyl_rational.json"),
                            "--out", out)
     assert code == 0, err
-    timings = json.load(open(os.path.join(out, "timings.json")))
+    timings = json.loads(Path(out, "timings.json").read_text())
     assert set(timings) == {"validate", "import", "compute", "emit"}
     assert all(v >= 0 for v in timings.values())
 
@@ -280,8 +281,8 @@ def test_reruns_byte_identical(tmp_path):
     names = {n for o in outs for n in os.listdir(o)} - {"timings.json"}
     assert {"report.json", "correlation.csv"} <= names
     for n in sorted(names):
-        a = open(os.path.join(outs[0], n), "rb").read()
-        b = open(os.path.join(outs[1], n), "rb").read()
+        a = Path(outs[0], n).read_bytes()
+        b = Path(outs[1], n).read_bytes()
         assert a == b
 
 
@@ -294,8 +295,8 @@ def test_threads_do_not_change_results(tmp_path):
         code, _, err = run_cli("correlate", "--config", cfg, "--out", out,
                                "--threads", t, "--precision", "fast")
         assert code == 0, err
-        rows[t] = open(os.path.join(out, "correlation.csv"), "rb").read()
-        reports[t] = json.load(open(os.path.join(out, "report.json")))
+        rows[t] = Path(out, "correlation.csv").read_bytes()
+        reports[t] = json.loads(Path(out, "report.json").read_text())
     assert rows["1"] == rows["2"] == rows["4"]
     assert reports["1"]["results"] == reports["2"]["results"] == reports["4"]["results"]
 
@@ -306,12 +307,12 @@ def test_report_subcommand_regenerates_plots(tmp_path):
                            os.path.join(CONFIGS, "seq_torus_shear.json"),
                            "--out", out, "--precision", "fast")
     assert code == 0, err
-    values = open(os.path.join(out, "values.csv"), "rb").read()
+    values = Path(out, "values.csv").read_bytes()
     os.remove(os.path.join(out, "values.csv"))
     code, _, err = run_cli("report", "--config",
                            os.path.join(out, "report.json"), "--out", out)
     assert code == 0, err
-    assert open(os.path.join(out, "values.csv"), "rb").read() == values
+    assert Path(out, "values.csv").read_bytes() == values
 
 
 def test_validation_failures_write_nothing(tmp_path):
@@ -379,7 +380,7 @@ def test_computation_failure_writes_failure_report(tmp_path):
     code, _, err = run_cli("correlate", "--config", cfg, "--out", out)
     assert code == 3
     assert json.loads(err.strip())["error"]["stage"] == "compute"
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert report["status"] == "error"
     assert report["failed_stage"] == "compute"
     assert report["error"]["type"] == "DegreeZero"
@@ -464,7 +465,7 @@ def test_cache_dir_round_trip(tmp_path):
         code, _, err = run_cli("correlate", "--config", cfg, "--out", out,
                                env_extra={"NILSEQ_CACHE_DIR": cache})
         assert code == 0, err
-        results.append(open(os.path.join(out, "correlation.csv"), "rb").read())
+        results.append(Path(out, "correlation.csv").read_bytes())
     assert os.path.exists(os.path.join(cache, "mobius_1000.bin"))
     assert results[0] == results[1]
 
@@ -615,7 +616,7 @@ def test_plot_csv_shapes(tmp_path):
                            os.path.join(CONFIGS, "weyl_rational.json"),
                            "--out", out)
     assert code == 0, err
-    lines = open(os.path.join(out, "weyl.csv")).read().splitlines()
+    lines = Path(out, "weyl.csv").read_text().splitlines()
     assert lines[0] == "harmonic,N,re_mean,im_mean,abs_mean"
     # 2 harmonics x 2 checkpoints
     assert len(lines) == 5
@@ -626,7 +627,7 @@ def test_plot_csv_shapes(tmp_path):
                            "--out", out2, "--precision", "fast")
     assert code == 0, err
     assert os.path.exists(os.path.join(out2, "nil_terms.json"))
-    res_lines = open(os.path.join(out2, "residual.csv")).read().splitlines()
+    res_lines = Path(out2, "residual.csv").read_text().splitlines()
     assert res_lines[0] == "n,re,im"
 
 
@@ -638,7 +639,7 @@ def test_emit_plotdata_writes_each_named_file(tmp_path):
     out = tmp_path / "out"
     assert cli.emit_plotdata({"plot": plot}, str(out)) == [
         str(out / "terms.json"), str(out / "rows.csv")]
-    assert json.load(open(out / "terms.json")) == [{"a": 1}]
+    assert json.loads((out / "terms.json").read_text()) == [{"a": 1}]
     assert (out / "rows.csv").read_text() == "n,x\n-1,0.5\n0,0.1\n1,-3.0\n"
     assert cli.emit_plotdata({"plot": {}}, str(tmp_path / "none")) == []
     assert not (tmp_path / "none").exists()
@@ -672,11 +673,11 @@ def test_seq_values_in_many_chunks_match_golden(tmp_path, monkeypatch):
     assert _main("seq", os.path.join(CONFIGS, "seq_torus_shear.json"), out,
                  "--precision", "fast") == 0
     golden = os.path.join(GOLDEN, "seq_torus_shear", "values.csv")
-    assert (out / "values.csv").read_bytes() == open(golden, "rb").read()
+    assert (out / "values.csv").read_bytes() == Path(golden).read_bytes()
 
 
 def test_correlate_rejects_segment_size_key(tmp_path, capsys):
-    cfg = json.load(open(os.path.join(CONFIGS, "correlate_quadratic.json")))
+    cfg = json.loads(Path(CONFIGS, "correlate_quadratic.json").read_text())
     cfg["segment_size"] = 1 << 15
     out = tmp_path / "out"
     assert _main("correlate", write_config(tmp_path, cfg), out) == 2
@@ -693,7 +694,7 @@ def _main(sub, cfg_path, out, *extra):
 
 
 def _failure_report(out):
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert report["status"] == "error"
     assert os.path.exists(os.path.join(out, "timings.json"))
     return report
@@ -723,11 +724,11 @@ def _with_coefficient(site, part, value):
         return "correlate", {"kind": "correlate", "checkpoints": [10],
                              "sequence": {"type": "constant", part: value}}
     if site == "decompose-atom":
-        cfg = json.load(open(os.path.join(CONFIGS, "decompose_heisenberg.json")))
+        cfg = json.loads(Path(CONFIGS, "decompose_heisenberg.json").read_text())
         cfg["u"]["atoms"] = [{"id": "a", "eigenphases": ["0", "g1"],
                               part: value}]
         return "decompose", cfg
-    cfg = json.load(open(os.path.join(CONFIGS, "correlate_nc_shear.json")))
+    cfg = json.loads(Path(CONFIGS, "correlate_nc_shear.json").read_text())
     key = "element" if site == "nc-element" else "state_vector"
     cfg["sequence"][key][0][part] = value
     return "correlate", cfg
@@ -794,7 +795,7 @@ def test_decompose_certificate_keeps_a_hit_beyond_float_precision(tmp_path):
         "v": {"sites": [{"site": [far], "re": 1.0}]}})
     out = tmp_path / "out"
     assert _main("decompose", cfg, out) == 0
-    cert = json.load(open(out / "report.json"))["results"]["certificate"]
+    cert = json.loads((out / "report.json").read_text())["results"]["certificate"]
     assert cert["kind"] == "finite-hits"
     assert cert["hits"] == [far]
     assert (out / "residual.csv").read_text() == f"n,re,im\n{far},1.0,0.0\n"
@@ -812,7 +813,7 @@ def _other_limit(blob):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "mobius_50.bin")
         write_cache(sieve_mobius(50), path)
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
 
 @pytest.mark.parametrize("spoil", [
@@ -1004,11 +1005,26 @@ def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path):
     range: ten times the points peak less than 8 MB higher."""
     peaks = []
     for n in (10 ** 5, 10 ** 6):
-        cfg = json.load(open(os.path.join(CONFIGS, "seq_torus_shear.json")))
+        cfg = json.loads(Path(CONFIGS, "seq_torus_shear.json").read_text())
         cfg["range"] = {"start": -n // 2, "stop": n // 2}
         peaks.append(_peak_rss_mb(["seq", "--config", write_config(tmp_path, cfg),
                                    "--out", str(tmp_path / f"out-{n}")]))
     assert peaks[1] < peaks[0] + 8, peaks
+
+
+def test_positive_entropy_nc_peak_memory_does_not_grow_with_n(tmp_path):
+    """A positive-entropy nc stream holds one orbit word a term, stepped
+    from the last n read, never every word from 0 to n: seq_nc_cat's
+    sequence over n in [0, 4000) peaks at most 3 MB higher than over
+    [0, 1000).  A cache of every word grew about 18 MB."""
+    peaks = []
+    for n in (1000, 4000):
+        cfg = json.loads(Path(REPO, "tests", "data", "configs",
+                              "seq_nc_cat.json").read_text())
+        cfg["range"] = {"start": 0, "stop": n}
+        peaks.append(_peak_rss_mb(["seq", "--config", write_config(tmp_path, cfg),
+                                   "--out", str(tmp_path / f"out-{n}")]))
+    assert peaks[1] <= peaks[0] + 3, peaks
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -1051,7 +1067,7 @@ def test_emit_failure_writes_failure_report(tmp_path, monkeypatch):
     report = _failure_report(out)
     assert report["failed_stage"] == "emit"
     assert report["error"]["type"] == "OSError"
-    assert set(json.load(open(out / "timings.json"))) == {
+    assert set(json.loads((out / "timings.json").read_text())) == {
         "validate", "import", "compute", "emit"}
 
 
@@ -1068,7 +1084,7 @@ def test_seq_reads_its_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
     assert _main("seq", cfg, tmp_path / "out", "--precision", "fast") == 0
     assert opened.count(cfg) == 1
-    report = json.load(open(tmp_path / "out" / "report.json"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["kind"] == "torus-seq"
 
 
@@ -1093,7 +1109,7 @@ def test_report_subcommand_takes_a_directory(tmp_path):
 
 # each shipped config plus sequence types no shipped config uses; sizes
 # are drawn below, so none of them needs much memory or time
-FUZZ_SEEDS = {name: json.load(open(os.path.join(CONFIGS, f"{name}.json")))
+FUZZ_SEEDS = {name: json.loads(Path(CONFIGS, f"{name}.json").read_text())
               for name in SHIPPED}
 FUZZ_SEEDS.update({
     f"correlate_{t}": {"kind": "correlate", "checkpoints": [100],

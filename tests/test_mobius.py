@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,9 +106,10 @@ def test_sieve_block_far_from_origin():
     # the square of 31607, the largest prime below sqrt(HARD_LIMIT)
     primes = mobius._sieve_primes(mobius.HARD_LIMIT)
     top = mobius.HARD_LIMIT + 1
+    work = mobius._SieveWork(8192)
     for lo in (top - 8192, 2**29 - 4093, 31607**2 - 4096):
         expected = _mu_by_trial_division(lo, lo + 8192)
-        assert np.array_equal(mobius._sieve_block(lo, lo + 8192, primes), expected), lo
+        assert np.array_equal(mobius._sieve_block(lo, lo + 8192, primes, work), expected), lo
 
 
 # one workspace for every draw below, whatever its length, so that a
@@ -322,7 +324,7 @@ def test_cache_rejects_truncation(tmp_path):
     table = sieve_mobius(997)
     path = str(tmp_path / "mob.bin")
     write_cache(table, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(blob[:-3])
     with pytest.raises(ValueError):
@@ -391,11 +393,11 @@ def test_cache_rejects_payload_code_3(tmp_path):
     table = sieve_mobius(997)
     path = str(tmp_path / "mob.bin")
     write_cache(table, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[16] ^= 0xFF                    # n = 1..4: mu(2) = -1 becomes code 3
     crc = zlib.crc32(bytes(blob[16:]), zlib.crc32(bytes(blob[4:12])))
     blob[12:16] = struct.pack("<I", crc)  # a writer's bug, not a torn file
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="code 3"):
         read_cache(path)
 
@@ -411,8 +413,8 @@ def test_cache_rejects_spoiled_file(spoil, match, tmp_path):
     table = sieve_mobius(997)
     path = str(tmp_path / "mob.bin")
     write_cache(table, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(spoil(blob))
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(spoil(blob))
     with pytest.raises(ValueError, match=match):
         read_cache(path)
 

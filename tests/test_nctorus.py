@@ -36,7 +36,7 @@ from nilseqlab.nctorus import _site_pair_value
 from nilseqlab.nilseq import Tag, e_phase
 from nilseqlab.spectral import SparseVector
 
-from conftest import SQRT2, SQRT3
+from conftest import SQRT2, SQRT3, read_shuffled
 from nilseqlab.exactnum import declare_generator
 
 declare_generator("g1", SQRT2)
@@ -529,6 +529,37 @@ def test_state_seq_positive_entropy_direct_path():
     for n in range(-6, 7):
         want = brute_state_value(FIB_SQ, theta2("1/2"), u, vec, n)
         assert abs(stream(n) - want) < 1e-12
+
+
+def test_state_seq_positive_entropy_read_in_any_order_is_the_oracle():
+    """Each word of the direct path is stepped from the last n read; in
+    any order of blocks and points, each value has the bits of words
+    iterated from 0 by apply_auto (apply_auto_inverse below 0), below 0
+    and near n = 2000."""
+    u = WeylElement.from_terms(2, {(1, 0): 1.0, (0, 1): 0.5})
+    vec = SparseVector.from_sites(2, {(0, 0): 0.5, (1, 0): 0.5, (2, 1): 0.5,
+                                      (1, -1): 0.5})
+    ranges = [(-20, 20), (1990, 2010)]
+    got = read_shuffled(state_seq(FIB_SQ, THETA_IRR, u, vec), ranges, 2, seed=8)
+    ns = [n for start, stop in ranges for n in range(start, stop)]
+
+    def words(exps, step, count):
+        out = [WeylWord.make(exps)]
+        for _ in range(count):
+            out.append(step(FIB_SQ, out[-1], THETA_IRR))
+        return out
+
+    fwd = {exps: words(exps, apply_auto, max(ns)) for exps, _ in u.terms}
+    bwd = {exps: words(exps, apply_auto_inverse, -min(ns)) for exps, _ in u.terms}
+    want = []
+    for n in ns:
+        total = 0j
+        for exps, c in u.terms:
+            w = fwd[exps][n] if n >= 0 else bwd[exps][-n]
+            total += c * _site_pair_value(w.exponents, vec, THETA_IRR, w.phase)
+        want.append(total)
+    want = np.array(want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_state_seq_requires_unit_vector():

@@ -730,6 +730,31 @@ def test_heisenberg_quadratic_phase_exact_mod_1():
     assert abs(w(n) - want) < 1e-12
 
 
+# ------------------------------------------------------------ orbit walker
+
+def _cat(p):
+    a, b = p
+    return 2 * a + b, a + b
+
+
+def _cat_back(p):
+    a, b = p
+    return a - b, 2 * b - a
+
+
+@given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+       st.lists(st.integers(-200, 200), min_size=1, max_size=12))
+def test_orbit_reads_any_n_in_any_order(x0, ns):
+    """The walker steps from the last n it read, so reads in any order
+    give forward^n(x0), or backward^-n(x0) for n < 0, iterated from 0."""
+    orbit = nilseq._Orbit(x0, _cat, _cat_back)
+    for n in ns:
+        want = x0
+        for _ in range(abs(n)):
+            want = _cat(want) if n > 0 else _cat_back(want)
+        assert orbit(n) == want, n
+
+
 # --------------------------------------------------------------- skew tower
 
 @given(phase_polys(max_degree=3), st.integers(min_value=-60, max_value=60))
