@@ -4,7 +4,9 @@
 `cli_goldens()` is the one table of CLI goldens.  Each config in
 configs/ runs once per precision: `--precision fast` into
 configs/golden/<name>/ and the default `--precision exact` into
-configs/golden_exact/<name>/.  Each config in tests/data/configs/ pins a
+configs/golden_exact/<name>/.  The precision is a label, recorded in
+report.json and in provenance strings, so the fast tree holds the exact
+tree's bytes in every other file.  Each config in tests/data/configs/ pins a
 CLI value path that no shipped config reaches; it runs once, exact, into
 tests/data/golden/<name>/.  SUBCOMMAND, the map from a config's kind to
 its CLI subcommand, is kept here and nowhere else in the tests.

@@ -575,6 +575,8 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
     the exit code or the failure report.  `seq` takes its kind from the
     config; `report` reruns the config of a stored report.json.  `threads`
     must be >= 1; it is recorded in report.json and changes nothing else.
+    `precision` must be exact or fast; it is recorded in report.json and
+    in provenance strings, and both give the exact phases' bits.
     """
     stage, report, timings = "load", None, {}
     t = time.perf_counter()
@@ -696,7 +698,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="accepted, checked (>= 1) and recorded in "
                              "report.json; every run uses one thread")
     parser.add_argument("--precision", choices=("exact", "fast"),
-                        default="exact")
+                        default="exact",
+                        help="accepted and recorded in report.json and in "
+                             "provenance strings; every phase is exact")
     args = parser.parse_args(argv)
     return run(args.command, args.config, args.out, args.threads,
                args.precision)

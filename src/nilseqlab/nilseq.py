@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -359,56 +360,65 @@ class _Orbit:
 
 
 # ---------------------------------------------------------------------------
-# polynomial phase evaluation: one exact kernel, plus a float route at
-# degree 1
+# polynomial phase evaluation: one exact kernel
 
 
 # Blocks shorter than this are walked point by point: below it, setting
 # up the lanes costs more than it saves (measured crossover, see README).
 _LANE_MIN_POINTS = 256
-# Points per lane pass: bounds the lane temporaries, not the bits.  At
-# 2^13 the two-word temporaries of a pass (about 0.7 MB) stay in cache
-# and below the heap size glibc trims back after each pass (measured
-# against 2^12, 2^14 and 2^15; see README).
+# Points per lane pass: bounds the lane temporaries, not the bits (2^12
+# and 2^14 measured slower; see README).
 _LANE_CHUNK = 1 << 13
-# Points per lane: a prefix sum over it of values below 2^53 (one mod D
-# row) must stay below 2^64.
-_LANE_WIDTH = 1 << 10
-# Cap on a fixed-point lane's anchor error, in units of 2^-128: it must
-# stay below 2^64 for _round_fixed, and the share of points it flags
-# grows with it.  Only degrees above 5 need lanes shorter than 1024.
+# Points per lane, at most; D < 2^53 takes shorter lanes when it must,
+# so that no lane sum of values below D passes 2^64 (see README).
+_LANE_WIDTH = 1 << 12
+# Cap on a fixed-point lane's anchor error, in units of 2^-128: twice it
+# must stay below 2^64, and the share of points _round_fixed flags grows
+# with it.  Only degrees above 4 need lanes shorter than 4096.
 _LANE_SPREAD_CAP = 1 << 48
-_U64_MAX = np.uint64(2 ** 64 - 1)
 
 
-def _round_fixed(hi: np.ndarray, lo: np.ndarray, spread: int):
-    """Nearest doubles to Y / 2^128 with Y = hi 2^64 + lo, and a mask of
-    the points where the true value may round elsewhere.
+def _round_fixed(hi: np.ndarray, lo: np.ndarray, spread: int, out: np.ndarray) -> np.ndarray:
+    """Nearest doubles to values known to lie in [Z - spread, Z), units
+    of 2^-128, Z = hi 2^64 + lo, written to out; returns the mask of the
+    points that may round elsewhere.  hi is overwritten.
 
-    The true value lies in [Y, Y + spread) (units of 2^-128, spread
-    below 2^64).  For hi >= 2^53 the 53-bit significand sits in hi:
-    with s = bitlength(hi) - 53 it is m = hi >> s, and the value rounds
-    up exactly when the remainder reaches the midpoint 2^(s-1) 2^64.
-    A point is unsure when the interval may hold a midpoint (a tie or a
-    value on its far side), when it runs past 2^128 (the value wraps to
-    near 0), or when hi < 2^53 (the value is below 2^-11).
+    A point is sure when hi >= 2^54 and lo >= 2 spread: the value lies
+    strictly between hi 2^64 and (hi + 1) 2^64, where, with two or more
+    bits of hi below the 53-bit significand, no double and no midpoint
+    between two doubles lies.  So it rounds as hi | 1 does, bit 0 being a
+    sticky bit: one uint64 -> float64 cast, which rounds to nearest (the
+    tests pin it), and an exact scaling.  Unsure: values below 2^-10, and
+    values whose interval may reach a tie or a wrap past 1.
     """
-    # (hi | 2^53) >> 11 converts to float64 exactly; its biased exponent
-    # is 1011 + bitlength(hi), so s = exponent - 1064 (s = 1 for hi < 2^53)
-    top = ((hi | np.uint64(1 << 53)) >> np.uint64(11)).astype(np.float64)
-    shift = (top.view(np.uint64) >> np.uint64(52)) - np.uint64(1064)
-    m = hi >> shift
-    half = np.uint64(1) << (shift - np.uint64(1))
-    rem = hi - (m << shift)
-    # (m + up) 2^(s - 64): the scale is the double with biased exponent s + 959
-    scale = ((shift + np.uint64(959)) << np.uint64(52)).view(np.float64)
-    values = (m + (rem >= half)).astype(np.float64) * scale
-    reaches_next_hi = lo > _U64_MAX - np.uint64(spread)
-    unsure = hi < np.uint64(1 << 53)
-    unsure |= (rem == half) & (lo == 0)                            # midpoint at Y
-    unsure |= reaches_next_hi & (rem == half - np.uint64(1))       # midpoint above Y
-    unsure |= reaches_next_hi & (hi == _U64_MAX)                   # wrap past 1
-    return values, unsure
+    unsure = lo < np.uint64(2 * spread)
+    unsure |= hi < np.uint64(1 << 54)
+    hi |= np.uint64(1)
+    np.multiply(hi, 2.0 ** -64, out=out)
+    return unsure
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_top(a: int, D: int, width: int) -> np.ndarray:
+    """i a for i in [0, width) (words x 1 x width, read-only): the prefix
+    sum along a lane of a table's last row a, the same at every n.  For
+    D >= 2^53, i Y mod 2^128 with Y = floor(2^128 a / D), the low word of
+    Y split in 32-bit halves so that no product overflows.  A function of
+    its integers, so the blocks of one stream share it."""
+    i = np.arange(width, dtype=np.uint64)
+    if D < 1 << 53:
+        top = (i * np.uint64(a))[None, None]
+    else:
+        y = (a << 128) // D
+        mid = i * np.uint64((y >> 32) & 0xFFFFFFFF)
+        low = i * np.uint64(y & 0xFFFFFFFF)
+        top = np.empty((2, 1, width), dtype=np.uint64)
+        np.add(mid << np.uint64(32), low, out=top[0, 0])
+        np.multiply(i, np.uint64(y >> 64), out=top[1, 0])
+        top[1, 0] += mid >> np.uint64(32)
+        top[1, 0] += top[0, 0] < low
+    top.flags.writeable = False
+    return top
 
 
 class PhaseKernel:
@@ -455,56 +465,68 @@ class PhaseKernel:
                 s = a[j] + a[j + 1]
                 a[j] = s - D if s >= D else s
 
+    def _at(self, a: list[int], i: int) -> float:
+        """a_0 / D i steps on from the table a: sum_j C(i, j) a_j mod D."""
+        a0, c = a[0], 1
+        for j in range(1, len(a)):
+            c = c * (i - j + 1) // j
+            a0 += c * a[j]
+        return a0 % self.denominator / self.denominator
+
     def _spread(self, width: int) -> int:
         """Bound on the anchor error after width - 1 steps: the error of
         row 0 after i steps is sum_j C(i, j) eps_j with each eps_j < 1."""
         return sum(math.comb(width - 1, j) for j in range(self.degree + 1))
 
-    def _lanes(self, anchors: list[list[int]], width: int):
-        """a_0 / D at width consecutive points from each anchor table, in
-        point order, with the mask of points the caller must redo exactly
-        (None when there are none).
+    def _table(self, anchors: list[list[int]], spread: int) -> np.ndarray:
+        """Exact tables (lanes x rows) as uint64 words, rows x words x
+        lanes: for D < 2^53 the rows mod D, else the two words, low first,
+        of Y_j = floor(2^128 a_j / D), spread added to Y_0."""
+        D = self.denominator
+        if D < 1 << 53:
+            return np.array(anchors, dtype=np.uint64).T[:, None, :]
+        words = b"".join((((a << 128) // D + (j == 0) * spread) % (1 << 128))
+                         .to_bytes(16, "little")
+                         for row in anchors for j, a in enumerate(row))
+        return (np.frombuffer(words, dtype="<u8").astype(np.uint64)
+                .reshape(len(anchors), -1, 2).transpose(1, 2, 0))
 
-        Row j of the table after i steps is its anchor plus the prefix
-        sum of row j + 1 over the first i steps, so each row is one
-        cumulative sum along the lane, from the constant last row up.
-        D < 2^53: the rows are reduced mod D, and a_0 / D is a quotient
-        of two exact doubles, correctly rounded like int / int.  Larger
-        D: row j is anchored at Y_j = floor(2^128 a_j / D) and runs mod
-        2^128 in two 64-bit words, low word first.  The low word's
-        prefix sum wraps once per carry, exactly where it decreases, and
-        an add carries where the new low word is below the addend's.
-        After i steps the true 2^128 a_0 / D lies in
-        [Y_0, Y_0 + sum_j C(i, j)), which _round_fixed rounds or flags.
+    def _lanes(self, table: np.ndarray, top: np.ndarray, spread: int,
+               row: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+        """a_0 / D along the lanes anchored at table (rows 0 to degree - 1,
+        from _table), written to out in point order, with the mask of the
+        points to redo exactly (None if none); row is scratch.
+
+        Row j after i steps is its anchor plus the prefix sum of row j + 1
+        over the first i steps: from top (the last row's) down, one
+        cumsum a row.  D < 2^53: mod D, and a_0 / D is a quotient of two
+        exact doubles, rounded like int / int.  Larger D: mod 2^128 in two
+        words; a low word's prefix sum wraps once per carry, exactly where
+        it decreases, and an add carries where the new low word is below
+        the anchor's.  After i steps 2^128 a_0 / D lies in
+        [Y_0, Y_0 + sum_j C(i, j)), below row 0 + spread.
         """
-        D, lanes = self.denominator, len(anchors)
-        fixed = D >= 1 << 53
-        if fixed:
-            words = b"".join(((a << 128) // D).to_bytes(16, "little")
-                             for row in anchors for a in row)
-            table = (np.frombuffer(words, dtype="<u8").astype(np.uint64)
-                     .reshape(lanes, self.degree + 1, 2).transpose(1, 2, 0))
-        else:
-            # rows x words (one, mod D) x lanes
-            table = np.array(anchors, dtype=np.uint64).T[:, None, :]
-        row = np.broadcast_to(table[-1][:, :, None], table.shape[1:] + (width,))
-        for anchor in table[-2::-1]:
-            nxt = np.empty(row.shape, dtype=np.uint64)
-            nxt[:, :, 0] = 0
-            np.cumsum(row[:, :, :-1], axis=2, out=nxt[:, :, 1:])
+        D, fixed = self.denominator, table.shape[1] == 2
+        run = top
+        for j, anchor in enumerate(table[::-1]):
+            if j:  # the exclusive prefix sum of the row above
+                run = np.empty(row.shape, dtype=np.uint64)
+                run[:, :, 0] = 0
+                np.cumsum(row[:, :, :-1], axis=2, out=run[:, :, 1:])
+                if fixed:
+                    lo = run[0]
+                    run[1, :, 1:] += np.cumsum(lo[:, 1:] < lo[:, :-1], axis=1,
+                                               dtype=np.uint64)
+            np.add(run, anchor[:, :, None], out=row)
             if fixed:
-                lo = nxt[0]
-                nxt[1, :, 1:] += np.cumsum(lo[:, 1:] < lo[:, :-1], axis=1, dtype=np.uint64)
-                nxt += anchor[:, :, None]
-                nxt[1] += lo < anchor[0][:, None]
+                row[1] += row[0] < anchor[0][:, None]
             else:
-                nxt += anchor[:, :, None]
-                nxt %= np.uint64(D)
-            row = nxt
+                row %= np.uint64(D)
         row = row.reshape(row.shape[0], -1)
         if fixed:
-            return _round_fixed(row[1], row[0], self._spread(width))
-        return row[0].astype(np.float64) / float(D), None
+            return _round_fixed(row[1], row[0], spread, out)
+        np.divide(row[0], float(D), out=out)
+        return None
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """p(n) mod 1 for n in [start, stop)."""
@@ -515,31 +537,43 @@ class PhaseKernel:
         if count < _LANE_MIN_POINTS:
             return np.fromiter(self._walk(start, count), np.float64, count)
         D, width = self.denominator, min(count, _LANE_WIDTH)
-        while D >= 1 << 53 and width > 2 and self._spread(width) > _LANE_SPREAD_CAP:
+        fixed = D >= 1 << 53
+        while width > 2 and (self._spread(width) > _LANE_SPREAD_CAP if fixed
+                             else width * D >= 1 << 63):
             width //= 2
-        # anchor of the next lane: the table jumps width points at once,
-        # D Delta^j p(n + w) = sum_{i >= j} C(w, i - j) D Delta^i p(n)
+        lanes = -(-count // width)
+        # whole lanes, cut at stop on return; made first, so that the
+        # temporaries are freed above it in the heap
+        out = np.empty(lanes * width, dtype=np.float64)
+        # the exact table at each lane's start, jumped width points at a
+        # time: D Delta^j p(n + w) = sum_{i >= j} C(w, i - j) D Delta^i p(n)
         jump = [math.comb(width, k) for k in range(self.degree + 1)]
-        a = self.differences(start)
-        out = np.empty(count, dtype=np.float64)
-        step = max(_LANE_CHUNK // width, 1) * width
-        for pos in range(0, count, step):
-            n = min(count - pos, step)
-            anchors = []
-            for _ in range(-(-n // width)):
-                anchors.append(a)
-                a = [sum(c * x for c, x in zip(jump, a[j:])) % D for j in range(len(a))]
-            values, unsure = self._lanes(anchors, width)
-            out[pos: pos + n] = values[:n]
-            if unsure is None:
-                continue
-            redo = np.flatnonzero(unsure[:n])
-            if 8 * redo.size > n:  # mostly tiny or tied phases: walk
+        anchors = [self.differences(start)]
+        for _ in range(lanes - 1):
+            a = anchors[-1]
+            anchors.append([sum(map(operator.mul, jump, a[j:])) % D for j in range(len(a))])
+        spread = self._spread(width) if fixed else 0
+        table = self._table([a[:-1] for a in anchors], spread)
+        top = _lane_top(anchors[0][-1], D, width)
+        if fixed:  # a lane's first point is its anchor, off by less than 1
+            anchor_unsure = _round_fixed(table[0, 1].copy(), table[0, 0], spread,
+                                         np.empty(lanes))
+        per_pass = max(_LANE_CHUNK // width, 1)
+        scratch = np.empty((table.shape[1], per_pass, width), dtype=np.uint64)
+        for first in range(0, lanes, per_pass):
+            part = table[:, :, first: first + per_pass]
+            pos, m = first * width, part.shape[2]
+            n = min(count - pos, m * width)  # the pass's points below stop
+            # most lanes starting unsure means tiny or tied phases (dyadic
+            # D): the pass is walked, and no lane is run
+            if fixed and 2 * np.count_nonzero(anchor_unsure[first: first + m]) > m:
                 out[pos: pos + n] = np.fromiter(self._walk(start + pos, n), np.float64, n)
-            else:
-                for k in redo.tolist():
-                    out[pos + k] = self.differences(start + pos + k)[0] / D
-        return out
+                continue
+            unsure = self._lanes(part, top, spread, scratch[:, :m], out[pos: pos + m * width])
+            if unsure is not None:
+                redo = np.flatnonzero(unsure[:n]) + pos
+                out[redo] = [self._at(anchors[k // width], k % width) for k in redo.tolist()]
+        return out[:count]
 
 
 def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
@@ -547,78 +581,28 @@ def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
     return PhaseKernel(p).block(start, stop)
 
 
-def phase_block_fast(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
-    """Blockwise float evaluation of p(n) mod 1 at degree 1; every other
-    degree is PhaseKernel(p).block, with exact bits.
-
-    A per-step recurrence in doubles compounds error with n, so instead
-    each block of B = 2^15 values is anchored exactly: the forward
-    differences of p at the block's anchor come from the exact kernel,
-    reduced mod 1, then the block is frac(diff_0) + frac(diff_1) i for
-    i = 0..B-1.  Dropping integer parts of the differences only shifts
-    values by integers at integer i.  The error stays below 1e-11
-    uniformly; nothing accumulates across blocks.  From degree 2 on the
-    same bound needs far shorter blocks, and they saved too little of a
-    whole run to keep a second route, so those degrees take the exact
-    kernel.
-
-    The anchors are the n = 1 mod B, whatever the range, so a phase is
-    a function of (p, n) alone: any cut of a range, and each one-point
-    block, gives the same bits.  The offset 1 is correlate's: its
-    segments start at 1 + i 2^15.  A point is its anchor's diff_1 times
-    i, plus diff_0, in float64.  The sum is at least 0, so
-    acc - floor(acc) is exact and has the bits of np.mod(acc, 1.0).
-    """
-    kernel = PhaseKernel(p)
-    if kernel.degree != 1:
-        return kernel.block(start, stop)
-    D = kernel.denominator
-    out = np.empty(max(stop - start, 0), dtype=np.float64)
-    pos = start
-    while pos < stop:
-        anchor = pos - (pos - 1) % _FAST_BLOCK
-        i0, i1 = pos - anchor, min(anchor + _FAST_BLOCK, stop) - anchor
-        c0, c1 = (a / D for a in kernel.differences(anchor))
-        acc = np.arange(i0, i1, dtype=np.float64)
-        acc *= c1
-        acc += c0
-        part = out[pos - start: anchor + i1 - start]
-        np.floor(acc, out=part)
-        np.subtract(acc, part, out=part)
-        pos = anchor + i1
-    return out
+# the name of the float route that precision "fast" once selected
+phase_block_fast = phase_block_exact
 
 
-# points per fast block
-_FAST_BLOCK = 1 << 15
-
-
-def _phase_route(precision: str) -> Callable[[PhasePolynomial, int, int], np.ndarray]:
-    """phase_block_exact or phase_block_fast, by precision name.
-
-    The module names are read at call time, so a wrapper installed on
-    either one sees every block of the stream that this call builds.
-    """
-    if precision == "exact":
-        return phase_block_exact
-    if precision == "fast":
-        return phase_block_fast
-    raise ValueError(f"unknown precision {precision!r}")
+def _check_precision(precision: str) -> None:
+    """precision is a label that streams record; both give exact bits."""
+    if precision not in ("exact", "fast"):
+        raise ValueError(f"unknown precision {precision!r}")
 
 
 def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     """The sequence e(p(n)).
 
     A phase polynomial of degree k is realized on a k-step manifold, so
-    the tag is Nil(max(degree, 1)).  precision picks the block path:
-    "exact" reduces each phase exactly (PhaseKernel), "fast" runs the
-    anchored float blocks of phase_block_fast at degree 1 and the exact
-    kernel at every other degree.
+    the tag is Nil(max(degree, 1)).  Blocks call phase_block_exact by its
+    module name, so a wrapper installed there sees every one; precision
+    is only recorded in the provenance.
     """
-    phases = _phase_route(precision)
+    _check_precision(precision)
 
     def block(start: int, stop: int) -> np.ndarray:
-        return e_array(phases(p, start, stop))
+        return e_array(phase_block_exact(p, start, stop))
 
     return SequenceStream(block, bound=1.0, tag=Tag.nil(max(p.degree, 1)),
                           provenance=f"poly_exp(deg={p.degree}, {precision})")
@@ -647,10 +631,9 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
     shape rho(alpha^n u) takes for a zero-entropy automorphism, and the
     shape of a decomposition.  The terms are added into zeros in order,
     then the hits; the residue bounds are integer arithmetic, so they
-    hold at any n.  precision picks the phase route as in poly_exp, so
-    it changes only the terms whose p has degree 1.
+    hold at any n.  precision is a label, checked as in poly_exp.
     """
-    phases = _phase_route(precision)
+    _check_precision(precision)
     terms, m, hits = tuple(terms), int(modulus), dict(hits)
 
     def block(start: int, stop: int) -> np.ndarray:
@@ -660,7 +643,8 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
             t0 = -((start - r) // -m)
             t1 = (stop - 1 - r) // m + 1
             if t1 > t0:
-                out[t0 * m + r - start:: m] += _complex_times(c, e_array(phases(p, t0, t1)))
+                out[t0 * m + r - start:: m] += _complex_times(
+                    c, e_array(phase_block_exact(p, t0, t1)))
         for n, val in hits.items():
             if start <= n < stop:
                 out[n - start] += val

@@ -183,9 +183,8 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     count of points in the window.  A period longer than the widest
     window goes the block route, so no harmonic evaluates more than
     2 max(checkpoints) + 1 points.  Each route takes its values from
-    nilseq.poly_exp(k p), exact for the fold and in `precision` for the
-    block route; both give each point the same bits however the window
-    is cut.
+    nilseq.poly_exp(k p), which gives each point the same bits however
+    the window is cut; precision is a label, checked as there.
 
     Both routes evaluate _PIECE points at a time, once for all
     checkpoints, and every sum is a tree_fold fed piece by piece
@@ -227,7 +226,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                                     method="periodic-fold", period=T,
                                     means=tuple(means)))
         else:
-            values = poly_exp(q, precision).evaluate_block
+            values = poly_exp(q).evaluate_block
             folds = [_TreeFold() for _ in cks]
             for lo in range(-n_max, n_max + 1, _PIECE):
                 hi = min(lo + _PIECE, n_max + 1)

@@ -197,28 +197,24 @@ def test_exact_route_agrees_with_goldens(name, golden_run):
         assert _close(got, want), f"{name}/{fname} disagrees with golden"
 
 
-# The fast route differs from the exact one only on degree-1 phases, and
-# these configs' fast runs evaluate none: correlate_quadratic's phase has
-# degree 2, weyl_rational's rational phase is folded over its period on
-# the exact route, decompose always takes the exact route, and
-# correlate_nc_shear's sequence is nonzero at finitely many n.
-NO_FAST_DEGREE_1 = ["correlate_nc_shear", "correlate_quadratic",
-                    "decompose_heisenberg", "weyl_rational"]
-
-
-@pytest.mark.parametrize("name", NO_FAST_DEGREE_1)
-def test_goldens_without_degree_1_phases_are_the_exact_bytes(name):
-    # report.json names the precision, so it differs
+@pytest.mark.parametrize("name", SHIPPED)
+def test_fast_goldens_hold_the_exact_bytes(name):
+    # --precision is a label: the fast tree holds the exact tree's bytes
+    # in every file but report.json, which differs only in the label it
+    # records, as its precision and in provenance strings
     fast_dir = os.path.join(GOLDEN, name)
     exact_dir = os.path.join(CONFIGS, "golden_exact", name)
     fnames = sorted(os.listdir(fast_dir))
     assert fnames == sorted(os.listdir(exact_dir))
     for fname in fnames:
-        if fname == "report.json":
+        fast = Path(fast_dir, fname).read_bytes()
+        exact = Path(exact_dir, fname).read_bytes()
+        if fname != "report.json":
+            assert fast == exact, f"{name}/{fname}"
             continue
-        with open(os.path.join(fast_dir, fname), "rb") as fast, \
-                open(os.path.join(exact_dir, fname), "rb") as exact:
-            assert fast.read() == exact.read(), f"{name}/{fname}"
+        fast, exact = json.loads(fast), json.loads(exact)
+        assert (fast.pop("precision"), exact.pop("precision")) == ("fast", "exact")
+        assert json.dumps(fast) == json.dumps(exact).replace(", exact)", ", fast)")
 
 
 def test_timings_cover_every_stage(tmp_path):

@@ -570,13 +570,14 @@ def test_state_seq_requires_unit_vector():
 
 
 def test_state_seq_fast_path_close_to_exact():
+    # precision is a label: the fast one gives the exact bits
     u = WeylElement.from_terms(2, {(0, 1): 1.0})
     vec = unit_vec()
     exact = state_seq(SHEAR, THETA_IRR, u, vec, precision="exact")
     fast = state_seq(SHEAR, THETA_IRR, u, vec, precision="fast")
     a = exact.evaluate_block(-2000, 2000)
     b = fast.evaluate_block(-2000, 2000)
-    assert np.max(np.abs(a - b)) < 1e-9
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # ------------------------------------------------------ iterated phase data
