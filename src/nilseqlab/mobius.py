@@ -1,7 +1,8 @@
 """Mobius function tables and averaged correlation sums.
 
 The sieve works one block of SIEVE_BLOCK points at a time, every
-block of a run in the same buffers (`_SieveWork`), each block started
+block of a run in the same buffers (`_SieveWork`, two bytes a point: a
+uint8 sum of integer log weights and an int8 value), each block started
 from a pre-sieved wheel for 2, 3 and 5.  `sieve_mobius` concatenates
 the blocks into one int8 table, a byte a point; `sieve_cache` packs
 each block into the cache format as it is made, in packing buffers
@@ -51,12 +52,16 @@ __all__ = [
 ]
 
 # points per sieve block: one block is all the sieve holds, in buffers
-# made once a run (_SieveWork, 2 MB of int32 product); the block's size
-# changes no output bit
+# made once a run (_SieveWork, a uint8 weight sum and an int8 value a
+# point, 1 MB); the block's size changes no output bit
 SIEVE_BLOCK = 1 << 19
-# points per step of a block's last pass: the chunk's int32 product and
-# int8 values stay in cache from the sign to the flip
+# points per step of a block's last pass at most: the step's weight sums
+# and values stay in cache from the compare to the sign
 _SIEVE_CHUNK = 1 << 15
+# a step of the last pass ends by n <= n0 * 119 // 100 for its first n0,
+# and flips the sign where E - acc >= _FLIP_GAP: see _sieve_block
+_SPAN = (119, 100)
+_FLIP_GAP = 13
 # primes sieved for a whole block at once, from a pre-sieved wheel, and
 # the wheel's period: the product of their squares
 _WHEEL_PRIMES = (2, 3, 5)
@@ -64,7 +69,7 @@ _WHEEL_PERIOD = 900
 # points per correlate summation segment; it fixes the tree_fold shapes,
 # hence every output bit of a correlation sum
 SEGMENT = 1 << 15
-HARD_LIMIT = 10 ** 9          # < 2^31, so int32 holds every n and prod
+HARD_LIMIT = 10 ** 9          # 8 log2 n + 9 <= 255: a uint8 holds every weight sum
 
 CACHE_MAGIC = b"MOB2"
 
@@ -110,71 +115,106 @@ def _sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    # Python ints, so that int32 arrays stay int32 when multiplied by p
+    # Python ints, so that _weight's p ** 8 is exact
     return np.nonzero(sieve)[0].tolist()
+
+
+def _weight(p: int) -> int:
+    """The sieve's log weight of the prime p: an odd integer within 1 of
+    8 log2 p, from integers alone (floor(8 log2 p), made odd)."""
+    return ((p ** 8).bit_length() - 1) | 1
 
 
 class _SieveWork:
     """The buffers of one sieve block, made once a run and reused by
-    every block of it: the int32 product, the int8 values, a chunk's
-    offsets 0, 1, 2, ... and flip scratch, and the pre-sieved wheel."""
+    every block of it: a uint8 row of weight sums over an int8 row of
+    values (one array, so that the wheel fills both at once), a step's
+    flip scratch, the pre-sieved wheel of both rows, and the weights of
+    the last prime list, 1.1 MB at SIEVE_BLOCK points."""
 
     def __init__(self, size: int):
-        self.prod = np.empty(size, dtype=np.int32)
-        self.mu = np.empty(size, dtype=np.int8)
-        self.step = np.arange(_SIEVE_CHUNK, dtype=np.int32)
+        self.rows = np.empty((2, size), dtype=np.uint8)
         self.flip = np.empty(_SIEVE_CHUNK, dtype=bool)
-        # the product over the wheel's primes at n = j mod the period,
-        # for j < twice the period, so any residue starts a whole period
-        self.wheel = np.ones(2 * _WHEEL_PERIOD, dtype=np.int32)
+        # the weight sum and the value over the wheel's primes at n = j
+        # mod the period, for j < twice the period, so any residue starts
+        # a whole period
+        self.wheel = np.zeros((2, 2 * _WHEEL_PERIOD), dtype=np.uint8)
+        self.wheel[1] = 1
         for p in _WHEEL_PRIMES:
-            self.wheel[::p] *= -p
-            self.wheel[:: p * p] = 0
+            self.wheel[0, ::p] += _weight(p)
+            self.wheel[1, :: p * p] = 0
+        self._primes: list[int] | None = None
+        self._weights: list[int] = []
+
+    def weights(self, primes: list[int]) -> list[int]:
+        """_weight of each prime, computed once for a run's prime list."""
+        if primes is not self._primes:
+            self._primes, self._weights = primes, [_weight(p) for p in primes]
+        return self._weights
 
 
 def _sieve_block(lo: int, hi: int, primes: list[int],
                  work: _SieveWork) -> np.ndarray:
     """mu(lo..hi-1) as int8, for primes = those <= sqrt(hi - 1).
 
-    One int32 array holds (-1)^k times the product of the k sieved
-    primes dividing n, and 0 once some p^2 divides n.  mu(n) is its sign,
-    flipped where the product is not n: the leftover cofactor is then
-    one more prime.  int32 is exact: |prod| divides n, and n <=
-    HARD_LIMIT < 2^31.  The primes of the wheel come first, for every n
-    at once: one period of the wheel is copied in at lo's residue and
-    doubled in place to the block's length.  Dividing by a wheel prime
-    above sqrt(hi - 1) as well changes nothing: the cofactor is still 1
-    or a prime.  The other primes are sieved one at a time, and the
-    last pass runs _SIEVE_CHUNK points at a time.
+    Each sieved prime p adds its odd weight u(p) = _weight(p) to the
+    uint8 sum acc(n) of its multiples, and each p^2 zeroes the int8
+    values of its multiples.  The primes of the wheel come first, for
+    every n at once: one period of the wheel is copied in at lo's residue
+    and doubled in place to the block's length.  Dividing by a wheel
+    prime above sqrt(hi - 1) as well changes nothing: the cofactor of n
+    over its sieved primes is still 1 or a prime.  The other primes are
+    sieved one at a time.  A last pass then gives each squarefree n the
+    sign (-1)^acc(n), which is (-1)^k for its k sieved primes since every
+    weight is odd, and flips it where the cofactor is a prime: where
+    E - acc(n) >= _FLIP_GAP, for E = floor(8 log2 n0) of the first n0 of
+    its step, a step holding at most _SIEVE_CHUNK points and none above
+    1.19 n0.
+
+    The margin, with u(p) = 8 log2 p + d(p) and -1 < d(p) <= 1, and P
+    the product of the k sieved primes of a squarefree n:
+    - cofactor 1: E <= 8 log2 n = 8 log2 P, so E - acc <= -sum d < k,
+      and k <= 9 (2 * 3 * ... * 29 > HARD_LIMIT): E - acc <= 8;
+    - cofactor a prime q: q is not sieved, so q >= 7 and q > sqrt(hi - 1)
+      > P >= 2^k; E > 8 log2 n0 - 1 >= 8 log2 n - 8 log2 1.19 - 1, so
+      E - acc > 8 log2 q - k - 3.01 > 7 log2 7 - 3.01 > 16.6: E - acc
+      >= 17.
+    Any _FLIP_GAP in 9..17 therefore decides every n.  And the distinct
+    primes of any n multiply to at most n, so acc <= 8 log2 n + 9 <= 248
+    up to HARD_LIMIT: the uint8 sums never wrap.
 
     The block is made in `work`, a _SieveWork of at least hi - lo
     points, and the result is a view of it that the next block
     overwrites.
     """
     m = hi - lo
-    prod, mu = work.prod[:m], work.mu[:m]
+    rows = work.rows[:, :m]
+    acc, mu = rows[0], rows[1].view(np.int8)
     k = min(m, _WHEEL_PERIOD)
     start = lo % _WHEEL_PERIOD
-    prod[:k] = work.wheel[start: start + k]
+    rows[:, :k] = work.wheel[:, start: start + k]
     while k < m:
         c = min(k, m - k)
-        prod[k: k + c] = prod[:c]
+        rows[:, k: k + c] = rows[:, :c]
         k += c
-    for p in primes[bisect_right(primes, _WHEEL_PRIMES[-1]):]:
-        prod[(-lo) % p:: p] *= -p
+    first = bisect_right(primes, _WHEEL_PRIMES[-1])
+    for p, u in zip(primes[first:], work.weights(primes)[first:]):
+        acc[(-lo) % p:: p] += u
         p2 = p * p
-        prod[(-lo) % p2:: p2] = 0
-    for a in range(0, m, _SIEVE_CHUNK):
-        b = min(a + _SIEVE_CHUNK, m)
-        part, out, flip = prod[a:b], mu[a:b], work.flip[: b - a]
-        np.sign(part, out=out, casting="unsafe")
-        np.abs(part, out=part)
-        part -= lo + a          # now 0, 1, 2, ... exactly where |prod| == n
-        np.not_equal(part, work.step[: b - a], out=flip)
-        sign = flip.view(np.int8)           # 1 - 2 * flip, in place
+        mu[(-lo) % p2:: p2] = 0
+    a = 0
+    while a < m:
+        n0 = lo + a
+        b = min(a + _SIEVE_CHUNK, m, n0 * _SPAN[0] // _SPAN[1] - lo + 1)
+        part, out, flip = acc[a:b], mu[a:b], work.flip[: b - a]
+        np.less_equal(part, (n0 ** 8).bit_length() - 1 - _FLIP_GAP, out=flip)
+        np.bitwise_and(part, 1, out=part)
+        np.bitwise_xor(part, flip, out=part)    # 1 where mu(n) < 0
+        sign = part.view(np.int8)               # 1 - 2 * bit, in place
         sign *= -2
         sign += 1
         out *= sign
+        a = b
     return mu
 
 
@@ -442,9 +482,11 @@ def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
     and the bytes equal write_cache's.
     """
     primes = _sieve_primes(limit)
-    work = _SieveWork(min(SIEVE_BLOCK, limit))
 
     def fill(f: BinaryIO) -> None:
+        # made here, so that the block's buffers are freed before the
+        # file is opened and its checksum read
+        work = _SieveWork(min(SIEVE_BLOCK, limit))
         _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes, work))
 
     if path is not None:

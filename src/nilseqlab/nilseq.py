@@ -143,8 +143,8 @@ def e_array(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    # the reduction and both polynomials write into scratch made once a
-    # call, not into a new array a step
+    # the reduction, both polynomials and the quarter turn write into
+    # scratch made once a call, not into a new array a step
     scratch = np.empty((4, min(flat_x.size, _E_CHUNK)))
     for a in range(0, flat_x.size, _E_CHUNK):
         xs = flat_x[a: a + _E_CHUNK]
@@ -160,7 +160,13 @@ def e_array(x) -> np.ndarray:
         np.multiply(t, acc, out=dst.imag)
         _horner(_COS_COEFFS, r2, acc)
         dst.real = acc
-        dst *= _QUARTER_TURNS_ARRAY[j.astype(np.intp) & 3]
+        q = t.view(np.intp)                 # t, r2 and acc are free now
+        np.copyto(q, j, casting="unsafe")
+        np.bitwise_and(q, 3, out=q)
+        turn = scratch[2:].reshape(-1)[: 2 * xs.size].view(np.complex128)
+        # q is in 0..3; the default mode="raise" would buffer `out`
+        np.take(_QUARTER_TURNS_ARRAY, q, out=turn, mode="clip")
+        dst *= turn
     return out
 
 

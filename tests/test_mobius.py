@@ -117,18 +117,31 @@ def test_sieve_block_far_from_origin():
 _SIEVE_WORK = mobius._SieveWork(5000)
 
 
+# 2 * 3 * ... * 19 and 2 * 3 * ... * 23: near their multiples, and near
+# 9699690 q for a prime q >= 11, n has the most sieved primes, 8 or 9,
+# and the sign pass its tightest margin
+_PRIMORIAL_19, _PRIMORIAL_23 = 9699690, 223092870
+
+
 @st.composite
 def _sieve_windows(draw):
     """[lo, hi) of 1 to 5000 points: from lo <= 300, where some wheel
-    primes exceed sqrt(hi - 1); across a multiple of the wheel's period
-    or of 4, 9, 25 or 49; or ending at HARD_LIMIT."""
+    primes exceed sqrt(hi - 1); across a multiple of the wheel's period,
+    of 4, 9, 25 or 49, or of a primorial; across 9699690 q for a prime
+    q >= 11; or ending at HARD_LIMIT."""
     length = draw(st.integers(1, 5000))
-    where = draw(st.sampled_from(["origin", "multiple", "top"]))
+    where = draw(st.sampled_from(["origin", "multiple", "primorial", "top"]))
     if where == "origin":
         lo = draw(st.integers(1, 300))
-    elif where == "multiple":
-        step = draw(st.sampled_from([4, 9, 25, 49, mobius._WHEEL_PERIOD]))
-        k = draw(st.integers(1, mobius.HARD_LIMIT // step))
+    elif where in ("multiple", "primorial"):
+        if where == "multiple":
+            step = draw(st.sampled_from([4, 9, 25, 49, mobius._WHEEL_PERIOD,
+                                         _PRIMORIAL_19, _PRIMORIAL_23]))
+            k = draw(st.integers(1, mobius.HARD_LIMIT // step))
+        else:
+            step = _PRIMORIAL_19
+            k = draw(st.sampled_from([q for q in _primes_by_trial_division(
+                mobius.HARD_LIMIT // step) if q >= 11]))
         lo = max(1, k * step - draw(st.integers(0, length - 1)))
     else:
         lo = mobius.HARD_LIMIT + 1 - length
@@ -140,6 +153,72 @@ def test_sieve_block_matches_trial_division(window):
     lo, hi = window
     got = mobius._sieve_block(lo, hi, mobius._sieve_primes(hi - 1), _SIEVE_WORK)
     assert np.array_equal(got, _mu_by_trial_division(lo, hi)), window
+
+
+def test_sieve_weights_odd_and_within_one_of_8_log2_p():
+    # the weights the sieve adds, for every prime it may divide by:
+    # 2^(u-1) <= p^8 < 2^(u+1), equal on the left only at p = 2
+    primes = mobius._sieve_primes(mobius.HARD_LIMIT)
+    assert tuple(primes) == _primes_by_trial_division(math.isqrt(mobius.HARD_LIMIT))
+    for p, u in zip(primes, mobius._SieveWork(1).weights(primes)):
+        assert u % 2 == 1, p
+        assert 2 ** (u - 1) <= p ** 8 < 2 ** (u + 1), p
+        assert (2 ** (u - 1) < p ** 8) == (p != 2), p
+
+
+def test_sieve_flip_gap_inside_the_proven_margin():
+    """_FLIP_GAP and _SPAN against the bounds of _sieve_block's
+    docstring, in exact integers: a cofactor-1 n has E - acc < k for its
+    k <= 9 sieved primes, a cofactor-prime n has E - acc > 7 log2 7 - 1 -
+    8 log2 span, and every weight sum is at most 8 log2 n + k."""
+    primes = _primes_by_trial_division(100)
+    k_max = max(k for k in range(len(primes))
+                if math.prod(primes[:k]) <= mobius.HARD_LIMIT)
+    assert k_max == 9
+    assert k_max - 1 < mobius._FLIP_GAP
+    # E - acc >= gap whenever 7 log2 7 - 8 log2 span >= gap
+    num, den = mobius._SPAN
+    assert 7 ** 7 * den ** 8 > 2 ** mobius._FLIP_GAP * num ** 8
+    assert mobius.HARD_LIMIT ** 8 * 2 ** k_max <= 2 ** 255
+
+
+def test_sieve_weight_sums_fit_a_byte_in_the_top_block():
+    # the sums the uint8 row holds, in int64: the largest is 243, within
+    # the bound 8 log2 n + 9 <= 248 and below the 255 a byte holds
+    top = mobius.HARD_LIMIT + 1
+    lo = top - SIEVE_BLOCK
+    sums = np.zeros(SIEVE_BLOCK, dtype=np.int64)
+    for p in mobius._sieve_primes(mobius.HARD_LIMIT):
+        sums[(-lo) % p:: p] += mobius._weight(p)
+    assert sums.max() <= 248
+
+
+@functools.lru_cache(maxsize=None)
+def _tight_windows() -> tuple[tuple[int, int, bytes], ...]:
+    """[lo, hi) and mu there by trial division, around 9699690 q for the
+    primes q from 23 up, where n has nine sieved primes, and around the
+    multiples of 223092870."""
+    centres = [_PRIMORIAL_19 * q for q in _primes_by_trial_division(110)
+               if q >= 23 and _PRIMORIAL_19 * q <= mobius.HARD_LIMIT]
+    centres += range(_PRIMORIAL_23, mobius.HARD_LIMIT + 1, _PRIMORIAL_23)
+    return tuple((n - 1024, n + 1024, _mu_by_trial_division(n - 1024, n + 1024).tobytes())
+                 for n in centres)
+
+
+@pytest.mark.parametrize("gap", [mobius._FLIP_GAP, 9, 17])
+def test_sieve_decides_at_both_ends_of_the_margin(gap, monkeypatch):
+    """Every limit up to 400, and the windows where n has the most
+    sieved primes, with the sign pass's threshold and with the two ends
+    of its proven margin.  A limit below 49 leaves 7 unsieved, one below
+    121 leaves 11: the cofactor primes closest to the margin."""
+    monkeypatch.setattr(mobius, "_FLIP_GAP", gap)
+    fact = mobius_by_factorization(400)
+    for limit in range(1, 401):
+        assert np.array_equal(sieve_mobius(limit).values[1:], fact[1: limit + 1]), limit
+    work = mobius._SieveWork(2048)
+    for lo, hi, want in _tight_windows():
+        got = mobius._sieve_block(lo, hi, mobius._sieve_primes(hi - 1), work)
+        assert got.tobytes() == want, lo
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 9973, 31607])
