@@ -308,6 +308,8 @@ def _run_classify(cfg: dict, precision: str) -> dict:
 
 def _run_seq(cfg: dict, precision: str) -> dict:
     _check_keys(cfg, "config", ["kind", "sequence", "range"], ["generators"])
+    from . import nilseq
+
     rng = cfg["range"]
     _check_keys(rng, "range", ["start", "stop"])
     start, stop = _int(rng["start"], "range.start"), _int(rng["stop"], "range.stop")
@@ -318,11 +320,12 @@ def _run_seq(cfg: dict, precision: str) -> dict:
     stream = build_sequence(cfg["sequence"], precision)
 
     def rows() -> Iterable[tuple[int, float, float]]:
-        # evaluated one CSV chunk at a time, as _write_csv takes them, so
-        # one chunk's values are alive at once: a block's bits do not
-        # depend on where the range is cut
-        for lo in range(start, stop, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, stop)
+        # evaluated nilseq.BLOCK points at a time, so one block's values
+        # are alive at once (the CSV text goes out _CSV_CHUNK rows at a
+        # time): a block's bits do not depend on where the range is cut
+        block = nilseq.BLOCK
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
             part = stream.evaluate_block(lo, hi)
             yield from zip(range(lo, hi), part.real.tolist(), part.imag.tolist())
 

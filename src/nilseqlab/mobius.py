@@ -5,8 +5,8 @@ block of a run in the same buffers (`_SieveWork`, two bytes a point: a
 uint8 sum of integer log weights and an int8 value), each block started
 from a pre-sieved wheel for 2, 3 and 5.  `sieve_mobius` concatenates
 the blocks into one int8 table, a byte a point; `sieve_cache` packs
-each block into the cache format as it is made, in packing buffers
-also made once, so its memory is one block whatever the limit, and
+each block into the cache format in the block's own two rows, once its
+last pass has run, so its memory is one block whatever the limit, and
 the page faults of a run do not grow with it.  A cache file is read
 back by range (`MobiusCache.block`), and `correlate` reads its weights
 one summation segment at a time from a table or a cache, decoding each
@@ -14,9 +14,11 @@ segment once, so it never fills a table for 1..N itself.  A second, independent 
 derives mu(n) by dividing out primes from the values themselves
 (different bookkeeping, used as a cross-check and for golden files).
 Correlation sums S(N) = (1/N) sum mu(n) xi(n) are accumulated through a
-fixed binary reduction tree over fixed segments, so every bit of a sum
-is fixed by N and the checkpoints alone.  Everything runs in the
-calling thread.
+fixed binary reduction tree over segments of SEGMENT points, so every
+bit of a sum is fixed by N and the checkpoints alone.  Within a
+segment, xi and the products are made nilseq.BLOCK points at a time:
+BLOCK bounds the memory of a sum, and SEGMENT its bits.  Everything
+runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ import os
 import struct
 import tempfile
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from .exactnum import Record, write_atomic
+from . import nilseq
 from .nilseq import SequenceStream, _TreeFold, tree_fold  # tree_fold: re-exported
 
 __all__ = [
@@ -67,7 +70,8 @@ _FLIP_GAP = 13
 _WHEEL_PRIMES = (2, 3, 5)
 _WHEEL_PERIOD = 900
 # points per correlate summation segment; it fixes the tree_fold shapes,
-# hence every output bit of a correlation sum
+# hence every output bit of a correlation sum (nilseq.BLOCK, the points
+# evaluated at a time, fixes none)
 SEGMENT = 1 << 15
 HARD_LIMIT = 10 ** 9          # 8 log2 n + 9 <= 255: a uint8 holds every weight sum
 
@@ -130,10 +134,12 @@ class _SieveWork:
     every block of it: a uint8 row of weight sums over an int8 row of
     values (one array, so that the wheel fills both at once), a step's
     flip scratch, the pre-sieved wheel of both rows, and the weights of
-    the last prime list, 1.1 MB at SIEVE_BLOCK points."""
+    the last prime list, 1.1 MB at SIEVE_BLOCK points.  The rows are
+    rounded up to whole 4-point words, so that they can also pack a
+    block into the cache format (_pack)."""
 
     def __init__(self, size: int):
-        self.rows = np.empty((2, size), dtype=np.uint8)
+        self.rows = np.empty((2, -(-size // 4) * 4), dtype=np.uint8)
         self.flip = np.empty(_SIEVE_CHUNK, dtype=bool)
         # the weight sum and the value over the wheel's primes at n = j
         # mod the period, for j < twice the period, so any residue starts
@@ -306,16 +312,21 @@ def correlate(
 
     Checkpoints must be increasing; the largest determines the sieve
     range.  The weights come from `table` (a MobiusTable or an open
-    MobiusCache) one segment of SEGMENT points at a time; with no table,
-    mu(1..N) is sieved into a temporary cache file first.  Summation:
-    per-segment products are reduced with tree_fold, and segment totals
-    with one streaming tree_fold (nilseq._TreeFold), so the shape of
-    every sum is fixed by the checkpoints.  Segments are evaluated in
-    order in the calling thread.  S(k) is the fold of the totals of the
-    segments before k plus the tree_fold of k's own segment up to k;
-    the fold gives tree_fold's bits for any prefix of the totals.  So
-    memory holds one segment's products, however many checkpoints there
-    are.  `threads` is accepted for compatibility and ignored.
+    MobiusCache) one segment of SEGMENT points at a time, one read and
+    one decode a segment; with no table, mu(1..N) is sieved into a
+    temporary cache file first.  Summation: each segment's products are
+    reduced with tree_fold, and the segment totals with one more, both
+    streamed (nilseq._TreeFold), so the shape of every sum is fixed by
+    SEGMENT and the checkpoints.  Within a segment, xi is evaluated,
+    multiplied by mu and fed to the segment's fold nilseq.BLOCK points
+    at a time, which moves no bit: the fold of a segment fed block by
+    block is the tree_fold of its whole products.  S(k) is the fold of
+    the totals of the segments before k plus the fold of k's own segment
+    up to k, read from the folds' states (a value a level) when the
+    products up to k have been fed.  So memory holds one block's
+    products, however many checkpoints there are.  Segments are
+    evaluated in order in the calling thread; `threads` is accepted for
+    compatibility and ignored.
     """
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 1:
@@ -333,15 +344,26 @@ def correlate(
 
     below = _TreeFold()  # the totals of the segments before this one
     sums: list[complex] = []
+    block = nilseq.BLOCK
     for lo in range(1, n_max + 1, SEGMENT):
         hi = min(lo + SEGMENT, n_max + 1)
-        vals = xi.evaluate_block(lo, hi)  # a new array: multiplied in place
-        vals *= table.block(lo, hi)
-        for k in cks[bisect_left(cks, lo): bisect_left(cks, hi)]:
-            # whole segments below k, then the part of the segment k is in
-            sums.append((below.total() + tree_fold(vals[: k - lo + 1])) / k)
-        below.feed((tree_fold(vals),))
-        del vals  # one segment's products alive at a time
+        mu = table.block(lo, hi)  # one read and decode; blocks slice it
+        segment = _TreeFold()
+        for a in range(lo, hi, block):
+            b = min(a + block, hi)
+            vals = xi.evaluate_block(a, b)  # a new array: multiplied in place
+            vals *= mu[a - lo: b - lo]
+            fed = 0
+            # cks[len(sums)] is the next checkpoint
+            while len(sums) < len(cks) and cks[len(sums)] < b:
+                # whole segments below k, then k's segment up to k
+                k = cks[len(sums)]
+                segment.feed(vals[fed: k - a + 1])
+                fed = k - a + 1
+                sums.append((below.total() + segment.total()) / k)
+            segment.feed(vals[fed:])
+            del vals  # one block's products alive at a time
+        below.append(segment.total())
     return CorrelationReport(
         checkpoints=tuple(cks), sums=tuple(sums), sequence_bound=float(xi.bound),
     )
@@ -360,11 +382,13 @@ _DECODE = (((np.arange(256)[:, None] >> np.arange(0, 8, 2)) % 4 - 1)
            .astype(np.int8).view("<u4").ravel())
 
 
-def _pack(mu: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Payload bytes of mu values, a view of `out`; a block not the last
-    has 4k values.  The codes are made in `buf`, uint8 with room for
-    len(mu) rounded up to 4, and `out` is uint8 with room for a quarter
-    of that: both are reused from block to block."""
+def _pack(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Payload bytes of mu values, a view of rows[1]; a block not the
+    last has 4k values.  rows is uint8, two rows with room for len(mu)
+    rounded up to 4 (a _SieveWork's): the codes are made in rows[0] and
+    packed into rows[1], so mu may be a view of rows[1], as a sieved
+    block is."""
+    buf, out = rows
     m = len(mu)
     enc = buf[: -(-m // 4) * 4]
     np.add(mu.view(np.uint8), 1, out=enc[:m])    # -1 wraps to code 0
@@ -381,17 +405,17 @@ def _pack(mu: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _write_cache_file(f: BinaryIO, limit: int,
-                      block: Callable[[int, int], np.ndarray]) -> None:
+                      block: Callable[[int, int], np.ndarray],
+                      rows: np.ndarray) -> None:
     """Write mu(1..limit), taken from block(lo, hi) one SIEVE_BLOCK at a
-    time, to the binary file f in the cache format.  The payload goes out
-    in order behind a blank header, the checksum accumulated as it goes;
-    the header is filled in last."""
+    time, to the binary file f in the cache format, each block packed in
+    rows (see _pack).  The payload goes out in order behind a blank
+    header, the checksum accumulated as it goes; the header is filled in
+    last."""
     f.write(bytes(_CACHE_HEADER.size))
     crc = zlib.crc32(struct.pack("<Q", limit))
-    buf = np.empty(-(-min(SIEVE_BLOCK, limit) // 4) * 4, dtype=np.uint8)
-    out = np.empty(len(buf) // 4, dtype=np.uint8)
     for lo in range(1, limit + 1, SIEVE_BLOCK):
-        chunk = _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)), buf, out)
+        chunk = _pack(block(lo, min(lo + SIEVE_BLOCK, limit + 1)), rows)
         crc = zlib.crc32(chunk, crc)
         f.write(chunk)
     f.seek(0)
@@ -445,11 +469,12 @@ class MobiusCache:
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """mu(lo..hi-1) as read-only int8, for 1 <= lo <= hi <= limit + 1;
-        ValueError for a payload code 3.  The last range is kept, so
-        reading it again (a mobius stream's values, then its weights)
-        decodes once."""
-        if self._last is not None and self._last[:2] == (lo, hi):
-            return self._last[2]
+        ValueError for a payload code 3.  The last range decoded is kept,
+        and any range inside it is a slice of it: correlate decodes a
+        segment, and a mobius stream's blocks of it make no second read."""
+        if self._last is not None and self._last[0] <= lo <= hi <= self._last[1]:
+            first = self._last[0]
+            return self._last[2][lo - first: hi - first]
         if not 1 <= lo <= hi <= self.limit + 1:
             raise IndexError(f"block [{lo}, {hi}) outside 1..{self.limit}")
         packed = np.frombuffer(self._read((lo - 1) // 4, (hi + 2) // 4), dtype=np.uint8)
@@ -485,9 +510,11 @@ def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
 
     def fill(f: BinaryIO) -> None:
         # made here, so that the block's buffers are freed before the
-        # file is opened and its checksum read
+        # file is opened and its checksum read; a block is packed in its
+        # own rows once its last pass has run
         work = _SieveWork(min(SIEVE_BLOCK, limit))
-        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes, work))
+        _write_cache_file(f, limit, lambda lo, hi: _sieve_block(lo, hi, primes, work),
+                          work.rows)
 
     if path is not None:
         write_atomic(path, fill)
@@ -503,7 +530,8 @@ def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
 
 def write_cache(table: MobiusTable, path: str) -> None:
     """Store the table at path atomically, as sieve_cache would."""
-    write_atomic(path, lambda f: _write_cache_file(f, table.limit, table.block))
+    rows = np.empty((2, -(-min(SIEVE_BLOCK, table.limit) // 4) * 4), dtype=np.uint8)
+    write_atomic(path, lambda f: _write_cache_file(f, table.limit, table.block, rows))
 
 
 def read_cache(path: str) -> MobiusTable:

@@ -134,36 +134,66 @@ def _horner(coeffs: tuple[float, ...], r2: np.ndarray, acc: np.ndarray) -> None:
     np.add(coeffs[0], acc, out=acc)
 
 
-# points per pass of e_array: its scratch is four float64 arrays this long
+# points evaluated at a time by every streamed sum (correlate, weyl and
+# seq); bounds memory, never bits
+BLOCK = 1 << 14
+
+# points per pass of e_array: its scratch is two float64 rows this long
 _E_CHUNK = 1 << 14
 
 
-def e_array(x) -> np.ndarray:
-    """e(x) elementwise for a float64 array of any shape."""
+class _EScratch:
+    """The scratch rows of e_array, made once by a caller that evaluates
+    block after block (a stream) and passed to every call, so that no
+    call makes its own; they grow to the longest pass asked for, at most
+    _E_CHUNK points."""
+
+    def __init__(self):
+        self._rows = np.empty((2, 0))
+
+    def rows(self, n: int) -> np.ndarray:
+        """Two float64 rows of at least min(n, _E_CHUNK) points."""
+        if self._rows.shape[1] < min(n, _E_CHUNK):
+            self._rows = np.empty((2, min(n, _E_CHUNK)))
+        return self._rows
+
+
+def e_array(x, scratch: _EScratch | None = None, overwrite_x: bool = False) -> np.ndarray:
+    """e(x) elementwise for a float64 array of any shape.
+
+    The passes reduce x in place when overwrite_x is set (a caller that
+    owns x and needs it no more), else a copy of each pass's part, and
+    they write into the rows of scratch, or into rows made for the call
+    when it is None.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    # the reduction, both polynomials and the quarter turn write into
-    # scratch made once a call, not into a new array a step
-    scratch = np.empty((4, min(flat_x.size, _E_CHUNK)))
+    # the reduction, both polynomials and the quarter turn write into x,
+    # the output and two scratch rows, not into a new array a step
+    scratch = (_EScratch() if scratch is None else scratch).rows(flat_x.size)
     for a in range(0, flat_x.size, _E_CHUNK):
-        xs = flat_x[a: a + _E_CHUNK]
-        t, j, r2, acc = scratch[:, :xs.size]
-        dst = flat_out[a: a + xs.size]
-        np.rint(xs, out=t)
-        np.subtract(xs, t, out=t)
+        t = flat_x[a: a + _E_CHUNK]
+        if not overwrite_x:
+            t = t.copy()
+        r2, acc = scratch[:, :t.size]
+        dst = flat_out[a: a + t.size]
+        j = dst.view(np.float64)[:t.size]   # the output is free until sin
+        np.rint(t, out=r2)
+        np.subtract(t, r2, out=t)
         np.multiply(t, 4.0, out=t)
         np.rint(t, out=j)
         np.subtract(t, j, out=t)            # t is now r
         np.multiply(t, t, out=r2)
         _horner(_SIN_COEFFS, r2, acc)
-        np.multiply(t, acc, out=dst.imag)
-        _horner(_COS_COEFFS, r2, acc)
-        dst.real = acc
-        q = t.view(np.intp)                 # t, r2 and acc are free now
+        np.multiply(t, acc, out=acc)
+        q = t.view(np.intp)                 # t and j are free after this
         np.copyto(q, j, casting="unsafe")
         np.bitwise_and(q, 3, out=q)
-        turn = scratch[2:].reshape(-1)[: 2 * xs.size].view(np.complex128)
+        dst.imag = acc
+        _horner(_COS_COEFFS, r2, acc)
+        dst.real = acc
+        turn = scratch.reshape(-1)[: 2 * t.size].view(np.complex128)
         # q is in 0..3; the default mode="raise" would buffer `out`
         np.take(_QUARTER_TURNS_ARRAY, q, out=turn, mode="clip")
         dst *= turn
@@ -183,6 +213,26 @@ def e_phase(x: float) -> complex:
 # fixed-tree summation
 
 
+# an aligned block of more values is folded down to this many, its tree
+# level that many nodes wide, and kept so that the next block of its
+# length finishes the two blocks' small levels in one pass (_TreeFold)
+_FOLD_ROW = 1 << 10
+
+
+def _fold_power_of_two(a: np.ndarray) -> complex:
+    """tree_fold of a power-of-two number of values."""
+    while a.size > 8:
+        a = a[0::2] + a[1::2]
+    if a.size == 8:
+        # the last three levels in Python complex, which adds as numpy
+        # does, for less than a numpy call a level
+        v0, v1, v2, v3, v4, v5, v6, v7 = a.tolist()
+        return ((v0 + v1) + (v2 + v3)) + ((v4 + v5) + (v6 + v7))
+    while a.size > 1:
+        a = a[0::2] + a[1::2]
+    return complex(a[0])
+
+
 class _TreeFold:
     """tree_fold of a sequence fed in pieces of any lengths, bit for bit.
 
@@ -195,14 +245,26 @@ class _TreeFold:
     cut; `total` adds the held-back values from the lowest level up, as
     tree_fold carries its odd tails.  Nothing is padded: a zero added as
     a missing partner would move the tree, and with it the bits.
+
+    Level j holds a value exactly when bit j of the count fed so far is
+    set.  So a piece of 2^k values fed at a count that 2^k divides meets
+    no held value below level k: it is summed whole, level by level with
+    no bookkeeping, and its one total arrives at level k.  When 2^(k+1)
+    divides the count, the piece's tree is first folded only to its
+    _FOLD_ROW-wide level and kept: a next piece of 2^k values is the
+    other half of an aligned 2^(k+1), and the two rows side by side are
+    that block's level, folded on in one pass.
     """
 
     def __init__(self):
         self._held: list[complex | None] = []
+        self._count = 0
+        self._row: tuple[int, np.ndarray] | None = None  # (k, a 2^k piece's row)
 
     def _push(self, level: int, x: complex) -> None:
         """One value arriving at a level."""
         held = self._held
+        held.extend([None] * (level - len(held)))
         while level < len(held) and held[level] is not None:
             x = held[level] + x
             held[level] = None
@@ -212,9 +274,38 @@ class _TreeFold:
         else:
             held[level] = x
 
+    def _flush(self) -> None:
+        """Finish a kept row: its piece's total arrives at level k."""
+        if self._row is not None:
+            (k, row), self._row = self._row, None
+            self._push(k, _fold_power_of_two(row))
+
+    def append(self, x: complex) -> None:
+        """The next value of the sequence."""
+        self._flush()
+        self._count += 1
+        self._push(0, x)
+
     def feed(self, values: np.ndarray) -> None:
         """The next values of the sequence; they are only read."""
         a = np.asarray(values, dtype=np.complex128)
+        n, count = a.size, self._count
+        self._count += n
+        if n > 1 and n & (n - 1) == 0 and count & (n - 1) == 0:
+            k = n.bit_length() - 1
+            while a.size > _FOLD_ROW:
+                a = a[0::2] + a[1::2]
+            if self._row is not None and self._row[0] == k:
+                a = np.concatenate((self._row[1], a))
+                self._row, k = None, k + 1
+            else:
+                self._flush()
+                if count & n == 0 and n > _FOLD_ROW:
+                    self._row = (k, a)
+                    return
+            self._push(k, _fold_power_of_two(a))
+            return
+        self._flush()
         held = self._held
         level = 0
         while a.size:
@@ -230,6 +321,7 @@ class _TreeFold:
             level += 1
 
     def total(self) -> complex:
+        self._flush()
         carry = None
         for x in self._held:
             if x is not None:
@@ -306,7 +398,11 @@ class SequenceStream(Record):
     overwrite (`correlate` multiplies it in place).  `stream(n)` is the
     one-point block, so it is the value every block gives at n: in
     either precision a phase depends on (p, n) alone, never on where a
-    range is cut.
+    range is cut.  So the streamed sums (correlate, weyl, seq) ask for
+    BLOCK points at a time, which bounds their memory and sets none of
+    their bits; correlate's SEGMENT sets the shape of its sums.  A
+    stream may keep scratch from block to block (e(x)'s rows), so one
+    stream is evaluated by one thread at a time.
     """
 
     evaluate_block: Callable[[int, int], np.ndarray]
@@ -582,9 +678,12 @@ class PhaseKernel:
         return out[:count]
 
 
-def phase_block_exact(p: PhasePolynomial, start: int, stop: int) -> np.ndarray:
-    """Phases p(n) mod 1 for n in [start, stop), each reduced exactly."""
-    return PhaseKernel(p).block(start, stop)
+def phase_block_exact(p: PhasePolynomial | PhaseKernel, start: int,
+                      stop: int) -> np.ndarray:
+    """Phases p(n) mod 1 for n in [start, stop), each reduced exactly; a
+    stream passes p's PhaseKernel, made once, rather than p."""
+    kernel = p if isinstance(p, PhaseKernel) else PhaseKernel(p)
+    return kernel.block(start, stop)
 
 
 # the name of the float route that precision "fast" once selected
@@ -602,13 +701,15 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
 
     A phase polynomial of degree k is realized on a k-step manifold, so
     the tag is Nil(max(degree, 1)).  Blocks call phase_block_exact by its
-    module name, so a wrapper installed there sees every one; precision
-    is only recorded in the provenance.
+    module name, with p's PhaseKernel, so a wrapper installed there sees
+    every one, and compute e(x) in place, in rows the stream keeps;
+    precision is only recorded in the provenance.
     """
     _check_precision(precision)
+    kernel, scratch = PhaseKernel(p), _EScratch()
 
     def block(start: int, stop: int) -> np.ndarray:
-        return e_array(phase_block_exact(p, start, stop))
+        return e_array(phase_block_exact(kernel, start, stop), scratch, overwrite_x=True)
 
     return SequenceStream(block, bound=1.0, tag=Tag.nil(max(p.degree, 1)),
                           provenance=f"poly_exp(deg={p.degree}, {precision})")
@@ -640,17 +741,19 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
     hold at any n.  precision is a label, checked as in poly_exp.
     """
     _check_precision(precision)
-    terms, m, hits = tuple(terms), int(modulus), dict(hits)
+    terms = tuple((c, r, PhaseKernel(p)) for c, r, p in terms)
+    m, hits, scratch = int(modulus), dict(hits), _EScratch()
 
     def block(start: int, stop: int) -> np.ndarray:
         out = np.zeros(stop - start, dtype=np.complex128)
-        for c, r, p in terms:
+        for c, r, kernel in terms:
             # n = t m + r in [start, stop) for t in [t0, t1)
             t0 = -((start - r) // -m)
             t1 = (stop - 1 - r) // m + 1
             if t1 > t0:
                 out[t0 * m + r - start:: m] += _complex_times(
-                    c, e_array(phase_block_exact(p, t0, t1)))
+                    c, e_array(phase_block_exact(kernel, t0, t1), scratch,
+                               overwrite_x=True))
         for n, val in hits.items():
             if start <= n < stop:
                 out[n - start] += val

@@ -29,6 +29,7 @@ from .exactnum import (
     classify_entropy,
     unipotent_power_polys,
 )
+from . import nilseq
 from .nilseq import (
     SequenceStream,
     Tag,
@@ -167,10 +168,6 @@ def _rational_period(p: PhasePolynomial) -> int:
     return T
 
 
-# points evaluated at a time: bounds the memory, not the bits
-_PIECE = 1 << 15
-
-
 def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
               checkpoints: Sequence[int], precision: str = "exact") -> WeylReport:
     """Two-sided averages (1/(2N+1)) sum_{|n|<=N} e(k p(n)).
@@ -186,16 +183,17 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
     nilseq.poly_exp(k p), which gives each point the same bits however
     the window is cut; precision is a label, checked as there.
 
-    Both routes evaluate _PIECE points at a time, once for all
-    checkpoints, and every sum is a tree_fold fed piece by piece
+    Both routes evaluate nilseq.BLOCK points at a time, once for all
+    checkpoints, and every sum is a tree_fold fed block by block
     (nilseq._TreeFold), which gives the bits of tree_fold over the whole
-    array: memory is a few pieces, whatever N or T.
+    array: BLOCK bounds the memory, a few blocks whatever N or T, and
+    never moves a bit.
     """
     poly_exp(p, precision)  # ValueError for an unknown precision
     cks = sorted(int(k) for k in checkpoints)
     if not cks or cks[0] < 0:
         raise ValueError("need nonnegative checkpoints")
-    n_max = cks[-1]
+    n_max, block = cks[-1], nilseq.BLOCK
     out = []
     for k in harmonics:
         q = p.scale(k)
@@ -205,8 +203,8 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
             values = poly_exp(q).evaluate_block
             period = _TreeFold()
             partial = {N: _TreeFold() for N in cks if (2 * N + 1) % T}
-            for lo in range(0, T, _PIECE):
-                hi = min(lo + _PIECE, T)
+            for lo in range(0, T, block):
+                hi = min(lo + block, T)
                 unit = values(lo, hi)
                 period.feed(unit)
                 rho = np.arange(lo, hi, dtype=np.int64)
@@ -219,6 +217,7 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
                     np.multiply(counts, unit.real, out=weighted.real)
                     np.multiply(counts, unit.imag, out=weighted.imag)
                     fold.feed(weighted)
+                del unit, rho, weighted  # one block's arrays alive at a time
             period_mean = period.total() / T
             means = [partial[N].total() / (2 * N + 1) if N in partial
                      else period_mean for N in cks]
@@ -228,14 +227,15 @@ def weyl_test(p: PhasePolynomial, harmonics: Sequence[int],
         else:
             values = poly_exp(q).evaluate_block
             folds = [_TreeFold() for _ in cks]
-            for lo in range(-n_max, n_max + 1, _PIECE):
-                hi = min(lo + _PIECE, n_max + 1)
+            for lo in range(-n_max, n_max + 1, block):
+                hi = min(lo + block, n_max + 1)
                 vals = values(lo, hi)
                 for N, fold in zip(cks, folds):
                     # the overlap of [lo, hi) with the window [-N, N]
                     a, b = max(lo, -N), min(hi, N + 1)
                     if a < b:
                         fold.feed(vals[a - lo: b - lo])
+                del vals  # one block's values alive at a time
             out.append(WeylHarmonic(harmonic=k, expect_zero=expect,
                                     method="block", period=None,
                                     means=tuple(fold.total() / (2 * N + 1)

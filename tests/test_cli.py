@@ -672,6 +672,26 @@ def test_seq_values_in_many_chunks_match_golden(tmp_path, monkeypatch):
     assert (out / "values.csv").read_bytes() == Path(golden).read_bytes()
 
 
+# every golden of a streamed sum: correlate, weyl and seq
+BLOCK_GOLDENS = [g for g in GOLDENS if g.precision == "exact"
+                 and g.subcommand in ("correlate", "weyl", "seq")]
+
+
+@pytest.mark.parametrize("block", [3, 1000, 1 << 15])
+def test_streamed_goldens_do_not_depend_on_the_block(block, tmp_path, monkeypatch):
+    """nilseq.BLOCK bounds memory, never bits: with blocks of 3, 1000 or
+    2^15 points, every correlate, weyl and seq golden is written byte for
+    byte, so no sum depends on where its blocks are cut."""
+    from nilseqlab import cli, nilseq
+
+    monkeypatch.setattr(nilseq, "BLOCK", block)
+    monkeypatch.delenv("NILSEQ_CACHE_DIR", raising=False)
+    for g in BLOCK_GOLDENS:
+        assert cli.main(g.argv(str(tmp_path))) == 0, g.name
+        os.remove(os.path.join(tmp_path, g.dest, "timings.json"))
+    _assert_goldens_reproduced(str(tmp_path), BLOCK_GOLDENS, f"BLOCK={block}: ")
+
+
 def test_correlate_rejects_segment_size_key(tmp_path, capsys):
     cfg = json.loads(Path(CONFIGS, "correlate_quadratic.json").read_text())
     cfg["segment_size"] = 1 << 15
@@ -1005,6 +1025,24 @@ def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path):
         peaks.append(_peak_rss_mb(["weyl", "--config", str(cfg), "--out",
                                    str(tmp_path / f"out-{name}")]))
     assert peaks[1] < peaks[0] + 8, peaks
+
+
+def test_weyl_faults_do_not_grow_with_n(tmp_path):
+    """weyl evaluates nilseq.BLOCK points at a time, and e(x) works in
+    rows its stream makes once, so its minor page faults do not grow with
+    the window: two harmonics over 4 * 10^6 window points fault at most
+    1500 more pages than over 4 * 10^5.  Pieces of 2^15 points, with
+    e(x)'s scratch made afresh a call, faulted 32.5k against 7.9k."""
+    faults = []
+    for N in (2 * 10 ** 5, 2 * 10 ** 6):
+        cfg = tmp_path / f"weyl-{N}.json"
+        cfg.write_text(json.dumps({
+            "kind": "weyl", "generators": {"g1": SQRT2},
+            "poly": {"basis": "monomial", "coeffs": ["1/7", "g1"]},
+            "harmonics": [1, 2], "checkpoints": [1000, N]}))
+        faults.append(_child_usage(["weyl", "--config", str(cfg), "--out",
+                                    str(tmp_path / f"out-{N}")])["minflt"])
+    assert faults[1] <= faults[0] + 1500, faults
 
 
 def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilseqlab import mobius
+from nilseqlab import mobius, nilseq
+from nilseqlab.exactnum import PhasePolynomial, parse_phase
 from nilseqlab.mobius import (
     SIEVE_BLOCK,
     LimitTooLarge,
@@ -361,6 +362,44 @@ def test_correlate_sums_fold_every_segment_in_the_same_tree(monkeypatch):
         assert rep.sums == tuple(want)
 
 
+def _whole_segment_sums(xi, table, cks):
+    """S(k) from the products over 1..N made at once: the tree_fold of
+    each whole segment's products below k, folded, plus the tree_fold
+    of k's own segment up to k (the oracle of tests/test_cli.py's
+    test_correlate_peak_memory_does_not_grow_with_checkpoints)."""
+    seg, n = mobius.SEGMENT, cks[-1]
+    prods = xi.evaluate_block(1, n + 1) * table.values[1: n + 1]
+    totals = [tree_fold(prods[lo: lo + seg]) for lo in range(0, n, seg)]
+    want = []
+    for k in cks:
+        full = (k - 1) // seg
+        s = tree_fold(np.array(totals[:full], dtype=np.complex128))
+        s += tree_fold(prods[full * seg: k])
+        want.append(s / k)
+    return tuple(want)
+
+
+@pytest.mark.parametrize("block", [nilseq.BLOCK, 1000])
+def test_correlate_checkpoints_on_block_edges(block, monkeypatch):
+    # checkpoints at every block edge +-1 inside two segments, at each
+    # segment's last point, and a last one that no block divides: the
+    # sums are those of the products made a segment at a time
+    monkeypatch.setattr(nilseq, "BLOCK", block)
+    seg = mobius.SEGMENT
+    n = 3 * seg + 3 * block + 7
+    cks = set()
+    for lo in (1, 1 + seg):
+        for a in range(lo + block, lo + seg, block):
+            cks |= {a - 1, a, a + 1}
+        cks.add(lo + seg - 1)
+    cks = sorted(cks) + [n]
+    table = sieve_mobius(n)
+    xi = nilseq.poly_exp(PhasePolynomial.from_coeffs(
+        [parse_phase("1/7"), parse_phase("g1"), parse_phase("3*g1")], basis="monomial"))
+    rep = correlate(xi, cks, table=table)
+    assert rep.sums == _whole_segment_sums(xi, table, cks)
+
+
 def test_correlate_dyadic_linearity_exact():
     table = sieve_mobius(2000)
 
@@ -389,6 +428,10 @@ def test_cache_round_trip(tmp_path):
     back = read_cache(path)
     assert back.limit == table.limit
     assert np.array_equal(back.values, table.values)
+    # one sieve block, not a whole number of 4-value bytes, packed in the
+    # sieve's own rows: the same bytes
+    sieve_cache(997, str(tmp_path / "sieved.bin")).close()
+    assert (tmp_path / "sieved.bin").read_bytes() == Path(path).read_bytes()
 
 
 def test_cache_rejects_bad_magic(tmp_path):
@@ -425,6 +468,33 @@ def test_streamed_cache_bytes_equal_write_cache(writes, tmp_path):
     assert sorted(os.listdir(tmp_path)) == [streamed.name, "table.bin"]
     with sieve_cache(limit) as unlinked:
         assert np.array_equal(unlinked.block(1, limit + 1), table.values[1:])
+
+
+def test_cache_reads_inside_the_last_range_make_no_pread(tmp_path, monkeypatch):
+    # a segment is read and decoded once: every range inside it, such as
+    # a mobius stream's blocks, is a slice of it.  And correlate over
+    # the stream makes one pread a segment
+    n = 3 * mobius.SEGMENT + 5
+    table = sieve_mobius(n)
+    path = str(tmp_path / "mob.bin")
+    write_cache(table, path)
+    reads = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda *a: reads.append(a) or pread(*a))
+    with MobiusCache(open(path, "rb")) as cache:
+        lo, hi = 1 + mobius.SEGMENT, 1 + 2 * mobius.SEGMENT
+        reads.clear()
+        whole = cache.block(lo, hi)
+        assert len(reads) == 1
+        for a, b in ((lo, hi), (lo, lo + 7), (lo + 3, lo + 1000), (hi - 1, hi),
+                     (hi, hi)):
+            assert np.array_equal(cache.block(a, b), table.block(a, b))
+        assert len(reads) == 1
+        assert np.shares_memory(cache.block(lo + 5, hi), whole)
+        reads.clear()
+        rep = correlate(mobius_stream(cache), [100, n], table=cache)
+        assert len(reads) == -(-n // mobius.SEGMENT)
+    assert rep == correlate(mobius_stream(table), [100, n], table=table)
 
 
 def test_cache_block_matches_table_slice(tmp_path):

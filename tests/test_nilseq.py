@@ -115,6 +115,17 @@ def test_e_kernel_pinned_bit_for_bit():
     digest = hashlib.sha256(got.astype("<c16").tobytes()).hexdigest()
     assert digest == E_KERNEL_DIGEST, (
         "e(x) kernel output bits changed on this platform or by an edit")
+    assert np.array_equal(xs, _kernel_pin_arguments())    # x is only read
+    # a stream's route: x reduced in place, in rows kept from call to
+    # call and grown from a short call's, over more than one pass
+    scratch = nilseq._EScratch()
+    assert _bits_of(e_array(xs[:5].copy(), scratch, overwrite_x=True)) == _bits_of(got[:5])
+    twice = e_array(np.concatenate([xs, xs]), scratch, overwrite_x=True)
+    assert _bits_of(twice) == _bits_of(np.concatenate([got, got]))
+
+
+def _bits_of(values):
+    return np.asarray(values).view(np.uint64).tolist()
 
 
 def test_e_kernel_error_bound_against_mpmath():
@@ -157,11 +168,15 @@ def _bits(z):
        st.lists(st.tuples(st.integers(min_value=0, max_value=15),
                           st.integers(min_value=-1, max_value=1)),
                 min_size=1, max_size=6),
-       st.sampled_from(("normal", "signed-zeros", "negative-zeros")))
-def test_streaming_fold_is_tree_fold(length, seed, feeds, values):
+       st.sampled_from(("normal", "signed-zeros", "negative-zeros")),
+       st.booleans())
+def test_streaming_fold_is_tree_fold(length, seed, feeds, values, aligned):
     # feeds of 2^e - 1, 2^e and 2^e + 1 values (e = 0..15, empty feeds
     # included) and of 1, cycled: the total has tree_fold's bits, zero
-    # signs too
+    # signs too.  With `aligned`, each feed of 2^e values is led by the
+    # values that bring the count to a multiple of 2^e, so every such
+    # feed takes the fast path of an aligned power-of-two block, as
+    # correlate's and weyl's blocks do
     rng = np.random.default_rng(seed)
     sizes = [max((1 << e) + d, 0) for e, d in feeds] + [1]
     length = min(length, 200 * (max(sizes) + 1))
@@ -173,11 +188,83 @@ def test_streaming_fold_is_tree_fold(length, seed, feeds, values):
     for size in itertools.cycle(sizes):
         if pos >= length:
             break
+        if aligned and size and size & (size - 1) == 0 and pos % size:
+            lead = size - pos % size
+            fold.feed(a[pos: pos + lead])
+            pos += lead
         fold.feed(a[pos: pos + size])
         pos += size
     want = _tree_fold_reference(a)
     assert _bits(fold.total()) == _bits(want)
     assert _bits(nilseq.tree_fold(a)) == _bits(want)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 5, 8, 1 << 13])
+@pytest.mark.parametrize("values", ["normal", "negative-zeros"])
+@pytest.mark.parametrize("read", [False, True])
+def test_fold_of_aligned_blocks_is_tree_fold(lead, values, read):
+    # lead values, then the values up to the next multiple of 2^14, then
+    # 2^14-value blocks and a short tail, as correlate feeds a segment:
+    # each whole block meets an aligned count and takes the fast path,
+    # and two whole blocks in a row, the first at a multiple of 2^15,
+    # fold their small levels together.  Every third block is cut at a
+    # checkpoint, whose total is read between the two pieces; with
+    # `read`, a total is read after every block too, so no block waits
+    # for its partner.  Every total has tree_fold's bits over the values
+    # fed so far, and values appended one at a time fold alike
+    block = 1 << 14
+    rng = np.random.default_rng(lead)
+    n = lead + 9 * block + 3
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if values != "normal":
+        a[rng.random(n) < 0.9] = -0.0
+    fold = nilseq._TreeFold()
+    start = -(-lead // block) * block
+    fold.feed(a[:lead])
+    fold.feed(a[lead: start])
+    for i, lo in enumerate(range(start, n, block)):
+        hi = min(lo + block, n)
+        if i % 3 == 1:
+            cut = lo + 3 * i
+            fold.feed(a[lo: cut])
+            assert _bits(fold.total()) == _bits(_tree_fold_reference(a[:cut]))
+            lo = cut
+        fold.feed(a[lo: hi])
+        if read:
+            assert _bits(fold.total()) == _bits(_tree_fold_reference(a[:hi]))
+    assert _bits(fold.total()) == _bits(_tree_fold_reference(a))
+    fold = nilseq._TreeFold()
+    for x in a[:41].tolist():
+        fold.append(x)
+    fold.feed(a[41: 105])
+    assert _bits(fold.total()) == _bits(_tree_fold_reference(a[:105]))
+
+
+@pytest.mark.parametrize("then", ["feed 6145", "append 4096", "feed 1024 then 2048",
+                                  "feed 4096", "feed 2048 then 4096"])
+def test_fold_finishes_a_waiting_block_first(then):
+    # a whole block of 2^11 values at count 0 is folded to its row and
+    # waits for a partner; whatever comes next (a piece of another
+    # length, values one at a time, an aligned block of another length)
+    # meets the block's total at level 11, as tree_fold adds it
+    rng = np.random.default_rng(11)
+    # real parts: the block sums to 2^53 and every later 2^11 values to
+    # 1, so that any other grouping of the level-11 sums than tree_fold's
+    # ((2^53 + 1) + 1 = 2^53) rounds differently
+    a = np.full(1 << 14, 2.0 ** -11) + 1j * rng.standard_normal(1 << 14)
+    a[: 1 << 11] += 2.0 ** 42
+    fold = nilseq._TreeFold()
+    fold.feed(a[: 1 << 11])
+    pos = 1 << 11
+    how, *sizes = then.split()
+    for size in map(int, sizes[::2]):
+        if how == "append":
+            for x in a[pos: pos + size].tolist():
+                fold.append(x)
+        else:
+            fold.feed(a[pos: pos + size])
+        pos += size
+    assert _bits(fold.total()) == _bits(_tree_fold_reference(a[:pos]))
 
 
 # --------------------------------------------------------------------- tags
