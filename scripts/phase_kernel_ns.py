@@ -6,7 +6,7 @@
 The stages are those `mobius.correlate` runs on each block of a
 `poly_exp` stream, nilseq.BLOCK points at a time: the phases
 (`nilseq.phase_block_exact`), e(x) of them as the stream computes it
-(`nilseq.e_array` in place, in scratch rows made once), the mu product
+(`nilseq._e_array`, in scratch rows made once), the mu product
 (the values multiplied in place by an int8 block of mu) and the fold of
 the products (`nilseq.tree_fold` of a whole block).  The first two are
 timed at degrees 1-4; the last two do not depend on the degree.  Each
@@ -57,8 +57,8 @@ def stage(name: str, degree: int):
     phases = [nilseq.phase_block_exact(kernel, a, a + BLOCK) for a in starts]
     if name == "e(x)":
         scratch = nilseq._EScratch()
-        return (lambda: [x.copy() for x in phases],
-                lambda xs: [nilseq.e_array(x, scratch, overwrite_x=True) for x in xs])
+        return (lambda: phases,
+                lambda xs: [nilseq._e_array(x, scratch) for x in xs])
     values = [nilseq.e_array(x) for x in phases]
     if name == "mu product":
         mu = mobius.sieve_mobius(BLOCKS * BLOCK).values

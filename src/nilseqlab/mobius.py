@@ -382,12 +382,12 @@ _DECODE = (((np.arange(256)[:, None] >> np.arange(0, 8, 2)) % 4 - 1)
            .astype(np.int8).view("<u4").ravel())
 
 
-def _pack(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _pack(mu: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     """Payload bytes of mu values, a view of rows[1]; a block not the
-    last has 4k values.  rows is uint8, two rows with room for len(mu)
-    rounded up to 4 (a _SieveWork's): the codes are made in rows[0] and
-    packed into rows[1], so mu may be a view of rows[1], as a sieved
-    block is."""
+    last has 4k values.  rows is two uint8 rows, the first with room for
+    len(mu) rounded up to 4 and the second for a quarter of that: the
+    codes are made in rows[0] and packed into rows[1], so mu may be a
+    view of rows[1], as a sieved block is in its _SieveWork's rows."""
     buf, out = rows
     m = len(mu)
     enc = buf[: -(-m // 4) * 4]
@@ -406,7 +406,7 @@ def _pack(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _write_cache_file(f: BinaryIO, limit: int,
                       block: Callable[[int, int], np.ndarray],
-                      rows: np.ndarray) -> None:
+                      rows: Sequence[np.ndarray]) -> None:
     """Write mu(1..limit), taken from block(lo, hi) one SIEVE_BLOCK at a
     time, to the binary file f in the cache format, each block packed in
     rows (see _pack).  The payload goes out in order behind a blank
@@ -530,7 +530,8 @@ def sieve_cache(limit: int, path: str | None = None) -> MobiusCache:
 
 def write_cache(table: MobiusTable, path: str) -> None:
     """Store the table at path atomically, as sieve_cache would."""
-    rows = np.empty((2, -(-min(SIEVE_BLOCK, table.limit) // 4) * 4), dtype=np.uint8)
+    size = -(-min(SIEVE_BLOCK, table.limit) // 4) * 4
+    rows = (np.empty(size, dtype=np.uint8), np.empty(size // 4, dtype=np.uint8))
     write_atomic(path, lambda f: _write_cache_file(f, table.limit, table.block, rows))
 
 

@@ -138,49 +138,46 @@ def _horner(coeffs: tuple[float, ...], r2: np.ndarray, acc: np.ndarray) -> None:
 # seq); bounds memory, never bits
 BLOCK = 1 << 14
 
-# points per pass of e_array: its scratch is two float64 rows this long
+# points per pass of e_array: its scratch is three float64 rows this long
 _E_CHUNK = 1 << 14
 
 
 class _EScratch:
-    """The scratch rows of e_array, made once by a caller that evaluates
-    block after block (a stream) and passed to every call, so that no
-    call makes its own; they grow to the longest pass asked for, at most
-    _E_CHUNK points."""
+    """The scratch rows of e(x), made once by a stream that evaluates
+    block after block and passed to each of its calls (_e_array), so
+    that no call makes its own; they grow to the longest pass asked
+    for, at most _E_CHUNK points."""
 
     def __init__(self):
-        self._rows = np.empty((2, 0))
+        self._rows = np.empty((3, 0))
 
     def rows(self, n: int) -> np.ndarray:
-        """Two float64 rows of at least min(n, _E_CHUNK) points."""
+        """Three float64 rows of at least min(n, _E_CHUNK) points."""
         if self._rows.shape[1] < min(n, _E_CHUNK):
-            self._rows = np.empty((2, min(n, _E_CHUNK)))
+            self._rows = np.empty((3, min(n, _E_CHUNK)))
         return self._rows
 
 
-def e_array(x, scratch: _EScratch | None = None, overwrite_x: bool = False) -> np.ndarray:
-    """e(x) elementwise for a float64 array of any shape.
+def e_array(x) -> np.ndarray:
+    """e(x) elementwise for a float64 array of any shape."""
+    return _e_array(x, _EScratch())
 
-    The passes reduce x in place when overwrite_x is set (a caller that
-    owns x and needs it no more), else a copy of each pass's part, and
-    they write into the rows of scratch, or into rows made for the call
-    when it is None.
-    """
+
+def _e_array(x, scratch: _EScratch) -> np.ndarray:
+    """e_array(x), computed in the rows of scratch; x is only read."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.complex128)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    # the reduction, both polynomials and the quarter turn write into x,
-    # the output and two scratch rows, not into a new array a step
-    scratch = (_EScratch() if scratch is None else scratch).rows(flat_x.size)
+    # the reduction, both polynomials and the quarter turn write into
+    # the output and the three scratch rows, not into a new array a step
+    rows = scratch.rows(flat_x.size)
     for a in range(0, flat_x.size, _E_CHUNK):
-        t = flat_x[a: a + _E_CHUNK]
-        if not overwrite_x:
-            t = t.copy()
-        r2, acc = scratch[:, :t.size]
-        dst = flat_out[a: a + t.size]
-        j = dst.view(np.float64)[:t.size]   # the output is free until sin
-        np.rint(t, out=r2)
-        np.subtract(t, r2, out=t)
+        xs = flat_x[a: a + _E_CHUNK]
+        t, r2, acc = rows[:, :xs.size]
+        dst = flat_out[a: a + xs.size]
+        j = dst.view(np.float64)[:xs.size]  # the output is free until sin
+        np.rint(xs, out=t)
+        np.subtract(xs, t, out=t)
         np.multiply(t, 4.0, out=t)
         np.rint(t, out=j)
         np.subtract(t, j, out=t)            # t is now r
@@ -193,7 +190,7 @@ def e_array(x, scratch: _EScratch | None = None, overwrite_x: bool = False) -> n
         dst.imag = acc
         _horner(_COS_COEFFS, r2, acc)
         dst.real = acc
-        turn = scratch.reshape(-1)[: 2 * t.size].view(np.complex128)
+        turn = rows[1:].reshape(-1)[: 2 * xs.size].view(np.complex128)
         # q is in 0..3; the default mode="raise" would buffer `out`
         np.take(_QUARTER_TURNS_ARRAY, q, out=turn, mode="clip")
         dst *= turn
@@ -211,12 +208,6 @@ def e_phase(x: float) -> complex:
 
 # ---------------------------------------------------------------------------
 # fixed-tree summation
-
-
-# an aligned block of more values is folded down to this many, its tree
-# level that many nodes wide, and kept so that the next block of its
-# length finishes the two blocks' small levels in one pass (_TreeFold)
-_FOLD_ROW = 1 << 10
 
 
 def _fold_power_of_two(a: np.ndarray) -> complex:
@@ -249,17 +240,12 @@ class _TreeFold:
     Level j holds a value exactly when bit j of the count fed so far is
     set.  So a piece of 2^k values fed at a count that 2^k divides meets
     no held value below level k: it is summed whole, level by level with
-    no bookkeeping, and its one total arrives at level k.  When 2^(k+1)
-    divides the count, the piece's tree is first folded only to its
-    _FOLD_ROW-wide level and kept: a next piece of 2^k values is the
-    other half of an aligned 2^(k+1), and the two rows side by side are
-    that block's level, folded on in one pass.
+    no bookkeeping, and its one total arrives at level k.
     """
 
     def __init__(self):
         self._held: list[complex | None] = []
         self._count = 0
-        self._row: tuple[int, np.ndarray] | None = None  # (k, a 2^k piece's row)
 
     def _push(self, level: int, x: complex) -> None:
         """One value arriving at a level."""
@@ -274,15 +260,8 @@ class _TreeFold:
         else:
             held[level] = x
 
-    def _flush(self) -> None:
-        """Finish a kept row: its piece's total arrives at level k."""
-        if self._row is not None:
-            (k, row), self._row = self._row, None
-            self._push(k, _fold_power_of_two(row))
-
     def append(self, x: complex) -> None:
         """The next value of the sequence."""
-        self._flush()
         self._count += 1
         self._push(0, x)
 
@@ -292,20 +271,8 @@ class _TreeFold:
         n, count = a.size, self._count
         self._count += n
         if n > 1 and n & (n - 1) == 0 and count & (n - 1) == 0:
-            k = n.bit_length() - 1
-            while a.size > _FOLD_ROW:
-                a = a[0::2] + a[1::2]
-            if self._row is not None and self._row[0] == k:
-                a = np.concatenate((self._row[1], a))
-                self._row, k = None, k + 1
-            else:
-                self._flush()
-                if count & n == 0 and n > _FOLD_ROW:
-                    self._row = (k, a)
-                    return
-            self._push(k, _fold_power_of_two(a))
+            self._push(n.bit_length() - 1, _fold_power_of_two(a))
             return
-        self._flush()
         held = self._held
         level = 0
         while a.size:
@@ -321,7 +288,6 @@ class _TreeFold:
             level += 1
 
     def total(self) -> complex:
-        self._flush()
         carry = None
         for x in self._held:
             if x is not None:
@@ -702,14 +668,14 @@ def poly_exp(p: PhasePolynomial, precision: str = "exact") -> SequenceStream:
     A phase polynomial of degree k is realized on a k-step manifold, so
     the tag is Nil(max(degree, 1)).  Blocks call phase_block_exact by its
     module name, with p's PhaseKernel, so a wrapper installed there sees
-    every one, and compute e(x) in place, in rows the stream keeps;
+    every one, and compute e(x) in scratch rows the stream keeps;
     precision is only recorded in the provenance.
     """
     _check_precision(precision)
     kernel, scratch = PhaseKernel(p), _EScratch()
 
     def block(start: int, stop: int) -> np.ndarray:
-        return e_array(phase_block_exact(kernel, start, stop), scratch, overwrite_x=True)
+        return _e_array(phase_block_exact(kernel, start, stop), scratch)
 
     return SequenceStream(block, bound=1.0, tag=Tag.nil(max(p.degree, 1)),
                           provenance=f"poly_exp(deg={p.degree}, {precision})")
@@ -752,8 +718,7 @@ def phase_sum_block(terms: Sequence[tuple[complex, int, PhasePolynomial]],
             t1 = (stop - 1 - r) // m + 1
             if t1 > t0:
                 out[t0 * m + r - start:: m] += _complex_times(
-                    c, e_array(phase_block_exact(kernel, t0, t1), scratch,
-                               overwrite_x=True))
+                    c, _e_array(phase_block_exact(kernel, t0, t1), scratch))
         for n, val in hits.items():
             if start <= n < stop:
                 out[n - start] += val

@@ -116,11 +116,11 @@ def test_e_kernel_pinned_bit_for_bit():
     assert digest == E_KERNEL_DIGEST, (
         "e(x) kernel output bits changed on this platform or by an edit")
     assert np.array_equal(xs, _kernel_pin_arguments())    # x is only read
-    # a stream's route: x reduced in place, in rows kept from call to
-    # call and grown from a short call's, over more than one pass
+    # a stream's route: rows kept from call to call and grown from a
+    # short call's, over more than one pass
     scratch = nilseq._EScratch()
-    assert _bits_of(e_array(xs[:5].copy(), scratch, overwrite_x=True)) == _bits_of(got[:5])
-    twice = e_array(np.concatenate([xs, xs]), scratch, overwrite_x=True)
+    assert _bits_of(nilseq._e_array(xs[:5], scratch)) == _bits_of(got[:5])
+    twice = nilseq._e_array(np.concatenate([xs, xs]), scratch)
     assert _bits_of(twice) == _bits_of(np.concatenate([got, got]))
 
 
@@ -205,13 +205,11 @@ def test_streaming_fold_is_tree_fold(length, seed, feeds, values, aligned):
 def test_fold_of_aligned_blocks_is_tree_fold(lead, values, read):
     # lead values, then the values up to the next multiple of 2^14, then
     # 2^14-value blocks and a short tail, as correlate feeds a segment:
-    # each whole block meets an aligned count and takes the fast path,
-    # and two whole blocks in a row, the first at a multiple of 2^15,
-    # fold their small levels together.  Every third block is cut at a
-    # checkpoint, whose total is read between the two pieces; with
-    # `read`, a total is read after every block too, so no block waits
-    # for its partner.  Every total has tree_fold's bits over the values
-    # fed so far, and values appended one at a time fold alike
+    # each whole block meets an aligned count and takes the fast path.
+    # Every third block is cut at a checkpoint, whose total is read
+    # between the two pieces; with `read`, a total is read after every
+    # block too.  Every total has tree_fold's bits over the values fed
+    # so far, and values appended one at a time fold alike
     block = 1 << 14
     rng = np.random.default_rng(lead)
     n = lead + 9 * block + 3
@@ -242,11 +240,11 @@ def test_fold_of_aligned_blocks_is_tree_fold(lead, values, read):
 
 @pytest.mark.parametrize("then", ["feed 6145", "append 4096", "feed 1024 then 2048",
                                   "feed 4096", "feed 2048 then 4096"])
-def test_fold_finishes_a_waiting_block_first(then):
-    # a whole block of 2^11 values at count 0 is folded to its row and
-    # waits for a partner; whatever comes next (a piece of another
-    # length, values one at a time, an aligned block of another length)
-    # meets the block's total at level 11, as tree_fold adds it
+def test_aligned_block_total_meets_later_values_at_its_level(then):
+    # a whole block of 2^11 values at count 0 takes the fast path, and
+    # its total arrives at level 11; whatever comes next (a piece of
+    # another length, values one at a time, an aligned block of another
+    # length) meets it there, as tree_fold adds it
     rng = np.random.default_rng(11)
     # real parts: the block sums to 2^53 and every later 2^11 values to
     # 1, so that any other grouping of the level-11 sums than tree_fold's
