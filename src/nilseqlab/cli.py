@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from .mobius import MobiusCache
     from .nctorus import ThetaMatrix
     from .nilseq import SequenceStream
-    from .spectral import SparseVector
 
 __all__ = ["ValidationError", "run", "emit_plotdata", "main", "entry"]
 
@@ -55,6 +54,10 @@ _CSV_CHUNK = 1 << 16
 # a weyl run sums e(k p(n)) over every window [-N, N] for every harmonic
 # k; the total, not only the widest window, bounds its time
 _WEYL_POINTS = 10 ** 8
+# digits in a row in a generator value or a phase literal: CPython's
+# default int/str limit, which PYTHONINTMAXSTRDIGITS=0 lifts and 3.10.0-6
+# lack, so the reader checks it itself and exits alike under every setting
+_MAX_DIGITS = 4300
 
 KINDS = ("classify", "torus-seq", "nc-seq", "decompose", "correlate", "weyl")
 
@@ -86,18 +89,20 @@ def _int(obj: Any, where: str) -> int:
     return obj
 
 
-def _int_list(obj: Any, where: str) -> list[int]:
-    if not isinstance(obj, list):
-        raise ValidationError(f"{where}: expected a list of integers")
-    return [_int(x, where) for x in obj]
+def _list(obj: Any, where: str, item: Callable[[Any, str], Any],
+          size: int | None = None) -> list:
+    """The JSON list obj, item i read as item(x, f"{where}[{i}]"); size is
+    its required length, 0 meaning any nonempty list and None any length."""
+    if not isinstance(obj, list) or (
+            size is not None and (len(obj) != size if size else not obj)):
+        want = ("a list" if size is None else "a nonempty list" if size == 0
+                else f"a list of length {size}")
+        raise ValidationError(f"{where}: expected {want}")
+    return [item(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
 def _int_matrix(obj: Any, where: str) -> IntMatrix:
-    if not isinstance(obj, list) or not obj:
-        raise ValidationError(f"{where}: expected a nonempty list of rows")
-    rows = [_int_list(r, where) for r in obj]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValidationError(f"{where}: matrix must be square")
+    rows = _list(obj, where, lambda row, at: _list(row, at, _int), 0)
     try:
         A = IntMatrix.from_rows(rows)
     except Exception as exc:
@@ -107,9 +112,22 @@ def _int_matrix(obj: Any, where: str) -> IntMatrix:
     return A
 
 
+def _digits(text: str, where: str) -> None:
+    """Reject text holding a run of more than _MAX_DIGITS digits, each run
+    one int() of Fraction's (an underscore between digits joins them, as
+    int() reads them)."""
+    import re   # loaded with json already
+
+    for number in re.findall(r"\d+(?:_\d+)*", text):
+        if len(number) - number.count("_") > _MAX_DIGITS:
+            raise ValidationError(
+                f"{where}: a number of more than {_MAX_DIGITS} digits")
+
+
 def _phase(obj: Any, where: str) -> PhaseScalar:
     if not isinstance(obj, str):
         raise ValidationError(f"{where}: phases are strings like '1/3 + 2*g1'")
+    _digits(obj, where)
     try:
         return parse_phase(obj)
     except Exception as exc:
@@ -121,19 +139,12 @@ def _phase_poly(obj: Any, where: str) -> PhasePolynomial:
     basis = obj.get("basis", "binomial")
     if basis not in ("binomial", "monomial"):
         raise ValidationError(f"{where}.basis: must be binomial or monomial")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs:
-        raise ValidationError(f"{where}.coeffs: expected nonempty list")
     return PhasePolynomial.from_coeffs(
-        [_phase(c, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)],
-        basis=basis)
+        _list(obj["coeffs"], f"{where}.coeffs", _phase, 0), basis=basis)
 
 
 def _integral_poly(obj: Any, where: str) -> IntegralPolynomial:
-    coeffs = _int_list(obj, where)
-    if not coeffs:
-        raise ValidationError(f"{where}: expected nonempty coefficient list")
-    return IntegralPolynomial.from_binomial(coeffs)
+    return IntegralPolynomial.from_binomial(_list(obj, where, _int, 0))
 
 
 def _finite(x: Any) -> bool:
@@ -152,10 +163,9 @@ def _complex(obj: dict, where: str) -> complex:
     return complex(re, im)
 
 
-def _checkpoints(obj: Any, where: str, minimum: int = 1) -> list[int]:
-    pts = _int_list(obj, where)
-    if not pts:
-        return []
+def _checkpoints(obj: Any, where: str, minimum: int = 1,
+                 size: int | None = 0) -> list[int]:
+    pts = _list(obj, where, _int, size)
     if sorted(pts) != pts or any(p < minimum for p in pts):
         raise ValidationError(f"{where}: checkpoints must be increasing and >= {minimum}")
     return pts
@@ -168,6 +178,7 @@ def _declare_generators(cfg: dict) -> None:
     for gid, value in gens.items():
         if not isinstance(value, str):
             raise ValidationError(f"generators.{gid}: value must be a decimal string")
+        _digits(value, f"generators.{gid}")
         try:
             declare_generator(gid, value)
         except Exception as exc:
@@ -178,32 +189,25 @@ def _declare_generators(cfg: dict) -> None:
 # sequence construction (shared by seq and correlate kinds)
 
 
-def _sparse_vector(obj: Any, where: str, dim: int) -> SparseVector:
-    from .spectral import SparseVector
+def _terms(obj: Any, where: str, key: str, dim: int,
+           size: int | None = None) -> dict[tuple[int, ...], complex]:
+    """The entries {key: dim integers, re, im} of a list, as a map from
+    each key to the sum of its coefficients."""
+    def entry(obj: Any, where: str) -> tuple[tuple[int, ...], complex]:
+        _check_keys(obj, where, [key], ["re", "im"])
+        return (tuple(_list(obj[key], f"{where}.{key}", _int, dim)),
+                _complex(obj, where))
 
-    if not isinstance(obj, list):
-        raise ValidationError(f"{where}: expected a list of site entries")
-    sites = {}
-    for i, entry in enumerate(obj):
-        _check_keys(entry, f"{where}[{i}]", ["site"], ["re", "im"])
-        site = tuple(_int_list(entry["site"], f"{where}[{i}].site"))
-        if len(site) != dim:
-            raise ValidationError(f"{where}[{i}].site: expected length {dim}")
-        sites[site] = sites.get(site, 0) + _complex(entry, f"{where}[{i}]")
-    return SparseVector.from_sites(dim, sites)
+    terms = {}
+    for k, c in _list(obj, where, entry, size):
+        terms[k] = terms.get(k, 0) + c
+    return terms
 
 
 def _theta(obj: Any, where: str, d: int) -> ThetaMatrix:
     from .nctorus import ThetaMatrix
 
-    if not isinstance(obj, list) or len(obj) != d:
-        raise ValidationError(f"{where}: expected {d} rows of phase strings")
-    rows = []
-    for j, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != d:
-            raise ValidationError(f"{where}[{j}]: expected {d} entries")
-        rows.append(tuple(_phase(x, f"{where}[{j}][{k}]")
-                          for k, x in enumerate(row)))
+    rows = _list(obj, where, lambda row, at: tuple(_list(row, at, _phase, d)), d)
     try:
         return ThetaMatrix(tuple(rows))
     except Exception as exc:
@@ -243,36 +247,22 @@ def build_sequence(spec: Any, precision: str) -> SequenceStream:
 
         A = _int_matrix(spec["matrix"], "sequence.matrix")
         pt = torus.TorusPoint.make(
-            [_phase(c, f"sequence.point[{i}]")
-             for i, c in enumerate(spec["point"])])
-        ch = torus.Character(tuple(_int_list(spec["character"],
-                                             "sequence.character")))
-        if pt.dim != A.dim or len(ch.vector) != A.dim:
-            raise ValidationError("sequence: matrix/point/character dimensions differ")
+            _list(spec["point"], "sequence.point", _phase, A.dim))
+        ch = torus.Character(tuple(
+            _list(spec["character"], "sequence.character", _int, A.dim)))
         return torus.character_seq(A, pt, ch, precision=precision).stream
     if t == "nc":
         _check_keys(spec, "sequence",
                     ["type", "S", "theta", "element", "state_vector"])
         from . import nctorus
+        from .spectral import SparseVector
 
         S = _int_matrix(spec["S"], "sequence.S")
         theta = _theta(spec["theta"], "sequence.theta", S.dim)
-        elem_spec = spec["element"]
-        if not isinstance(elem_spec, list) or not elem_spec:
-            raise ValidationError("sequence.element: expected a nonempty term list")
-        terms = {}
-        for i, term in enumerate(elem_spec):
-            _check_keys(term, f"sequence.element[{i}]", ["exponents"],
-                        ["re", "im"])
-            exps = tuple(_int_list(term["exponents"],
-                                   f"sequence.element[{i}].exponents"))
-            if len(exps) != S.dim:
-                raise ValidationError(
-                    f"sequence.element[{i}].exponents: expected length {S.dim}")
-            terms[exps] = terms.get(exps, 0) + _complex(
-                term, f"sequence.element[{i}]")
-        u = nctorus.WeylElement.from_terms(S.dim, terms)
-        w = _sparse_vector(spec["state_vector"], "sequence.state_vector", S.dim)
+        u = nctorus.WeylElement.from_terms(S.dim, _terms(
+            spec["element"], "sequence.element", "exponents", S.dim, 0))
+        w = SparseVector.from_sites(S.dim, _terms(
+            spec["state_vector"], "sequence.state_vector", "site", S.dim))
         try:
             return nctorus.state_seq(S, theta, u, w, precision=precision)
         except (nctorus.NotCompatible, nctorus.NotUnitVector,
@@ -369,8 +359,6 @@ def _run_correlate(cfg: dict, precision: str) -> dict:
     from . import mobius
 
     pts = _checkpoints(cfg["checkpoints"], "checkpoints")
-    if not pts:
-        raise ValidationError("checkpoints: need at least one")
     if pts[-1] > mobius.HARD_LIMIT:
         raise ValidationError(f"checkpoints: at most {mobius.HARD_LIMIT}, the sieve bound")
     spec = cfg["sequence"]
@@ -404,12 +392,10 @@ def _run_weyl(cfg: dict, precision: str) -> dict:
     from . import torus
 
     poly = _phase_poly(cfg["poly"], "poly")
-    harmonics = _int_list(cfg["harmonics"], "harmonics")
-    if not harmonics or any(k == 0 for k in harmonics):
+    harmonics = _list(cfg["harmonics"], "harmonics", _int, 0)
+    if any(k == 0 for k in harmonics):
         raise ValidationError("harmonics: need nonzero integers")
     pts = _checkpoints(cfg["checkpoints"], "checkpoints", minimum=0)
-    if not pts:
-        raise ValidationError("checkpoints: need at least one")
     if 2 * pts[-1] + 1 > 10 ** 7:
         raise ValidationError("checkpoints: window [-N, N] wider than 10^7 samples")
     if len(harmonics) * sum(2 * N + 1 for N in pts) > _WEYL_POINTS:
@@ -440,51 +426,42 @@ def _run_decompose(cfg: dict, precision: str) -> dict:
                 ["generators", "checkpoints"])
     from .spectral import GPolynomial, ShiftPhaseOperator, SparseVector, decompose
 
-    ops_spec = cfg["operators"]
-    if not isinstance(ops_spec, list) or not ops_spec:
-        raise ValidationError("operators: expected a nonempty list")
-    ops = []
-    delta = None
-    for i, o in enumerate(ops_spec):
-        _check_keys(o, f"operators[{i}]", ["shift"], ["phase", "form"])
-        shift = _int_list(o["shift"], f"operators[{i}].shift")
-        if delta is None:
-            delta = len(shift)
-        if len(shift) != delta:
-            raise ValidationError(f"operators[{i}].shift: inconsistent dimension")
-        phase = _phase(o.get("phase", "0"), f"operators[{i}].phase")
-        form_spec = o.get("form", ["0"] * delta)
-        if not isinstance(form_spec, list) or len(form_spec) != delta:
-            raise ValidationError(f"operators[{i}].form: expected {delta} phases")
-        form = [_phase(x, f"operators[{i}].form[{j}]")
-                for j, x in enumerate(form_spec)]
-        ops.append(ShiftPhaseOperator.make(shift, phase, form))
-    polys_spec = cfg["polys"]
-    if not isinstance(polys_spec, list) or len(polys_spec) != len(ops):
-        raise ValidationError("polys: need one binomial coefficient list per operator")
-    polys = [_integral_poly(p, f"polys[{i}]") for i, p in enumerate(polys_spec)]
-    g = GPolynomial.make(ops, polys)
+    def operator(obj: Any, where: str) -> ShiftPhaseOperator:
+        nonlocal delta
+        _check_keys(obj, where, ["shift"], ["phase", "form"])
+        shift = _list(obj["shift"], f"{where}.shift", _int, delta)
+        delta = len(shift)
+        phase = _phase(obj.get("phase", "0"), f"{where}.phase")
+        form = _list(obj.get("form", ["0"] * delta), f"{where}.form", _phase,
+                     delta)
+        return ShiftPhaseOperator.make(shift, phase, form)
+
+    delta = 0   # the first shift sets the lattice dimension, at least 1
+    ops = _list(cfg["operators"], "operators", operator, 0)
+    g = GPolynomial.make(ops, _list(cfg["polys"], "polys", _integral_poly,
+                                    len(ops)))
+
+    def atom(obj: Any, where: str) -> tuple[str, complex, list[PhaseScalar]]:
+        _check_keys(obj, where, ["id", "eigenphases"], ["re", "im"])
+        return (str(obj["id"]), _complex(obj, where),
+                _list(obj["eigenphases"], f"{where}.eigenphases", _phase,
+                      len(ops)))
 
     def vec(key: str) -> SparseVector:
         entry = cfg[key]
         _check_keys(entry, key, [], ["sites", "atoms"])
-        v = _sparse_vector(entry.get("sites", []), f"{key}.sites", delta)
-        atoms = {}
-        for i, a in enumerate(entry.get("atoms", [])):
-            _check_keys(a, f"{key}.atoms[{i}]", ["id", "eigenphases"],
-                        ["re", "im"])
-            phases = a["eigenphases"]
-            if not isinstance(phases, list) or len(phases) != len(ops):
-                raise ValidationError(
-                    f"{key}.atoms[{i}].eigenphases: expected {len(ops)} phases")
-            atoms[str(a["id"])] = (
-                _complex(a, f"{key}.atoms[{i}]"),
-                [_phase(x, f"{key}.atoms[{i}].eigenphases[{j}]")
-                 for j, x in enumerate(phases)])
-        return SparseVector.from_sites(delta, v.site_dict(), atoms)
+        sites = _terms(entry.get("sites", []), f"{key}.sites", "site", delta)
+        atoms = {aid: (c, phases) for aid, c, phases
+                 in _list(entry.get("atoms", []), f"{key}.atoms", atom)}
+        return SparseVector.from_sites(delta, sites, atoms)
 
     u, v = vec("u"), vec("v")
-    pts = _checkpoints(cfg.get("checkpoints", []), "checkpoints")
+    v_atoms = v.atom_dict()
+    for aid, _, phases in u.atoms:
+        if aid in v_atoms and v_atoms[aid][1] != phases:
+            raise ValidationError(
+                f"u.atoms, v.atoms: atom {aid!r} has different eigenphases in u and v")
+    pts = _checkpoints(cfg.get("checkpoints", []), "checkpoints", size=None)
     res = decompose(g, u, v)
     out = res.to_json_dict()
     out["cesaro_bounds"] = {str(N): res.certificate.cesaro_bound(N) for N in pts}

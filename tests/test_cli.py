@@ -763,6 +763,68 @@ def test_nonfinite_coefficients_fail_validation(site, part, value, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("point", ["01", {"0": 1, "1/3": 2}],
+                         ids=["string", "object"])
+def test_torus_point_must_be_a_list(point, tmp_path, capsys):
+    """A string or an object iterates as its characters or its keys,
+    which once ran as the point (0, 1)."""
+    cfg = json.loads(Path(CONFIGS, "seq_torus_shear.json").read_text())
+    cfg["sequence"]["point"] = point
+    out = tmp_path / "out"
+    assert _main("seq", write_config(tmp_path, cfg), out) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "sequence.point: expected a list of length 2")
+
+
+def test_decompose_atom_with_two_eigenphase_sets_fails_validation(tmp_path,
+                                                                 capsys):
+    """An atom id shared by u and v is one eigenvector: eigenphases that
+    differ are a config error, checked before decompose runs."""
+    cfg = json.loads(Path(CONFIGS, "decompose_heisenberg.json").read_text())
+    for key, phases in (("u", ["1/3", "g1"]), ("v", ["1/5", "g1"])):
+        cfg[key]["atoms"] = [{"id": "a", "re": 0.5, "eigenphases": phases}]
+    out = tmp_path / "out"
+    assert _main("decompose", write_config(tmp_path, cfg), out) == 2
+    assert not out.exists()
+    shown = json.loads(capsys.readouterr().err)["error"]
+    assert shown["stage"] == "validate"
+    assert "atom 'a'" in shown["message"]
+
+
+@pytest.mark.parametrize("setting", [None, "0"], ids=["default", "unlimited"])
+def test_digit_bound_does_not_depend_on_the_interpreter(setting, tmp_path,
+                                                        monkeypatch):
+    """A number of more than 4300 digits in a generator value or a phase
+    literal fails validation under any int/str conversion limit: the
+    reader checks the bound itself, before Fraction parses the number.
+    A 4000-digit generator runs."""
+    if setting is None:
+        monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", setting)
+
+    def weyl(generator, coeff):
+        body = {"kind": "weyl", "generators": {"g1": generator},
+                "poly": {"coeffs": ["0", coeff]}, "harmonics": [1],
+                "checkpoints": [10]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(body))
+        return run_cli("weyl", "--config", str(path), "--out", str(out))
+
+    out = tmp_path / "out"
+    for where, generator, coeff in (
+            ("generators.g1", "1." + "4" * 5000, "g1"),
+            ("poly.coeffs[1]", SQRT2, "1/" + "7" * 5000)):
+        code, _, err = weyl(generator, coeff)
+        assert code == 2, err
+        assert not out.exists()
+        assert json.loads(err)["error"]["message"] == (
+            f"{where}: a number of more than 4300 digits")
+    code, _, err = weyl("1." + "4" * 3999, "g1")
+    assert code == 0, err
+
+
 def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):
     from nilseqlab import torus
 
@@ -900,7 +962,27 @@ def test_correlate_sums_do_not_depend_on_the_weight_source(sequence, tmp_path,
         assert [(s.real, s.imag) for s in rep.sums] == want
 
 
-def _child_usage(argv, env=None):
+@pytest.fixture(scope="session")
+def child_env(tmp_path_factory):
+    """Environment of the memory guards' CLI children: bytecode is read
+    from one session cache, which one child fills before any measured
+    child runs.  Where PYTHONDONTWRITEBYTECODE is set, each child would
+    compile every module it imports, and its peak RSS would be the
+    compiler's (about 2 MB above its computation's).  The filling child
+    imports every module a measured child does (mpmath for a positive
+    entropy)."""
+    env = dict(os.environ,
+               PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env.pop("NILSEQ_CACHE_DIR", None)
+    subprocess.run([sys.executable, "-c", "import runpy, mpmath, "
+                    "nilseqlab.cli, nilseqlab.mobius, nilseqlab.nctorus, "
+                    "nilseqlab.torus"],
+                   env=env, cwd=REPO, check=True, timeout=300)
+    return env
+
+
+def _child_usage(argv, env):
     """What `python -m nilseqlab.cli *argv` used, which must exit 0: the
     JSON line of scripts/child_rusage.py, which reads the child's own
     rusage from os.wait4."""
@@ -913,70 +995,74 @@ def _child_usage(argv, env=None):
     return usage
 
 
-def _peak_rss_mb(argv, env=None):
+def _peak_rss_mb(argv, env):
     """Peak RSS in MB of `python -m nilseqlab.cli *argv`, which must
     exit 0."""
     return _child_usage(argv, env)["max_rss_kib"] / 1024
 
 
-def _correlate_usage(tmp_path, checkpoints, cache=False, threads="1"):
+def _correlate_usage(env, tmp_path, checkpoints, cache=False, threads="1"):
     """The usage of a constant-sequence correlate child, with a cold
     NILSEQ_CACHE_DIR of its own or with none."""
     name = f"{len(checkpoints)}-{checkpoints[-1]}"
     cfg = tmp_path / f"correlate-{name}.json"
     cfg.write_text(json.dumps({"kind": "correlate", "checkpoints": checkpoints,
                                "sequence": {"type": "constant", "re": 1.0}}))
-    env = dict(os.environ)
-    env.pop("NILSEQ_CACHE_DIR", None)
+    env = dict(env)
     if cache:
         env["NILSEQ_CACHE_DIR"] = str(tmp_path / f"cache-{name}")
     return _child_usage(["correlate", "--config", str(cfg), "--out",
                          str(tmp_path / f"out-{name}"), "--threads", threads], env)
 
 
-def _correlate_peak_mb(tmp_path, checkpoints, cache=False, threads="1"):
-    return _correlate_usage(tmp_path, checkpoints, cache, threads)["max_rss_kib"] / 1024
+def _correlate_peak_mb(env, tmp_path, checkpoints, cache=False, threads="1"):
+    return _correlate_usage(env, tmp_path, checkpoints, cache,
+                            threads)["max_rss_kib"] / 1024
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
-def test_cold_correlate_faults_do_not_grow_with_n(cache, tmp_path):
+def test_cold_correlate_faults_do_not_grow_with_n(cache, tmp_path, child_env):
     """The sieve makes every block in one set of buffers, so a cold
     correlate's minor page faults do not grow with N: ten times the
     points fault at most 1500 more pages.  Temporaries made afresh for
     each 2^19-point block, and trimmed back after it, fault about 6600
     more."""
-    small, large = (_correlate_usage(tmp_path, [n], cache)["minflt"]
+    small, large = (_correlate_usage(child_env, tmp_path, [n], cache)["minflt"]
                     for n in (4 * 10 ** 5, 4 * 10 ** 6))
     assert large <= small + 1500, (small, large)
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cold-cache", "no-cache"])
-def test_correlate_peak_memory_does_not_grow_with_n(cache, tmp_path):
+def test_correlate_peak_memory_does_not_grow_with_n(cache, tmp_path, child_env):
     """correlate holds one sieve block and one summation segment, never a
     table for 1..N: ten times the points peak less than 8 MB higher.  And
     --threads changes nothing: a cold-cache run with two threads peaks
     within 1 MB of the same run with one."""
-    small, large = (_correlate_peak_mb(tmp_path, [n], cache)
+    small, large = (_correlate_peak_mb(child_env, tmp_path, [n], cache)
                     for n in (4 * 10 ** 5, 4 * 10 ** 6))
     assert large < small + 8, (small, large)
     if cache:
         (tmp_path / "threads-2").mkdir()    # a cold cache directory of its own
-        two = _correlate_peak_mb(tmp_path / "threads-2", [4 * 10 ** 6], cache, "2")
+        two = _correlate_peak_mb(child_env, tmp_path / "threads-2",
+                                 [4 * 10 ** 6], cache, "2")
         assert two < large + 1, (large, two)
 
 
-def test_cold_correlate_peak_near_the_warm_one(tmp_path):
-    """A cold-cache correlate holds the sieve's buffers, a byte of weight
-    sum and a byte of value a point, and the packing buffers on top of
-    what a warm one holds: at 4 * 10^6 points it peaks at most 2 MB above
-    the warm run of the same config.  An int32 product a point peaked
-    2.9 MB above it."""
-    cold, warm = (_correlate_peak_mb(tmp_path, [4 * 10 ** 6], cache=True)
+def test_cold_correlate_peak_near_the_warm_one(tmp_path, child_env):
+    """A cold-cache correlate holds the sieve's buffers on top of what a
+    warm one holds: one block's rows, a byte of weight sum and a byte of
+    value a point, in which the block is also packed, the wheel and the
+    last prime list's weights.  At 4 * 10^6 points it peaks at most 2 MB
+    above the warm run of the same config.  An int32 product a point
+    peaked 2.9 MB above it."""
+    cold, warm = (_correlate_peak_mb(child_env, tmp_path, [4 * 10 ** 6],
+                                     cache=True)
                   for _ in range(2))
     assert cold <= warm + 2.0, (cold, warm)
 
 
-def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path):
+def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path,
+                                                              child_env):
     """A checkpoint in each of 61 segments costs correlate one partial sum,
     not the segment's products, and the sums are those of the whole
     products array: each segment total folded, then the partial segment."""
@@ -989,8 +1075,8 @@ def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path):
     seg = mobius.SEGMENT
     rng = random.Random(61)
     cks = [i * seg + rng.randrange(1, seg) for i in range(61)]
-    one = _correlate_peak_mb(tmp_path, cks[-1:])
-    many = _correlate_peak_mb(tmp_path, cks)
+    one = _correlate_peak_mb(child_env, tmp_path, cks[-1:])
+    many = _correlate_peak_mb(child_env, tmp_path, cks)
     assert many < one + 8, (one, many)
 
     n = cks[-1]
@@ -1011,7 +1097,8 @@ def test_correlate_peak_memory_does_not_grow_with_checkpoints(tmp_path):
     ((["1/7", "g1"], 10 ** 5), (["1/7", "g1"], 10 ** 6)),
     ((["0", "0", "1/99991"], 60000), (["0", "0", "1/999983"], 600000)),
 ], ids=["block", "periodic"])
-def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path):
+def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path,
+                                               child_env):
     """weyl evaluates its window or its period a piece at a time: a
     window of 2 * 10^6 points against one of 2 * 10^5, and a period of
     999983 against one of 99991, peak less than 8 MB higher."""
@@ -1023,11 +1110,11 @@ def test_weyl_peak_memory_does_not_grow_with_n(small, large, tmp_path):
             "poly": {"basis": "monomial", "coeffs": coeffs},
             "harmonics": [1], "checkpoints": [N]}))
         peaks.append(_peak_rss_mb(["weyl", "--config", str(cfg), "--out",
-                                   str(tmp_path / f"out-{name}")]))
+                                   str(tmp_path / f"out-{name}")], child_env))
     assert peaks[1] < peaks[0] + 8, peaks
 
 
-def test_weyl_faults_do_not_grow_with_n(tmp_path):
+def test_weyl_faults_do_not_grow_with_n(tmp_path, child_env):
     """weyl evaluates nilseq.BLOCK points at a time, and e(x) works in
     rows its stream makes once, so its minor page faults do not grow with
     the window: two harmonics over 4 * 10^6 window points fault at most
@@ -1041,11 +1128,12 @@ def test_weyl_faults_do_not_grow_with_n(tmp_path):
             "poly": {"basis": "monomial", "coeffs": ["1/7", "g1"]},
             "harmonics": [1, 2], "checkpoints": [1000, N]}))
         faults.append(_child_usage(["weyl", "--config", str(cfg), "--out",
-                                    str(tmp_path / f"out-{N}")])["minflt"])
+                                    str(tmp_path / f"out-{N}")],
+                                   child_env)["minflt"])
     assert faults[1] <= faults[0] + 1500, faults
 
 
-def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path):
+def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path, child_env):
     """seq evaluates and writes one CSV chunk at a time, never the whole
     range: ten times the points peak less than 8 MB higher."""
     peaks = []
@@ -1053,11 +1141,13 @@ def test_seq_peak_memory_does_not_grow_with_the_range(tmp_path):
         cfg = json.loads(Path(CONFIGS, "seq_torus_shear.json").read_text())
         cfg["range"] = {"start": -n // 2, "stop": n // 2}
         peaks.append(_peak_rss_mb(["seq", "--config", write_config(tmp_path, cfg),
-                                   "--out", str(tmp_path / f"out-{n}")]))
+                                   "--out", str(tmp_path / f"out-{n}")],
+                                  child_env))
     assert peaks[1] < peaks[0] + 8, peaks
 
 
-def test_positive_entropy_nc_peak_memory_does_not_grow_with_n(tmp_path):
+def test_positive_entropy_nc_peak_memory_does_not_grow_with_n(tmp_path,
+                                                             child_env):
     """A positive-entropy nc stream holds one orbit word a term, stepped
     from the last n read, never every word from 0 to n: seq_nc_cat's
     sequence over n in [0, 4000) peaks at most 3 MB higher than over
@@ -1068,7 +1158,8 @@ def test_positive_entropy_nc_peak_memory_does_not_grow_with_n(tmp_path):
                               "seq_nc_cat.json").read_text())
         cfg["range"] = {"start": 0, "stop": n}
         peaks.append(_peak_rss_mb(["seq", "--config", write_config(tmp_path, cfg),
-                                   "--out", str(tmp_path / f"out-{n}")]))
+                                   "--out", str(tmp_path / f"out-{n}")],
+                                  child_env))
     assert peaks[1] <= peaks[0] + 3, peaks
 
 
@@ -1167,6 +1258,13 @@ FUZZ_SEEDS.update({
         "mobius": {"type": "mobius"},
         "constant": {"type": "constant", "re": 0.5},
     }.items()})
+# no shipped config has decompose atoms
+FUZZ_SEEDS["decompose_atoms"] = {
+    **FUZZ_SEEDS["decompose_heisenberg"],
+    "u": {"sites": [{"site": [0], "re": 0.6}],
+          "atoms": [{"id": "a", "re": 0.8, "eigenphases": ["1/3", "g1"]}]},
+    "v": {"sites": [{"site": [0], "re": 0.6}],
+          "atoms": [{"id": "a", "im": 0.8, "eigenphases": ["1/3", "g1"]}]}}
 FUZZ_LEAVES = st.sampled_from([
     None, True, 0, -1, 3, 10 ** 4, 0.5, float("nan"), float("inf"),
     float("-inf"), "", "1/3", "g1", "x", [], [1], [[1, 1], [0, 1]], {},
@@ -1249,6 +1347,27 @@ def test_exit_code_contract_under_config_mutations(data, tmp_path,
     if code == 3:
         with open(os.path.join(out, "report.json")) as f:
             assert json.load(f)["status"] == "error"
+
+
+@pytest.mark.parametrize("name, path, value", [
+    pytest.param(name, path, value,
+                 id=f"{name}-{'.'.join(map(str, path))}-{type(value).__name__}")
+    for name, cfg in sorted(FUZZ_SEEDS.items())
+    for path in _paths(cfg) if isinstance(_at(cfg, path), list)
+    for value in ("01", {"0": 1})])
+def test_every_config_list_rejects_a_string_or_an_object(name, path, value,
+                                                         tmp_path, monkeypatch):
+    """Each position that holds a list in a config must hold a list: a
+    string or an object there fails validation, whatever the position."""
+    from nilseqlab import cli
+
+    monkeypatch.delenv("NILSEQ_CACHE_DIR", raising=False)
+    cfg = copy.deepcopy(FUZZ_SEEDS[name])
+    _at(cfg, path[:-1])[path[-1]] = copy.deepcopy(value)
+    out = tmp_path / "out"
+    assert cli.main([make_goldens.SUBCOMMAND[cfg["kind"]], "--config",
+                     write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_exit_codes_do_not_depend_on_earlier_runs(tmp_path):
