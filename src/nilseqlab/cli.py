@@ -21,7 +21,6 @@ subcommand's layers (numpy with them) load in the `import` stage of
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import os
@@ -124,6 +123,26 @@ def _digits(text: str, where: str) -> None:
                 f"{where}: a number of more than {_MAX_DIGITS} digits")
 
 
+def _decimal(text: str, where: str) -> None:
+    """Reject a decimal whose exact numerator or denominator would have
+    more than _MAX_DIGITS digits.  Written with digits D, d of them after
+    the point, and exponent e, it is int(D) * 10^(e - d): the exponent,
+    not the length of the text, sets the size of the integers Fraction
+    builds, so "1e999999999" would ask for about 415 MB.  Text that is
+    not such a decimal is left to Fraction."""
+    mantissa, _, exp = text.strip().lower().partition("e")
+    whole, _, frac = mantissa.lstrip("+-").partition(".")
+    digits, frac = (whole + frac).replace("_", ""), frac.replace("_", "")
+    try:
+        shift = int(exp or 0) - len(frac)
+    except ValueError:
+        return
+    if digits.isdecimal() and max(len(digits.lstrip("0")) + shift,
+                                  1 - shift) > _MAX_DIGITS:
+        raise ValidationError(
+            f"{where}: a number of more than {_MAX_DIGITS} digits")
+
+
 def _phase(obj: Any, where: str) -> PhaseScalar:
     if not isinstance(obj, str):
         raise ValidationError(f"{where}: phases are strings like '1/3 + 2*g1'")
@@ -179,6 +198,7 @@ def _declare_generators(cfg: dict) -> None:
         if not isinstance(value, str):
             raise ValidationError(f"generators.{gid}: value must be a decimal string")
         _digits(value, f"generators.{gid}")
+        _decimal(value, f"generators.{gid}")
         try:
             declare_generator(gid, value)
         except Exception as exc:
@@ -654,9 +674,77 @@ def _write_report(report: dict, out_dir: str) -> None:
                 {k: v for k, v in report.items() if k != "plot"})
 
 
+_COMMANDS = ("classify", "seq", "decompose", "correlate", "weyl", "report")
+_USAGE = ("usage: nilseqlab {classify,seq,decompose,correlate,weyl,report} "
+          "--config CONFIG [--out OUT] [--threads N] [--precision {exact,fast}]\n")
+_HELP = _USAGE + """
+nilsequence construction, decomposition, and Mobius-correlation experiments
+
+Each option is written --opt VALUE or --opt=VALUE, before or after the
+subcommand; a repeated option keeps its last value.
+
+options:
+  -h, --help                show this help and exit
+  --config CONFIG           JSON config file (or report.json for 'report')
+  --out OUT                 output directory (default: .)
+  --threads N               accepted, checked (>= 1) and recorded in
+                            report.json; every run uses one thread
+  --precision {exact,fast}  accepted and recorded in report.json and in
+                            provenance strings; every phase is exact
+"""
+
+
+def _usage_error(reason: str) -> NoReturn:
+    try:
+        sys.stderr.write(f"{_USAGE}nilseqlab: error: {reason}\n")
+    except (AttributeError, OSError, ValueError):
+        pass  # stderr is None or closed: the exit code still reports
+    raise SystemExit(2)
+
+
+def _parse_args(argv: Sequence[str]) -> tuple[str, str, str, int, str]:
+    """(command, config, out, threads, precision) of a command line.
+
+    `-h`/`--help` prints the help and exits 0; anything else that is not
+    one subcommand and the four options prints the usage and a reason to
+    stderr and raises SystemExit(2)."""
+    opts = {"--config": None, "--out": ".", "--threads": "1",
+            "--precision": "exact"}
+    command = None
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        name, eq, value = arg.partition("=")
+        if name in opts:
+            if not eq and (value := next(args, None)) is None:
+                _usage_error(f"argument {name}: expected one argument")
+            opts[name] = value
+        elif arg.startswith("-") or command is not None:
+            _usage_error(f"unrecognized argument: {arg}")
+        elif arg in _COMMANDS:
+            command = arg
+        else:
+            _usage_error(f"invalid command: {arg!r} (choose from "
+                         f"{', '.join(_COMMANDS)})")
+    if command is None or opts["--config"] is None:
+        _usage_error("the command and --config are required")
+    try:
+        threads = int(opts["--threads"])
+    except ValueError:
+        _usage_error(f"argument --threads: invalid int value: "
+                     f"{opts['--threads']!r}")
+    if opts["--precision"] not in ("exact", "fast"):
+        _usage_error(f"argument --precision: invalid choice: "
+                     f"{opts['--precision']!r} (choose from exact, fast)")
+    return command, opts["--config"], opts["--out"], threads, opts["--precision"]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse the command line and run it; returns the exit code, so the
-    caller keeps running.  Bad arguments raise SystemExit(2) from argparse.
+    caller keeps running.  `-h`/`--help` raises SystemExit(0) after the
+    help and bad arguments SystemExit(2) after the usage line.
     """
     # One OpenBLAS thread: its idle worker spins for about 0.1 s of CPU
     # after numpy loads.  No CLI value path calls BLAS or LAPACK (phase
@@ -665,25 +753,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # loads numpy, not at import, so importing `cli` leaves the
     # environment alone; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = argparse.ArgumentParser(
-        prog="nilseqlab",
-        description="nilsequence construction, decomposition, and "
-                    "Mobius-correlation experiments")
-    parser.add_argument("command", choices=("classify", "seq", "decompose",
-                                            "correlate", "weyl", "report"))
-    parser.add_argument("--config", required=True,
-                        help="JSON config file (or report.json for 'report')")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted, checked (>= 1) and recorded in "
-                             "report.json; every run uses one thread")
-    parser.add_argument("--precision", choices=("exact", "fast"),
-                        default="exact",
-                        help="accepted and recorded in report.json and in "
-                             "provenance strings; every phase is exact")
-    args = parser.parse_args(argv)
-    return run(args.command, args.config, args.out, args.threads,
-               args.precision)
+    return run(*_parse_args(sys.argv[1:] if argv is None else argv))
 
 
 def entry() -> NoReturn:
@@ -693,9 +763,9 @@ def entry() -> NoReturn:
     flushed, without interpreter teardown, which no output needs and
     which costs about 25 ms after numpy loads: write_atomic closes every
     output file before renaming it into place, the sieve's temporary file
-    is already unlinked and no thread but the main one ever runs.  A
-    SystemExit from argparse and a KeyboardInterrupt take the normal exit
-    path.
+    is already unlinked and no thread but the main one ever runs.  The
+    SystemExit of `-h` or of a bad argument and a KeyboardInterrupt take
+    the normal exit path.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
@@ -361,7 +362,7 @@ def test_threads_and_precision_validation(tmp_path):
     assert code == 2
     code, _, _ = run_cli("classify", "--config", cfg, "--out", out,
                          "--precision", "sloppy")
-    assert code == 2  # argparse rejects the choice
+    assert code == 2  # the parser rejects the choice
 
 
 def test_computation_failure_writes_failure_report(tmp_path):
@@ -466,11 +467,26 @@ def test_cache_dir_round_trip(tmp_path):
     assert results[0] == results[1]
 
 
-def test_help_exits_cleanly():
-    code, out, _ = run_cli("--help")
-    assert code == 0
-    for sub in ("classify", "seq", "decompose", "correlate", "weyl", "report"):
-        assert sub in out
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_cleanly(flag):
+    code, out, err = run_cli(flag)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: nilseqlab ")
+    for word in ("classify", "seq", "decompose", "correlate", "weyl", "report",
+                 "--config", "--out", "--threads", "--precision"):
+        assert word in out
+
+
+def test_options_take_equals_form_before_the_subcommand(tmp_path):
+    cfg = os.path.join(CONFIGS, "classify_shear.json")
+    out = tmp_path / "out"
+    code, _, err = run_cli(f"--config={cfg}", f"--out={out}", "--threads=2",
+                           "--precision=fast", "classify")
+    assert code == 0, err
+    assert sorted(os.listdir(out)) == ["report.json", "timings.json"]
+    # the fast golden with --threads 1, the one recorded difference
+    golden = json.loads(Path(GOLDEN, "classify_shear", "report.json").read_text())
+    assert json.loads((out / "report.json").read_text()) == {**golden, "threads": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +500,13 @@ def test_help_exits_cleanly():
     ("classify", "--out", "out"),
     ("classify", "--config", "c.json", "--precision", "bogus"),
     ("classify", "--config", "c.json", "--threads", "x"),
-], ids=["unknown-subcommand", "missing-config", "bad-precision", "bad-threads"])
+    ("classify", "--config", "c.json", "--bogus", "1"),
+    ("classify", "weyl", "--config", "c.json"),
+    ("classify", "--config"),
+    ("classify", "--config", "c.json", "--precision=bogus"),
+], ids=["unknown-subcommand", "missing-config", "bad-precision", "bad-threads",
+        "unknown-option", "second-positional", "config-without-value",
+        "bad-precision-equals"])
 def test_bad_arguments_exit_2_with_usage(args):
     code, out, err = run_cli(*args)
     assert (code, out) == (2, "")
@@ -524,7 +546,7 @@ runpy.run_module("nilseqlab.cli", run_name="__main__")
     ({"type": "constant"}, 0, False),
     ({"type": "constant", "bogus": 1}, 2, False),
     ({"type": "furstenberg", "poly": {"coeffs": ["1/3"]}}, 3, False),
-    (None, 2, True),        # argparse's SystemExit takes the normal exit
+    (None, 2, True),        # a bad argument's SystemExit takes the normal exit
 ], ids=["ok", "validation", "compute", "bad-arguments"])
 def test_entry_skips_teardown_after_main_returns(sequence, code, teardown,
                                                  tmp_path):
@@ -798,7 +820,10 @@ def test_digit_bound_does_not_depend_on_the_interpreter(setting, tmp_path,
     """A number of more than 4300 digits in a generator value or a phase
     literal fails validation under any int/str conversion limit: the
     reader checks the bound itself, before Fraction parses the number.
-    A 4000-digit generator runs."""
+    In exponent notation the bound holds for the exact numerator and
+    denominator, which a short text can make huge ("1e999999999" would
+    be an integer of about 415 MB), and the rejection takes no longer
+    than any other.  A 4000-digit generator and 1.4e10 run."""
     if setting is None:
         monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
     else:
@@ -815,14 +840,41 @@ def test_digit_bound_does_not_depend_on_the_interpreter(setting, tmp_path,
     out = tmp_path / "out"
     for where, generator, coeff in (
             ("generators.g1", "1." + "4" * 5000, "g1"),
+            ("generators.g1", "1e999999999", "g1"),
+            ("generators.g1", "1.4e5000", "g1"),
+            ("generators.g1", "1.4e-5000", "g1"),
             ("poly.coeffs[1]", SQRT2, "1/" + "7" * 5000)):
+        start = time.perf_counter()
         code, _, err = weyl(generator, coeff)
+        assert time.perf_counter() - start < 1, generator
         assert code == 2, err
         assert not out.exists()
         assert json.loads(err)["error"]["message"] == (
             f"{where}: a number of more than 4300 digits")
-    code, _, err = weyl("1." + "4" * 3999, "g1")
-    assert code == 0, err
+    for generator in ("1." + "4" * 3999, "1.4e10"):
+        code, _, err = weyl(generator, "g1")
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("value, ok", [
+    ("1.5e4298", True),          # 15 * 10^4297: 4299 digits
+    ("1.5e4299", True),          # 4300 digits
+    ("1_0e4_299", False),        # 10^4300: 4301 digits
+    ("0e4300", True),
+    ("0e999999999", False),      # Fraction would still build 10^999999999
+    ("5e-4299", True),           # denominator 10^4299: 4300 digits
+    (" -5E-4300 ", False),
+    ("2/3", True),               # no exponent: the digit runs bound it
+    ("1e", True),                # not a decimal: Fraction rejects it
+])
+def test_exponent_bound_counts_exact_digits(value, ok):
+    from nilseqlab import cli
+
+    if ok:
+        cli._decimal(value, "g")
+    else:
+        with pytest.raises(cli.ValidationError, match="more than 4300 digits"):
+            cli._decimal(value, "g")
 
 
 def test_weyl_window_budget_checked_before_compute(tmp_path, monkeypatch):

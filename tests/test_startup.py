@@ -19,7 +19,7 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
 WATCHED = ("numpy", "mpmath", "concurrent.futures", "logging", "traceback",
-           "dataclasses")
+           "dataclasses", "argparse", "gettext")
 TASKS = "/proc/self/task"            # one entry per thread (Linux)
 
 # the CLI (or only its import, with no arguments), then at exit the
