@@ -2,12 +2,13 @@
 """Compare two checkouts on the benchmark's end-to-end metrics, in pairs.
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --seed S --pairs N [--seconds 30]
+        --seed S --pairs N
 
-Pair i runs `bench/run.py --workload W --seed S+i --seconds SEC --trace 0`
-once from each checkout, the parent first in even pairs and the change
-first in odd ones, so that a drift of the machine over the session falls
-on both sides alike.  Each run's last stdout line (one JSON object) gives
+Pair i runs `bench/run.py --workload W --seed S+i --trace 0`, for the
+`run_seconds` of BENCHMARK.json as the benchmark does, once from each
+checkout, the parent first in even pairs and the change first in odd
+ones, so that a drift of the machine over the session falls on both
+sides alike.  Each run's last stdout line (one JSON object) gives
 its metrics, its run count and its failed count; a run that exits
 nonzero, reads `correct: false` or has a failed operation stops the
 comparison.
@@ -73,7 +74,7 @@ def format_row(name: str, unit: str, s: dict) -> str:
 
 
 def bench_once(checkout: str, workload: str, seed: int,
-               seconds: float) -> dict:
+               seconds: int) -> dict:
     """The last-line JSON object of one `bench/run.py --trace 0` run."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
@@ -98,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -107,14 +107,15 @@ def main(argv: list[str] | None = None) -> int:
               "length; a child's peak RSS depends on it", file=sys.stderr)
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = bench_once(sides[side], args.workload, seed, args.seconds)
+            result = bench_once(sides[side], args.workload, seed, seconds)
             for name, series in values[side].items():
                 series.append(result["metrics"][name]["value"])
         print(f"pair {i + 1}/{args.pairs}, seed {seed}, {order[0]} first: "

@@ -611,8 +611,9 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
             raise ValidationError(f"unknown kind {kind!r}")
         reset_generators()      # a run sees only its own config's generators
         _declare_generators(cfg)
-        if precision not in ("exact", "fast"):
-            raise ValidationError("precision must be exact or fast")
+        if precision not in _PRECISIONS:
+            raise ValidationError(
+                f"precision must be {' or '.join(_PRECISIONS)}")
         if _int(threads, "threads") < 1:
             raise ValidationError("threads must be >= 1")
         timings["validate"] = time.perf_counter() - t
@@ -651,10 +652,7 @@ def run(kind: str, config_path: str, out_dir: str, threads: int,
             import traceback
 
             shown["traceback"] = traceback.format_exc()
-        try:
-            sys.stderr.write(json.dumps({"error": shown}, sort_keys=True) + "\n")
-        except (AttributeError, OSError, ValueError):
-            pass  # stderr is None or closed: the exit code still reports
+        _write(sys.stderr, json.dumps({"error": shown}, sort_keys=True) + "\n")
         if rejected:
             return 2
         if report is not None:
@@ -674,14 +672,24 @@ def _write_report(report: dict, out_dir: str) -> None:
                 {k: v for k, v in report.items() if k != "plot"})
 
 
+def _write(stream, text: str) -> None:
+    try:
+        stream.write(text)
+    except (AttributeError, OSError, ValueError):
+        pass  # the stream is None or closed: the exit code still reports
+
+
 _COMMANDS = ("classify", "seq", "decompose", "correlate", "weyl", "report")
-_USAGE = ("usage: nilseqlab {classify,seq,decompose,correlate,weyl,report} "
-          "--config CONFIG [--out OUT] [--threads N] [--precision {exact,fast}]\n")
-_HELP = _USAGE + """
+_PRECISIONS = ("exact", "fast")
+_CHOICES = "{" + ",".join(_PRECISIONS) + "}"
+_USAGE = (f"usage: nilseqlab {{{','.join(_COMMANDS)}}} --config CONFIG "
+          f"[--out OUT] [--threads N] [--precision {_CHOICES}]\n")
+_HELP = _USAGE + f"""
 nilsequence construction, decomposition, and Mobius-correlation experiments
 
 Each option is written --opt VALUE or --opt=VALUE, before or after the
-subcommand; a repeated option keeps its last value.
+subcommand; a repeated option keeps its last value, and a value that
+begins with "--" is written --opt=VALUE.
 
 options:
   -h, --help                show this help and exit
@@ -689,16 +697,13 @@ options:
   --out OUT                 output directory (default: .)
   --threads N               accepted, checked (>= 1) and recorded in
                             report.json; every run uses one thread
-  --precision {exact,fast}  accepted and recorded in report.json and in
+  --precision {_CHOICES}  accepted and recorded in report.json and in
                             provenance strings; every phase is exact
 """
 
 
 def _usage_error(reason: str) -> NoReturn:
-    try:
-        sys.stderr.write(f"{_USAGE}nilseqlab: error: {reason}\n")
-    except (AttributeError, OSError, ValueError):
-        pass  # stderr is None or closed: the exit code still reports
+    _write(sys.stderr, f"{_USAGE}nilseqlab: error: {reason}\n")
     raise SystemExit(2)
 
 
@@ -714,11 +719,12 @@ def _parse_args(argv: Sequence[str]) -> tuple[str, str, str, int, str]:
     args = iter(argv)
     for arg in args:
         if arg in ("-h", "--help"):
-            sys.stdout.write(_HELP)
+            _write(sys.stdout, _HELP)
             raise SystemExit(0)
         name, eq, value = arg.partition("=")
         if name in opts:
-            if not eq and (value := next(args, None)) is None:
+            if not eq and ((value := next(args, None)) is None
+                           or value.startswith("--") or value == "-h"):
                 _usage_error(f"argument {name}: expected one argument")
             opts[name] = value
         elif arg.startswith("-") or command is not None:
@@ -735,9 +741,10 @@ def _parse_args(argv: Sequence[str]) -> tuple[str, str, str, int, str]:
     except ValueError:
         _usage_error(f"argument --threads: invalid int value: "
                      f"{opts['--threads']!r}")
-    if opts["--precision"] not in ("exact", "fast"):
+    if opts["--precision"] not in _PRECISIONS:
         _usage_error(f"argument --precision: invalid choice: "
-                     f"{opts['--precision']!r} (choose from exact, fast)")
+                     f"{opts['--precision']!r} (choose from "
+                     f"{', '.join(_PRECISIONS)})")
     return command, opts["--config"], opts["--out"], threads, opts["--precision"]
 
 
